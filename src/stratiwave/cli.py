@@ -27,8 +27,7 @@ from .profiles import PGrid, Physics, ProfileFn
 _PROFILE_KEYS = {"poly": {"type", "coeffs"}, "table": {"type", "p", "v"}}
 _PHYSICS_KEYS = {"g", "c", "p0", "sigma", "rho", "beta"}
 _NUMERICS_KEYS = {
-    "N_p", "N_q", "fixed_point_tol", "fixed_point_max_iter", "newton_tol",
-    "n_max", "rayleigh_N", "resonance_rtol", "verify_residual_tol",
+    "N_p", "N_q", "n_max", "resonance_rtol", "verify_residual_tol",
     "verify_eta_tol", "verify_flux_tol", "verify_bernoulli_tol",
     "verify_yih_tol",
 }
@@ -40,9 +39,7 @@ _TOP_KEYS = {"physics", "numerics", "continuation", "lambdas", "sigma",
              "output_dir"}
 
 _NUMERICS_DEFAULTS = {
-    "N_p": 64, "N_q": 64, "fixed_point_tol": 1e-12,
-    "fixed_point_max_iter": 200, "newton_tol": 1e-10, "n_max": 64,
-    "rayleigh_N": 512, "resonance_rtol": 1e-6,
+    "N_p": 64, "N_q": 64, "n_max": 64, "resonance_rtol": 1e-6,
     "verify_residual_tol": 1e-8, "verify_eta_tol": 1e-10,
     "verify_flux_tol": 1e-3, "verify_bernoulli_tol": 1e-3,
     "verify_yih_tol": 5e-2,
@@ -173,9 +170,7 @@ def cmd_laminar(cfg: RunConfig, args):
     grid = cfg.grid
     paths = []
     for lam in lambdas:
-        flow = laminar.solve_laminar(
-            cfg.physics, lam, grid, tol=cfg.numerics["fixed_point_tol"],
-            max_iter=cfg.numerics["fixed_point_max_iter"])
+        flow = laminar.solve_laminar(cfg.physics, lam, grid)
         paths.append(_write(args.out, f"laminar_{lam:.6g}.csv",
                             laminar.flow_to_csv(flow)))
     print("\n".join(paths))

@@ -17,18 +17,21 @@ corrections append a single border row handled by block elimination.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import EllipticityLossError, NewtonFailureError, ShapeError
-from .laminar import LaminarFlow
+from .laminar import LAMBDA_CAP, LaminarFlow, lambda_floor, solve_laminar
 from .profiles import PGrid, Physics
+from .spectral import _smallest_root
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 40
 MAX_HALVINGS = 8
+CONSTRAINT_TOL = 1e-12     # relative tolerance of a border constraint
 
 
 @dataclass(frozen=True)
@@ -333,20 +336,70 @@ def _amplitude_row(hf: HeightField):
 
 
 @dataclass(frozen=True)
-class TransverseGuard:
-    """Second border pinning the transverse null mode of a double point.
+class _Border:
+    """One scalar constraint c(field) = 0 that frees Q.
 
-    ``row`` is the left-null functional of the companion Fourier block
-    (exactly orthogonal to the Jacobian range at any laminar state, and
-    zero on every q-independent field), ``col`` the right null direction
-    used as the unfolding column; the unfolding unknown vanishes at
-    genuine solutions on the guarded curve.
+    Its linearization is ``row . dh + q_coef dQ = -c``; Newton has
+    converged only once ``|c| < tol`` as well.
     """
 
     row: np.ndarray
-    col: np.ndarray
-    n: int
-    target: float = 0.0
+    q_coef: float
+    constraint: Callable[[HeightField], float]
+    tol: float
+
+
+def _bordered_newton(physics, sigma, fld: HeightField, tol, max_iter,
+                     border: _Border | None = None):
+    """Damped Newton on G(h, Q) = 0 with Q fixed, or with Q free under
+    one border constraint.
+
+    A step that does not lower max|r| (or loses ellipticity) is halved, at
+    most MAX_HALVINGS times.  Converges when max|r| < tol and the border
+    constraint is within its tolerance, testing after every step; returns
+    the field and the max|r| history (initial residual first).
+    """
+    def constraints(f):
+        return [] if border is None else [border.constraint(f)]
+
+    r = residual(physics, fld, sigma)
+    rnorm = float(np.max(np.abs(r)))
+    cons = constraints(fld)
+    history = [rnorm]
+    while not (rnorm < tol and all(abs(c) < border.tol for c in cons)):
+        if len(history) > max_iter:
+            raise NewtonFailureError(
+                f"no convergence in {max_iter} Newton iterations",
+                residual=rnorm, iterations=max_iter)
+        jac = jacobian(physics, fld, sigma)
+        if border is None:
+            cols, rows, smat = [], [], []
+        else:
+            cols, rows, smat = [jac.q_col], [border.row], [[border.q_coef]]
+        delta, dz = _bordered_solve(jac, -r.reshape(-1), cols, rows, smat,
+                                    cons)
+        dQ = dz[0] if border is not None else 0.0
+        scale = 1.0
+        for _halving in range(MAX_HALVINGS + 1):
+            trial = replace(fld, h=fld.h + scale * delta.reshape(fld.h.shape),
+                            Q=fld.Q + scale * dQ)
+            try:
+                r_trial = residual(physics, trial, sigma)
+            except EllipticityLossError:
+                scale *= 0.5
+                continue
+            r_trial_norm = float(np.max(np.abs(r_trial)))
+            if r_trial_norm < rnorm or r_trial_norm < tol:
+                break
+            scale *= 0.5
+        else:
+            raise NewtonFailureError(
+                "Newton damping exhausted", residual=rnorm,
+                iterations=len(history))
+        fld, r, rnorm = trial, r_trial, r_trial_norm
+        cons = constraints(fld)
+        history.append(rnorm)
+    return replace(fld, residual_norm=rnorm), history
 
 
 def newton(physics: Physics, hf: HeightField, sigma: float | None = None,
@@ -355,7 +408,6 @@ def newton(physics: Physics, hf: HeightField, sigma: float | None = None,
            amplitude_target: float | None = None,
            direction: np.ndarray | None = None,
            direction_target: float | None = None,
-           guard: "TransverseGuard | None" = None,
            return_history: bool = False):
     """Newton's method on the discrete height equation.
 
@@ -365,102 +417,33 @@ def newton(physics: Physics, hf: HeightField, sigma: float | None = None,
     border row/column.  frozen = "direction": the weighted projection of h
     onto ``direction`` is constrained instead, which pins the mode mixture
     when several branches cross (near a double point a single scalar
-    amplitude cannot tell them apart).  An optional transverse ``guard``
-    adds a second border annihilating the other null mode of a double
-    point, with an unfolding unknown that vanishes at genuine solutions.
-    Damping by step halving, at most 8 halvings.
+    amplitude cannot tell them apart).  Damping by step halving, at most
+    8 halvings.
     """
     if sigma is None:
         sigma = physics.sigma
-    h = hf.h.copy()
-    Q = hf.Q
-    mu = 0.0
-    field_now = replace(hf, h=h, Q=Q)
-    r = residual(physics, field_now, sigma)
-    rnorm = float(np.max(np.abs(r)))
-    history = [rnorm]
-    if rnorm < tol:
-        accepted = replace(field_now, residual_norm=rnorm,
-                           provenance=hf.provenance)
-        return (accepted, history) if return_history else accepted
-    if frozen == "amplitude":
+    if frozen == "Q":
+        border = None
+    elif frozen == "amplitude":
         target = (amplitude_target if amplitude_target is not None
-                  else field_now.amplitude())
+                  else hf.amplitude())
+        border = _Border(_amplitude_row(hf), 0.0,
+                         lambda f: f.amplitude() - target,
+                         CONSTRAINT_TOL * max(1.0, abs(target)))
     elif frozen == "direction":
         if direction is None:
             raise ValueError("frozen='direction' needs a direction array")
         dir_flat = direction.reshape(-1) / direction.size
         target = (direction_target if direction_target is not None
-                  else float(dir_flat @ h.reshape(-1)))
-
-    for _ in range(max_iter):
-        jac = jacobian(physics, field_now, sigma)
-        rhs = -(r.reshape(-1) + mu * guard.col if guard is not None
-                else r.reshape(-1))
-        if frozen == "Q":
-            if guard is not None:
-                raise ValueError("guard requires a free Q")
-            (delta,) = _solve_with_rank_one(jac, [rhs])
-            dz = np.zeros(0)
-            dQ = dmu = 0.0
-        elif frozen in ("amplitude", "direction"):
-            if frozen == "amplitude":
-                row = _amplitude_row(field_now)
-                con = field_now.amplitude() - target
-            else:
-                row = dir_flat
-                con = float(dir_flat @ field_now.h.reshape(-1)) - target
-            cols, rows, cons = [jac.q_col], [row], [con]
-            if guard is not None:
-                cols.append(guard.col)
-                rows.append(guard.row)
-                cons.append(float(guard.row @ field_now.h.reshape(-1))
-                            - guard.target)
-            smat = [[0.0] * len(cols) for _ in rows]
-            delta, dz = _bordered_solve(jac, rhs, cols, rows, smat, cons)
-            dQ = dz[0]
-            dmu = dz[1] if guard is not None else 0.0
-        else:
-            raise ValueError(f"unknown frozen mode {frozen!r}")
-
-        def _augmented_norm(res, mu_val):
-            if guard is None:
-                return float(np.max(np.abs(res)))
-            return float(np.max(np.abs(res.reshape(-1) + mu_val * guard.col)))
-
-        aug_now = _augmented_norm(r, mu)
-        scale = 1.0
-        for _halving in range(MAX_HALVINGS + 1):
-            trial_h = h + scale * delta.reshape(h.shape)
-            trial = replace(field_now, h=trial_h, Q=Q + scale * dQ)
-            try:
-                r_trial = residual(physics, trial, sigma)
-            except EllipticityLossError:
-                scale *= 0.5
-                continue
-            r_trial_norm = float(np.max(np.abs(r_trial)))
-            aug_trial = _augmented_norm(r_trial, mu + scale * dmu)
-            if aug_trial < aug_now or r_trial_norm < tol:
-                break
-            scale *= 0.5
-        else:
-            raise NewtonFailureError(
-                "Newton damping exhausted", residual=rnorm,
-                iterations=len(history))
-        h = trial_h
-        Q = trial.Q
-        mu += scale * dmu
-        field_now = trial
-        r = r_trial
-        rnorm = r_trial_norm
-        history.append(rnorm)
-        if rnorm < tol:
-            accepted = replace(field_now, residual_norm=rnorm,
-                               provenance=hf.provenance)
-            return (accepted, history) if return_history else accepted
-    raise NewtonFailureError(
-        f"no convergence in {max_iter} Newton iterations",
-        residual=rnorm, iterations=max_iter)
+                  else float(dir_flat @ hf.h.reshape(-1)))
+        border = _Border(dir_flat, 0.0,
+                         lambda f: float(dir_flat @ f.h.reshape(-1)) - target,
+                         CONSTRAINT_TOL * max(1.0, abs(target)))
+    else:
+        raise ValueError(f"unknown frozen mode {frozen!r}")
+    accepted, history = _bordered_newton(physics, sigma, hf, tol, max_iter,
+                                         border)
+    return (accepted, history) if return_history else accepted
 
 
 def laminar_field(flow: LaminarFlow, N_q: int,
@@ -484,50 +467,6 @@ def germ_field(flow: LaminarFlow, modes, xi, eps: float, N_q: int,
 
 # --- discrete Fourier-block dispersion -------------------------------------
 
-def fourier_block_dispersion(physics: Physics, flow: LaminarFlow,
-                             sigma: float, n: int, N_q: int) -> float:
-    """Boundary mismatch of the n-th q-Fourier block of the discrete
-    Jacobian at the laminar field.
-
-    At a laminar state the Jacobian decouples over discrete cosine modes;
-    marching the block's interior rows from the bed (discrete shooting with
-    v_0 = 0, v_1 = dp) and evaluating the Venttsel row gives a scalar whose
-    zeros are the bifurcation points of the DISCRETE operator.  They differ
-    from the continuum shooting roots by the O(dp^2, dq^2) discretization
-    error, which matters when two modes must resonate at the same lambda.
-    """
-    grid = flow.grid
-    dp = grid.h
-    dq = np.pi / N_q
-    kn2 = (2.0 - 2.0 * np.cos(n * dq)) / dq ** 2      # symbol of -d^2/dq^2
-    p = grid.nodes
-    rho_p = physics.rho_p(p)
-    beta = physics.beta_at(p)
-    g = physics.g
-    Hp = flow.Hp
-    Y = flow.Y
-    v = np.zeros(grid.N_p + 1)
-    v[1] = dp
-    for k in range(1, grid.N_p):
-        c_pp = 1.0
-        c_p = -3.0 * g * Y[k] * rho_p[k] * Hp[k] ** 2 + 3.0 * Hp[k] ** 2 * beta[k]
-        c_0 = -Hp[k] ** 2 * kn2 - g * rho_p[k] * Hp[k] ** 3
-        # interior row: c_pp (v+ - 2 v + v-)/dp^2 + c_p (v+ - v-)/(2 dp) + c_0 v = 0
-        a_plus = c_pp / dp ** 2 + c_p / (2.0 * dp)
-        a_minus = c_pp / dp ** 2 - c_p / (2.0 * dp)
-        a_zero = -2.0 * c_pp / dp ** 2 + c_0
-        v[k + 1] = -(a_zero * v[k] + a_minus * v[k - 1]) / a_plus
-        big = abs(v[k + 1])
-        if big > 1e280:
-            v /= big
-    lam = flow.lam
-    vp_top = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dp)
-    g_rho0 = g * physics.rho0()
-    return float(2.0 * Hp[-1] * (-lam) * vp_top
-                 + (2.0 * g_rho0 * Hp[-1] ** 2
-                    + 2.0 * sigma * Hp[-1] ** 2 * kn2) * v[-1])
-
-
 def fourier_block_matrix(physics: Physics, flow: LaminarFlow, sigma: float,
                          n: int, N_q: int) -> np.ndarray:
     """The n-th q-Fourier block of the discrete Jacobian at the laminar
@@ -536,7 +475,7 @@ def fourier_block_matrix(physics: Physics, flow: LaminarFlow, sigma: float,
     grid = flow.grid
     dp = grid.h
     dq = np.pi / N_q
-    kn2 = (2.0 - 2.0 * np.cos(n * dq)) / dq ** 2
+    kn2 = (2.0 - 2.0 * np.cos(n * dq)) / dq ** 2      # symbol of -d^2/dq^2
     p = grid.nodes
     rho_p = physics.rho_p(p)
     beta = physics.beta_at(p)
@@ -562,83 +501,40 @@ def fourier_block_matrix(physics: Physics, flow: LaminarFlow, sigma: float,
     return B
 
 
-def build_transverse_guard(physics: Physics, flow: LaminarFlow, sigma: float,
-                           n: int, N_q: int) -> TransverseGuard:
-    """Guard borders from the null vectors of the mode-n Fourier block."""
+def fourier_block_dispersion(physics: Physics, flow: LaminarFlow,
+                             sigma: float, n: int, N_q: int) -> float:
+    """Boundary mismatch of the n-th q-Fourier block of the discrete
+    Jacobian at the laminar field.
+
+    At a laminar state the Jacobian decouples over discrete cosine modes;
+    marching the block's interior rows from the bed (discrete shooting with
+    v_0 = 0, v_1 = dp) and applying the Venttsel row gives a scalar whose
+    zeros are the bifurcation points of the DISCRETE operator.  They differ
+    from the continuum shooting roots by the O(dp^2, dq^2) discretization
+    error, which matters when two modes must resonate at the same lambda.
+    """
     B = fourier_block_matrix(physics, flow, sigma, n, N_q)
-    U, S, Vt = np.linalg.svd(B)
-    right = Vt[-1]
-    left = U[:, -1]
-    q = np.linspace(0.0, np.pi, N_q + 1)
-    wq = np.full(N_q + 1, 1.0)
-    wq[0] = wq[-1] = 0.5
-    row2d = np.outer(wq * np.cos(n * q), left)
-    col2d = np.outer(np.cos(n * q), right)
-    row = row2d.reshape(-1)
-    col = col2d.reshape(-1)
-    row /= np.linalg.norm(row)
-    col /= np.linalg.norm(col)
-    return TransverseGuard(row=row, col=col, n=n)
+    v = np.zeros(B.shape[0])
+    v[1] = flow.grid.h
+    for k in range(1, B.shape[0] - 1):
+        v[k + 1] = -(B[k, k] * v[k] + B[k, k - 1] * v[k - 1]) / B[k, k + 1]
+        big = abs(v[k + 1])
+        if big > 1e280:
+            v /= big
+    return float(B[-1, -3:] @ v[-3:])
 
 
 def discrete_lambda_star(physics: Physics, grid: PGrid, sigma: float,
-                         N_q: int, n: int = 1,
-                         bracket_hint: float | None = None) -> float:
+                         N_q: int, n: int = 1) -> float:
     """Smallest zero of the block dispersion for mode n."""
-    from scipy.optimize import brentq
-
-    from .laminar import lambda_floor, solve_laminar
-
     def f(lam):
         flow = solve_laminar(physics, lam, grid)
         return fourier_block_dispersion(physics, flow, sigma, n, N_q)
 
-    floor = lambda_floor(physics, grid)
-    lo = (bracket_hint * 0.9 if bracket_hint is not None
-          else floor + 1e-8 * max(1.0, abs(floor)))
-    flo = f(lo)
-    hi = lo
-    fhi = flo
-    while np.sign(fhi) == np.sign(flo):
-        lo, flo = hi, fhi
-        hi = max(hi * 1.3, floor + 1.3 * (hi - floor))
-        if hi > 1e6:
-            raise NewtonFailureError("no discrete dispersion sign change")
-        fhi = f(hi)
-    return float(brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16))
-
-
-def discrete_double_sigma(physics: Physics, grid: PGrid, n2: int, N_q: int,
-                          sigma_seed: float, lam_seed: float,
-                          tol: float = 1e-11, max_iter: int = 40):
-    """(sigma, lambda) where modes 1 and n2 of the discrete operator
-    bifurcate together; 2-d Newton with finite-difference Jacobian."""
-    from .laminar import solve_laminar
-
-    def F(x):
-        sg, lam = x
-        flow = solve_laminar(physics, lam, grid)
-        return np.array([
-            fourier_block_dispersion(physics, flow, sg, 1, N_q),
-            fourier_block_dispersion(physics, flow, sg, n2, N_q)])
-
-    x = np.array([sigma_seed, lam_seed])
-    scale = np.abs(F(x)) + 1.0
-    for _ in range(max_iter):
-        r = F(x)
-        if np.max(np.abs(r / scale)) < tol:
-            return float(x[0]), float(x[1])
-        J = np.empty((2, 2))
-        for j in range(2):
-            step = 1e-7 * max(1.0, abs(x[j]))
-            xp = x.copy()
-            xp[j] += step
-            J[:, j] = (F(xp) - r) / step
-        try:
-            x = x + np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonFailureError(f"discrete double-point Newton: {exc}")
-    raise NewtonFailureError("discrete double-point Newton did not converge")
+    root = _smallest_root(f, lambda_floor(physics, grid), LAMBDA_CAP)
+    if root is None:
+        raise NewtonFailureError("no discrete dispersion sign change")
+    return float(root)
 
 
 # --- continuation ---------------------------------------------------------
@@ -704,50 +600,27 @@ def _weighted_dot(dh, dQ, eh, eQ):
 
 
 def _corrector(physics, sigma, pred: HeightField, t_h, t_Q, x_prev, ds,
-               controls, guard=None):
-    """Newton on (G(h, Q), arclength constraint) from the predictor."""
-    h = pred.h.copy()
-    Q = pred.Q
-    mu = 0.0
-    fld = replace(pred, h=h, Q=Q)
-    for it in range(1, controls.newton_max_iter + 1):
-        r = residual(physics, fld, sigma)
-        con = (_weighted_dot(fld.h - x_prev.h, fld.Q - x_prev.Q, t_h, t_Q)
-               - ds)
-        rnorm = float(np.max(np.abs(r)))
-        if rnorm < controls.newton_tol and abs(con) < 1e-12 * max(1.0, ds):
-            return replace(fld, residual_norm=rnorm), it
-        jac = jacobian(physics, fld, sigma)
-        rhs = -(r.reshape(-1) + mu * guard.col) if guard is not None \
-            else -r.reshape(-1)
-        row = t_h.reshape(-1) / t_h.size
-        cols, rows, cons = [jac.q_col], [row], [con]
-        smat = [[t_Q]]
-        if guard is not None:
-            cols.append(guard.col)
-            rows.append(guard.row)
-            cons.append(float(guard.row @ fld.h.reshape(-1)) - guard.target)
-            smat = [[t_Q, 0.0], [0.0, 0.0]]
-        dh, dz = _bordered_solve(jac, rhs, cols, rows, smat, cons)
-        fld = replace(fld, h=fld.h + dh.reshape(fld.h.shape), Q=fld.Q + dz[0])
-        if guard is not None:
-            mu += dz[1]
-    raise NewtonFailureError("corrector did not converge",
-                             residual=rnorm, iterations=controls.newton_max_iter)
+               controls):
+    """Newton on (G(h, Q), arclength constraint) from the predictor;
+    returns the corrected field and its Newton step count plus one."""
+    border = _Border(
+        t_h.reshape(-1) / t_h.size, t_Q,
+        lambda f: _weighted_dot(f.h - x_prev.h, f.Q - x_prev.Q, t_h, t_Q) - ds,
+        CONSTRAINT_TOL * max(1.0, ds))
+    fld, history = _bordered_newton(physics, sigma, pred, controls.newton_tol,
+                                    controls.newton_max_iter, border)
+    return fld, len(history)
 
 
 def continue_branch(physics: Physics, germ: HeightField,
                     sigma: float | None = None,
                     controls: ContinuationControls = ContinuationControls(),
-                    keep_fields: bool = True,
-                    guard: TransverseGuard | None = None) -> Branch:
+                    keep_fields: bool = True) -> Branch:
     """Pseudo-arclength predictor-corrector from a germ field.
 
     Records the monitor tuple at every accepted point and stops on the
     first triggered alternative (blow-up monitors, closed loop, Newton
-    failure with underflowed step, or the step budget).  ``guard`` pins
-    the transverse null projection for pure branches through a double
-    point, where the unguarded corrector can slide onto a mixed curve.
+    failure with underflowed step, or the step budget).
     """
     if sigma is None:
         sigma = physics.sigma
@@ -765,7 +638,7 @@ def continue_branch(physics: Physics, germ: HeightField,
     c_lam = float(dir_flat @ x_lam.h.reshape(-1))
     fld0 = newton(physics, germ, sigma, frozen="direction",
                   direction=direction, direction_target=c0,
-                  guard=guard, tol=controls.newton_tol)
+                  tol=controls.newton_tol)
     points = []
 
     def record(fld, s, ds):
@@ -787,7 +660,7 @@ def continue_branch(physics: Physics, germ: HeightField,
         fld1 = newton(physics, h1_guess, sigma, frozen="direction",
                       direction=direction,
                       direction_target=c_lam + 2.0 * (c0 - c_lam),
-                      guard=guard, tol=controls.newton_tol)
+                      tol=controls.newton_tol)
     except (NewtonFailureError, EllipticityLossError):
         return Branch(points=tuple(points), termination="NewtonFailure")
     ds = float(np.sqrt(max(_weighted_dot(fld1.h - fld0.h, fld1.Q - fld0.Q,
@@ -812,7 +685,7 @@ def continue_branch(physics: Physics, germ: HeightField,
             pred = replace(curr, h=curr.h + ds * t_h, Q=curr.Q + ds * t_Q)
             try:
                 accepted, its = _corrector(physics, sigma, pred, t_h, t_Q,
-                                           curr, ds, controls, guard=guard)
+                                           curr, ds, controls)
             except (NewtonFailureError, EllipticityLossError):
                 ds *= 0.5
                 if ds < controls.ds_min:

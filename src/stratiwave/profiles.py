@@ -98,19 +98,6 @@ class ProfileFn:
             out = self._interp.derivative()(p)
         return float(out) if np.ndim(out) == 0 else out
 
-    def antiderivative_table(self, grid: "PGrid", base: float = 0.0) -> "ProfileFn":
-        """Exact antiderivative of the representation, as a table on the grid,
-        normalized to vanish at ``base``."""
-        p = grid.nodes
-        if self.kind == "poly":
-            ic = np.polynomial.polynomial.polyint(np.asarray(self.coeffs))
-            vals = np.polynomial.polynomial.polyval(p, ic) - \
-                np.polynomial.polynomial.polyval(base, ic)
-        else:
-            anti = self._interp.antiderivative()
-            vals = anti(p) - anti(base)
-        return ProfileFn.table(p, vals)
-
 
 @dataclass(frozen=True)
 class PGrid:
@@ -135,9 +122,6 @@ class PGrid:
     @property
     def h(self):
         return abs(self.p0) / self.N_p
-
-    def refined(self, factor: int = 2) -> "PGrid":
-        return PGrid(self.p0, self.N_p * factor)
 
 
 @dataclass(frozen=True)

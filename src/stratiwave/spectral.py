@@ -234,18 +234,12 @@ def _relative_D(physics, grid, sigma, n):
     return f
 
 
-def find_lambda_star(physics: Physics, grid: PGrid, sigma: float | None = None,
-                     n: int = 1, cap: float = LAMBDA_CAP) -> float:
-    """Smallest dispersion root for mode n (default n = 1).
+def _smallest_root(f, floor: float, cap: float) -> float | None:
+    """Smallest sign change of f(lambda) above the laminar floor.
 
-    Geometric bracket scan above the floor followed by Brent, with the
-    |D| <= 1e-10 * scale stopping rule.  Raises LBViolatedError when no
-    sign change exists below the cap.
+    Geometric bracket scan from just above the floor, then Brent; None
+    when f keeps its sign up to ``cap``.
     """
-    if sigma is None:
-        sigma = physics.sigma
-    floor = lambda_floor(physics, grid)
-    f = _relative_D(physics, grid, sigma, n)
     lo = floor + 1e-8 * max(1.0, abs(floor))
     flo = f(lo)
     if flo == 0.0:
@@ -256,10 +250,26 @@ def find_lambda_star(physics: Physics, grid: PGrid, sigma: float | None = None,
         lo, flo = hi, fhi
         hi = max(hi * 2.0, floor + 2.0 * (hi - floor))
         if hi > cap:
-            raise LBViolatedError(
-                f"no dispersion sign change for n={n} up to lambda={cap}")
+            return None
         fhi = f(hi)
-    root = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+
+
+def find_lambda_star(physics: Physics, grid: PGrid, sigma: float | None = None,
+                     n: int = 1, cap: float = LAMBDA_CAP) -> float:
+    """Smallest dispersion root for mode n (default n = 1).
+
+    Geometric bracket scan above the floor followed by Brent, with the
+    |D| <= 1e-10 * scale stopping rule.  Raises LBViolatedError when no
+    sign change exists below the cap.
+    """
+    if sigma is None:
+        sigma = physics.sigma
+    f = _relative_D(physics, grid, sigma, n)
+    root = _smallest_root(f, lambda_floor(physics, grid), cap)
+    if root is None:
+        raise LBViolatedError(
+            f"no dispersion sign change for n={n} up to lambda={cap}")
     if abs(f(root)) > DISPERSION_RTOL:
         raise RootNotFoundError(
             f"dispersion root for n={n} not resolved to tolerance")

@@ -39,9 +39,13 @@ def test_load_config_roundtrip(config_path):
     assert cfg.grid.N_p == 64
 
 
-def test_unknown_keys_rejected(tmp_path, config_path):
+# a typo'd key, and keys that no subcommand reads
+@pytest.mark.parametrize("key", ["newton_tolerance", "newton_tol",
+                                 "rayleigh_N", "fixed_point_tol",
+                                 "fixed_point_max_iter"])
+def test_unknown_keys_rejected(tmp_path, config_path, key):
     doc = json.loads(json.dumps(BASE_CONFIG))
-    doc["numerics"]["newton_tolerance"] = 1e-8      # typo'd key
+    doc["numerics"][key] = 1e-8
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     from stratiwave.errors import ConfigError

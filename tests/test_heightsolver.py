@@ -115,8 +115,7 @@ def test_fourier_block_singular_at_lambda_star(t0, simple_point):
         return hs.fourier_block_dispersion(t0, fl, 1.0, 1, 64)
 
     assert block_det_sign(lam_star - 0.01) * block_det_sign(lam_star + 0.01) < 0
-    lam_disc = hs.discrete_lambda_star(t0, grid, 1.0, 64,
-                                       bracket_hint=lam_star)
+    lam_disc = hs.discrete_lambda_star(t0, grid, 1.0, 64)
     assert abs(lam_disc - lam_star) < 5e-4
     # the block matrix is singular exactly at the discrete root
     fl = lm.solve_laminar(t0, lam_disc, grid)
@@ -190,6 +189,20 @@ def test_step_halving_reproduces_curve(t0, simple_point):
     sel = ac <= min(ac[-1], af[-1])
     interp = CubicSpline(af, qf)(ac[sel])
     assert np.max(np.abs(interp - qc[sel])) < 1e-6
+
+
+def test_corrector_tests_its_last_step(t0, simple_point):
+    # every corrector here converges in two Newton steps, so a budget of two
+    # steps must reproduce the default run point for point
+    grid, lam_star, flow, mode = simple_point
+    germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, 64)
+    default = hs.continue_branch(t0, germ, 1.0,
+                                 hs.ContinuationControls(max_steps=6))
+    tight = hs.continue_branch(
+        t0, germ, 1.0, hs.ContinuationControls(max_steps=6, newton_max_iter=2))
+    assert tight.termination == default.termination == "MaxSteps"
+    assert ([(p.Q, p.amplitude, p.step) for p in tight.points]
+            == [(p.Q, p.amplitude, p.step) for p in default.points])
 
 
 def test_termination_thresholds(t0, simple_point):
