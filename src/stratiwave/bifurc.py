@@ -463,17 +463,22 @@ def predict_branches(coeffs: CoefficientSet, case: str = "cubic"):
 def oracle_roots(coeffs: CoefficientSet, side: str,
                  dedup_tol: float = ROOT_DEDUP_TOL):
     """Independent multi-start Newton root finder for the cubic reduced
-    system; returns the deduplicated nontrivial roots."""
-    mags = []
-    for psi, theta in ((coeffs.psi11, coeffs.theta1111),
-                       (coeffs.psi22, coeffs.theta2222)):
-        if theta != 0.0:
-            mags.append(np.sqrt(abs(psi / theta)))
-    box = 3.0 * max(mags) if mags else 3.0
-    starts = np.linspace(-box, box, 21)
+    system; returns the deduplicated nontrivial roots.
+
+    Each axis of the 21 x 21 start grid spans three times its own
+    pure-root magnitude: mixed roots can sit on a far smaller scale in one
+    component than the larger pure root (Double(4): 0.04 against 1.07).
+    """
+    mags = [np.sqrt(abs(psi / theta)) if theta != 0.0 else 0.0
+            for psi, theta in ((coeffs.psi11, coeffs.theta1111),
+                               (coeffs.psi22, coeffs.theta2222))]
+    box = 3.0 * max(mags) or 3.0          # also the deduplication scale
+    # an axis without a pure root falls back to the larger box
+    starts1, starts2 = [np.linspace(-half, half, 21)
+                        for half in (3.0 * m or box for m in mags)]
     roots = []
-    for s1 in starts:
-        for s2 in starts:
+    for s1 in starts1:
+        for s2 in starts2:
             th = np.array([s1, s2])
             for _ in range(60):
                 r = _reduced_residual(coeffs, side, th)

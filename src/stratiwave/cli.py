@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -35,6 +36,7 @@ _CONTINUATION_KEYS = {
     "ds_min", "ds_max", "max_steps", "newton_tol", "newton_max_iter",
     "delta_stop", "kappa_stop", "Q_stop", "tol_loop", "s_min",
 }
+_CONTINUATION_COUNTS = {"max_steps", "newton_max_iter"}
 _TOP_KEYS = {"physics", "numerics", "continuation", "lambdas", "sigma",
              "output_dir"}
 
@@ -81,6 +83,24 @@ def _power_of_two(n):
     return n >= 16 and (n & (n - 1)) == 0
 
 
+def _parse_continuation(cb) -> heightsolver.ContinuationControls:
+    """Counts are ints >= 1, every other control a finite number > 0."""
+    if not isinstance(cb, dict):
+        raise ConfigError("continuation must be an object")
+    _reject_unknown(cb, _CONTINUATION_KEYS, "continuation")
+    for key, val in cb.items():
+        if key in _CONTINUATION_COUNTS:
+            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+                raise ConfigError(f"continuation.{key} must be an integer >= 1")
+        elif (isinstance(val, bool) or not isinstance(val, (int, float))
+              or not math.isfinite(val) or val <= 0):
+            raise ConfigError(f"continuation.{key} must be a finite number > 0")
+    controls = heightsolver.ContinuationControls(**cb)
+    if controls.ds_min > controls.ds_max:
+        raise ConfigError("continuation.ds_min must not exceed ds_max")
+    return controls
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -120,9 +140,7 @@ def load_config(path: str) -> RunConfig:
         if key.endswith("tol") and float(val) <= 0:
             raise ConfigError(f"numerics.{key} must be positive")
 
-    cb = raw.get("continuation", {})
-    _reject_unknown(cb, _CONTINUATION_KEYS, "continuation")
-    controls = heightsolver.ContinuationControls(**cb)
+    controls = _parse_continuation(raw.get("continuation", {}))
     if raw.get("sigma") is not None:
         physics = Physics(g=physics.g, c=physics.c, p0=physics.p0,
                           sigma=float(raw["sigma"]), rho=rho, beta=beta)

@@ -181,13 +181,16 @@ class JacobianRecord:
         return out
 
 
-def _flat(iq, ip, npp):
-    return iq * npp + ip
-
-
 def jacobian(physics: Physics, hf: HeightField,
              sigma: float | None = None) -> JacobianRecord:
-    """Analytic Jacobian of the residual in band storage."""
+    """Analytic Jacobian of the residual in band storage.
+
+    Each stencil term is one whole-grid coefficient array scattered into
+    the band with a single fancy-index update.  Within one update every
+    row appears once, so no index repeats; the entries that ghost
+    reflection folds together (q = 0 and q = pi) sum their terms in
+    stencil order, one update after another.
+    """
     if sigma is None:
         sigma = physics.sigma
     hq, hp, hqq, hpp, hpq = derivatives(hf)
@@ -209,76 +212,81 @@ def jacobian(physics: Physics, hf: HeightField,
     g_rho0 = g * physics.rho0()
     d = hf.depth()
 
-    for iq in range(N_q + 1):
-        ql, qr = left[iq], right[iq]
-        for ip in range(1, N_p):
-            i = _flat(iq, ip, npp)
-            c_pp = 1.0 + hq[iq, ip] ** 2
-            c_qq = hp[iq, ip] ** 2
-            c_q = 2.0 * hq[iq, ip] * hpp[iq, ip] - 2.0 * hp[iq, ip] * hpq[iq, ip]
-            c_p = (2.0 * hqq[iq, ip] * hp[iq, ip]
-                   - 2.0 * hq[iq, ip] * hpq[iq, ip]
-                   - 3.0 * g * (hf.h[iq, ip] - d) * rho_p[ip] * hp[iq, ip] ** 2
-                   + 3.0 * hp[iq, ip] ** 2 * beta[ip])
-            c_pq = -2.0 * hq[iq, ip] * hp[iq, ip]
-            c_0 = -g * rho_p[ip] * hp[iq, ip] ** 3
-            # p-second difference
-            add(i, _flat(iq, ip - 1, npp), c_pp / dp ** 2)
-            add(i, i, -2.0 * c_pp / dp ** 2)
-            add(i, _flat(iq, ip + 1, npp), c_pp / dp ** 2)
-            # q-second difference (reflection doubles the mirrored node)
-            add(i, _flat(ql, ip, npp), c_qq / dq ** 2)
-            add(i, i, -2.0 * c_qq / dq ** 2)
-            add(i, _flat(qr, ip, npp), c_qq / dq ** 2)
-            # q-first difference
-            add(i, _flat(qr, ip, npp), c_q / (2.0 * dq))
-            add(i, _flat(ql, ip, npp), -c_q / (2.0 * dq))
-            # p-first difference
-            add(i, _flat(iq, ip + 1, npp), c_p / (2.0 * dp))
-            add(i, _flat(iq, ip - 1, npp), -c_p / (2.0 * dp))
-            # mixed: central q of central p
-            add(i, _flat(qr, ip + 1, npp), c_pq / (4.0 * dq * dp))
-            add(i, _flat(qr, ip - 1, npp), -c_pq / (4.0 * dq * dp))
-            add(i, _flat(ql, ip + 1, npp), -c_pq / (4.0 * dq * dp))
-            add(i, _flat(ql, ip - 1, npp), c_pq / (4.0 * dq * dp))
-            # local h
-            add(i, i, c_0)
-        # bottom Dirichlet row
-        i0 = _flat(iq, 0, npp)
-        add(i0, i0, 1.0)
-        # Venttsel top row
-        it = _flat(iq, N_p, npp)
-        hq_t, hqq_t, hp_t = hq[iq, -1], hqq[iq, -1], hp[iq, -1]
-        slope = 1.0 + hq_t ** 2
-        kappa = -hqq_t / slope ** 1.5
-        c_q = (2.0 * hq_t
-               + hp_t ** 2 * 2.0 * sigma * 3.0 * hqq_t * hq_t / slope ** 2.5)
-        c_qq = -hp_t ** 2 * 2.0 * sigma / slope ** 1.5
-        c_p = 2.0 * hp_t * (2.0 * sigma * kappa + 2.0 * g_rho0 * hf.h[iq, -1]
-                            - hf.Q)
-        c_0 = hp_t ** 2 * 2.0 * g_rho0
-        add(it, _flat(qr, N_p, npp), c_q / (2.0 * dq) + c_qq / dq ** 2)
-        add(it, _flat(ql, N_p, npp), -c_q / (2.0 * dq) + c_qq / dq ** 2)
-        add(it, it, -2.0 * c_qq / dq ** 2)
-        add(it, it, c_p * 3.0 / (2.0 * dp) + c_0)
-        add(it, _flat(iq, N_p - 1, npp), -c_p * 4.0 / (2.0 * dp))
-        add(it, _flat(iq, N_p - 2, npp), c_p * 1.0 / (2.0 * dp))
+    # flat node index iq * npp + ip: the q offsets of each node and of its
+    # left/right neighbours under reflection, as (N_q + 1, 1) columns
+    off = np.arange(N_q + 1)[:, None] * npp
+    off_l, off_r = left[:, None] * npp, right[:, None] * npp
+
+    # interior rows, ip = 1 .. N_p - 1
+    ip = np.arange(1, N_p)
+    inner = slice(1, N_p)
+    i = off + ip
+    hq_i, hp_i, hqq_i = hq[:, inner], hp[:, inner], hqq[:, inner]
+    hpp_i, hpq_i = hpp[:, inner], hpq[:, inner]
+    rho_p_i, beta_i = rho_p[inner], beta[inner]
+    c_pp = 1.0 + hq_i ** 2
+    c_qq = hp_i ** 2
+    c_q = 2.0 * hq_i * hpp_i - 2.0 * hp_i * hpq_i
+    c_p = (2.0 * hqq_i * hp_i
+           - 2.0 * hq_i * hpq_i
+           - 3.0 * g * (hf.h[:, inner] - d) * rho_p_i * hp_i ** 2
+           + 3.0 * hp_i ** 2 * beta_i)
+    c_pq = -2.0 * hq_i * hp_i
+    c_0 = -g * rho_p_i * hp_i ** 3
+    # p-second difference
+    add(i, off + ip - 1, c_pp / dp ** 2)
+    add(i, i, -2.0 * c_pp / dp ** 2)
+    add(i, off + ip + 1, c_pp / dp ** 2)
+    # q-second difference (reflection doubles the mirrored node)
+    add(i, off_l + ip, c_qq / dq ** 2)
+    add(i, i, -2.0 * c_qq / dq ** 2)
+    add(i, off_r + ip, c_qq / dq ** 2)
+    # q-first difference
+    add(i, off_r + ip, c_q / (2.0 * dq))
+    add(i, off_l + ip, -c_q / (2.0 * dq))
+    # p-first difference
+    add(i, off + ip + 1, c_p / (2.0 * dp))
+    add(i, off + ip - 1, -c_p / (2.0 * dp))
+    # mixed: central q of central p
+    add(i, off_r + ip + 1, c_pq / (4.0 * dq * dp))
+    add(i, off_r + ip - 1, -c_pq / (4.0 * dq * dp))
+    add(i, off_l + ip + 1, -c_pq / (4.0 * dq * dp))
+    add(i, off_l + ip - 1, c_pq / (4.0 * dq * dp))
+    # local h
+    add(i, i, c_0)
+
+    # bottom Dirichlet rows
+    ab[ku, off[:, 0]] = 1.0
+
+    # Venttsel top rows
+    it = off[:, 0] + N_p
+    hq_t, hqq_t, hp_t = hq[:, -1], hqq[:, -1], hp[:, -1]
+    slope = 1.0 + hq_t ** 2
+    kappa = -hqq_t / slope ** 1.5
+    c_q = (2.0 * hq_t
+           + hp_t ** 2 * 2.0 * sigma * 3.0 * hqq_t * hq_t / slope ** 2.5)
+    c_qq = -hp_t ** 2 * 2.0 * sigma / slope ** 1.5
+    c_p = 2.0 * hp_t * (2.0 * sigma * kappa + 2.0 * g_rho0 * hf.h[:, -1]
+                        - hf.Q)
+    c_0 = hp_t ** 2 * 2.0 * g_rho0
+    add(it, off_r[:, 0] + N_p, c_q / (2.0 * dq) + c_qq / dq ** 2)
+    add(it, off_l[:, 0] + N_p, -c_q / (2.0 * dq) + c_qq / dq ** 2)
+    add(it, it, -2.0 * c_qq / dq ** 2)
+    add(it, it, c_p * 3.0 / (2.0 * dp) + c_0)
+    add(it, it - 1, -c_p * 4.0 / (2.0 * dp))
+    add(it, it - 2, c_p * 1.0 / (2.0 * dp))
 
     # rank-one depth coupling: interior rows react to d(h) = w . h_top
-    u = np.zeros(n)
-    for iq in range(N_q + 1):
-        for ip in range(1, N_p):
-            u[_flat(iq, ip, npp)] = g * rho_p[ip] * hp[iq, ip] ** 3
-    w = mean_weights(N_q)
-    v = np.zeros(n)
-    for iq in range(N_q + 1):
-        v[_flat(iq, N_p, npp)] = w[iq]
+    u = np.zeros((N_q + 1, npp))
+    u[:, inner] = g * rho_p_i * hp_i ** 3
+    v = np.zeros((N_q + 1, npp))
+    v[:, N_p] = mean_weights(N_q)
 
-    q_col = np.zeros(n)
-    for iq in range(N_q + 1):
-        q_col[_flat(iq, N_p, npp)] = -hp[iq, -1] ** 2
+    q_col = np.zeros((N_q + 1, npp))
+    q_col[:, N_p] = -hp_t ** 2
 
-    return JacobianRecord(ab=ab, bandwidth=kl, u=u, v=v, q_col=q_col,
+    return JacobianRecord(ab=ab, bandwidth=kl, u=u.reshape(-1),
+                          v=v.reshape(-1), q_col=q_col.reshape(-1),
                           shape=(n, n))
 
 
@@ -327,11 +335,11 @@ def _bordered_solve(jac: JacobianRecord, rhs, cols, rows, smat, cons):
 
 
 def _amplitude_row(hf: HeightField):
-    n = (hf.N_q + 1) * (hf.pgrid.N_p + 1)
-    row = np.zeros(n)
-    npp = hf.pgrid.N_p + 1
-    row[_flat(0, hf.pgrid.N_p, npp)] = 0.5
-    row[_flat(hf.N_q, hf.pgrid.N_p, npp)] = -0.5
+    N_p = hf.pgrid.N_p
+    npp = N_p + 1
+    row = np.zeros((hf.N_q + 1) * npp)
+    row[N_p] = 0.5                      # node (0, N_p)
+    row[hf.N_q * npp + N_p] = -0.5      # node (N_q, N_p)
     return row
 
 

@@ -349,6 +349,24 @@ def test_oracle_matches_predictions_randomized():
         done += 1
 
 
+def test_oracle_finds_small_mixed_roots_double4():
+    # the constant-density Double(4) coefficients (N_p = 512): the mixed
+    # roots sit at th2 = +-0.040, far inside the pure n1 root at 1.07
+    cs = bf.CoefficientSet(
+        n1=1, n2=4, psi11=-7.2271, psi22=-784.99,
+        phi112=0.0, phi121=0.0, phi211=0.0,
+        theta1111=6.3114, theta2222=162405.7,
+        theta1122=3133.6, theta2211=1525.3, normalization="hand-built")
+    germs = bf.predict_branches(cs, "cubic")
+    for side in ("plus", "minus"):
+        pred = [g.theta for g in germs if g.side == side]
+        roots = bf.oracle_roots(cs, side)
+        assert len(roots) == len(pred) == (8 if side == "plus" else 0)
+        for r in roots:
+            assert min(np.hypot(r[0] - p[0], r[1] - p[1])
+                       for p in pred) < 1e-8
+
+
 def test_predicted_germs_solve_reduced_system():
     rng = np.random.default_rng(7)
     for _ in range(10):

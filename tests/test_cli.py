@@ -53,6 +53,22 @@ def test_unknown_keys_rejected(tmp_path, config_path, key):
         cli.load_config(str(path))
 
 
+@pytest.mark.parametrize("block", [
+    {"max_steps": "5"}, {"max_steps": 0}, {"max_steps": 2.0},
+    {"max_steps": True}, {"newton_max_iter": 0}, {"newton_tol": -1},
+    {"newton_tol": "1e-10"}, {"kappa_stop": float("inf")},
+    {"delta_stop": 0.0}, {"ds_min": 0.5, "ds_max": 0.1}, {"ds_min": 0.5},
+], ids=lambda block: ",".join(f"{k}={v!r}" for k, v in block.items()))
+def test_bad_continuation_rejected(config_path, capsys, block):
+    # exit 2 before any work: no TypeError, no Newton failure, no branch
+    path = config_path(extra={"continuation": block})
+    from stratiwave.errors import ConfigError
+    with pytest.raises(ConfigError):
+        cli.load_config(path)
+    assert cli.main(["branch", "--config", path, "--steps", "3"]) == 2
+    capsys.readouterr()
+
+
 def test_bad_grid_rejected(tmp_path):
     doc = json.loads(json.dumps(BASE_CONFIG))
     doc["numerics"]["N_p"] = 48                     # not a power of two

@@ -74,6 +74,161 @@ def test_jacobian_matches_finite_differences(t0):
     assert worst < 1e-6
 
 
+def _jacobian_loop(physics, hf, sigma):
+    """Node-by-node assembly of the Jacobian: the reference that
+    ``hs.jacobian`` vectorizes, term for term in the same order."""
+    hq, hp, hqq, hpp, hpq = hs.derivatives(hf)
+    N_q, N_p = hf.N_q, hf.pgrid.N_p
+    npp = N_p + 1
+    n = (N_q + 1) * npp
+    dq, dp = hf.dq, hf.pgrid.h
+    kl = ku = npp + 1
+    ab = np.zeros((2 * kl + 1, n))
+    left, right = hs._q_indices(N_q)
+
+    def flat(iq, ip):
+        return iq * npp + ip
+
+    def add(i, j, val):
+        ab[ku + i - j, j] += val
+
+    p = hf.pgrid.nodes
+    rho_p = physics.rho_p(p)
+    beta = physics.beta_at(p)
+    g = physics.g
+    g_rho0 = g * physics.rho0()
+    d = hf.depth()
+
+    for iq in range(N_q + 1):
+        ql, qr = left[iq], right[iq]
+        for ip in range(1, N_p):
+            i = flat(iq, ip)
+            c_pp = 1.0 + hq[iq, ip] ** 2
+            c_qq = hp[iq, ip] ** 2
+            c_q = 2.0 * hq[iq, ip] * hpp[iq, ip] - 2.0 * hp[iq, ip] * hpq[iq, ip]
+            c_p = (2.0 * hqq[iq, ip] * hp[iq, ip]
+                   - 2.0 * hq[iq, ip] * hpq[iq, ip]
+                   - 3.0 * g * (hf.h[iq, ip] - d) * rho_p[ip] * hp[iq, ip] ** 2
+                   + 3.0 * hp[iq, ip] ** 2 * beta[ip])
+            c_pq = -2.0 * hq[iq, ip] * hp[iq, ip]
+            c_0 = -g * rho_p[ip] * hp[iq, ip] ** 3
+            add(i, flat(iq, ip - 1), c_pp / dp ** 2)
+            add(i, i, -2.0 * c_pp / dp ** 2)
+            add(i, flat(iq, ip + 1), c_pp / dp ** 2)
+            add(i, flat(ql, ip), c_qq / dq ** 2)
+            add(i, i, -2.0 * c_qq / dq ** 2)
+            add(i, flat(qr, ip), c_qq / dq ** 2)
+            add(i, flat(qr, ip), c_q / (2.0 * dq))
+            add(i, flat(ql, ip), -c_q / (2.0 * dq))
+            add(i, flat(iq, ip + 1), c_p / (2.0 * dp))
+            add(i, flat(iq, ip - 1), -c_p / (2.0 * dp))
+            add(i, flat(qr, ip + 1), c_pq / (4.0 * dq * dp))
+            add(i, flat(qr, ip - 1), -c_pq / (4.0 * dq * dp))
+            add(i, flat(ql, ip + 1), -c_pq / (4.0 * dq * dp))
+            add(i, flat(ql, ip - 1), c_pq / (4.0 * dq * dp))
+            add(i, i, c_0)
+        i0 = flat(iq, 0)
+        add(i0, i0, 1.0)
+        it = flat(iq, N_p)
+        hq_t, hqq_t, hp_t = hq[iq, -1], hqq[iq, -1], hp[iq, -1]
+        slope = 1.0 + hq_t ** 2
+        kappa = -hqq_t / slope ** 1.5
+        c_q = (2.0 * hq_t
+               + hp_t ** 2 * 2.0 * sigma * 3.0 * hqq_t * hq_t / slope ** 2.5)
+        c_qq = -hp_t ** 2 * 2.0 * sigma / slope ** 1.5
+        c_p = 2.0 * hp_t * (2.0 * sigma * kappa + 2.0 * g_rho0 * hf.h[iq, -1]
+                            - hf.Q)
+        c_0 = hp_t ** 2 * 2.0 * g_rho0
+        add(it, flat(qr, N_p), c_q / (2.0 * dq) + c_qq / dq ** 2)
+        add(it, flat(ql, N_p), -c_q / (2.0 * dq) + c_qq / dq ** 2)
+        add(it, it, -2.0 * c_qq / dq ** 2)
+        add(it, it, c_p * 3.0 / (2.0 * dp) + c_0)
+        add(it, flat(iq, N_p - 1), -c_p * 4.0 / (2.0 * dp))
+        add(it, flat(iq, N_p - 2), c_p * 1.0 / (2.0 * dp))
+
+    u = np.zeros(n)
+    for iq in range(N_q + 1):
+        for ip in range(1, N_p):
+            u[flat(iq, ip)] = g * rho_p[ip] * hp[iq, ip] ** 3
+    w = hs.mean_weights(N_q)
+    v = np.zeros(n)
+    q_col = np.zeros(n)
+    for iq in range(N_q + 1):
+        v[flat(iq, N_p)] = w[iq]
+        q_col[flat(iq, N_p)] = -hp[iq, -1] ** 2
+    return hs.JacobianRecord(ab=ab, bandwidth=kl, u=u, v=v, q_col=q_col,
+                             shape=(n, n))
+
+
+def _three_mode_perturbation(grid, N_q):
+    # test_jacobian_matches_finite_differences' perturbation, ramped in p
+    q = np.linspace(0, np.pi, N_q + 1)
+    return sum(np.outer(np.cos(k * q), 0.01 * np.sin(k + grid.nodes))
+               * np.linspace(0, 1, grid.N_p + 1) for k in range(1, 4))
+
+
+def _stratified_field():
+    # rho_p, beta and the depth coupling u all non-zero, N_q != N_p
+    phys = make_physics(sigma=10.0, rho_coeffs=(1.0, -0.1),
+                        beta_coeffs=(0.0, 0.2))
+    grid = pr.PGrid(-1.0, 20)
+    base = hs.laminar_field(lm.solve_laminar(phys, 5.0, grid), 12)
+    return phys, replace(base, h=base.h + _three_mode_perturbation(grid, 12))
+
+
+def _jacobian_cases(t0):
+    # a germ at the simple point; the same germ with noise and Q shifted;
+    # a stratified, beta != 0 field on a non-square grid
+    grid = pr.PGrid(-1.0, 32)
+    lam_star = sp.find_lambda_star(t0, grid, 1.0)
+    flow = lm.solve_laminar(t0, lam_star, grid)
+    mode = sp.shoot_mode(flow, t0, 1)
+    germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-2, 16)
+    noise = 1e-4 * np.random.default_rng(3).standard_normal(germ.h.shape)
+    noise[:, 0] = 0.0
+    noisy = replace(germ, h=germ.h + noise, Q=germ.Q + 0.05)
+    phys, strat = _stratified_field()
+    return [(t0, germ, 1.0), (t0, noisy, 1.0), (phys, strat, 10.0)]
+
+
+def test_jacobian_matches_loop_reference(t0):
+    # the vectorized coefficients round like the loop's up to the last bit
+    # of a power; every band entry sums the same terms in the same order
+    eps = np.finfo(np.float64).eps
+    for physics, fld, sigma in _jacobian_cases(t0):
+        ref = _jacobian_loop(physics, fld, sigma)
+        jac = hs.jacobian(physics, fld, sigma)
+        assert jac.bandwidth == ref.bandwidth and jac.shape == ref.shape
+        for name in ("ab", "u", "q_col"):
+            got, want = getattr(jac, name), getattr(ref, name)
+            assert got.shape == want.shape
+            assert (np.max(np.abs(got - want))
+                    <= 8 * eps * np.max(np.abs(want))), name
+        assert np.array_equal(jac.v, ref.v)
+
+
+def test_jacobian_matches_finite_differences_stratified():
+    phys, fld = _stratified_field()
+    jac = hs.jacobian(phys, fld, 10.0)
+    assert np.max(np.abs(jac.u)) > 0
+    n = jac.shape[0]
+    kl = ku = jac.bandwidth
+    dense = np.outer(jac.u, jac.v)
+    for j in range(n):
+        for i in range(max(0, j - ku), min(n, j + kl + 1)):
+            dense[i, j] += jac.ab[ku + i - j, j]
+    step = 1e-6
+    worst = 0.0
+    for j in range(n):
+        e = np.zeros(fld.h.shape)
+        e.flat[j] = step
+        fd = (hs.residual(phys, replace(fld, h=fld.h + e), 10.0)
+              - hs.residual(phys, replace(fld, h=fld.h - e), 10.0)) \
+            .reshape(-1) / (2 * step)
+        worst = max(worst, np.max(np.abs(fd - dense[:, j])))
+    assert worst < 1e-6 * np.max(np.abs(dense))
+
+
 def test_jacobian_q_column(t0):
     grid = pr.PGrid(-1.0, 16)
     flow = lm.solve_laminar(t0, 2.0, grid)
