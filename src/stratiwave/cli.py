@@ -17,12 +17,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import bifurc, eulerian, heightsolver, laminar, spectral
-from .errors import ConfigError, StratiwaveError, VerificationError
+from .errors import (ConfigError, DomainError, StratiwaveError,
+                     VerificationError)
 from .profiles import PGrid, Physics, ProfileFn
 
 _PROFILE_KEYS = {"poly": {"type", "coeffs"}, "table": {"type", "p", "v"}}
@@ -67,6 +68,26 @@ def _reject_unknown(block: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _number(val, where) -> float:
+    """A finite JSON number; bools and numeric strings are rejected."""
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or not math.isfinite(val)):
+        raise ConfigError(f"{where} must be a finite number")
+    return float(val)
+
+
+def _count(val, where) -> int:
+    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+        raise ConfigError(f"{where} must be an integer >= 1")
+    return val
+
+
+def _numbers(vals, where) -> list:
+    if not isinstance(vals, list):
+        raise ConfigError(f"{where} must be a list of numbers")
+    return [_number(v, f"{where}[{i}]") for i, v in enumerate(vals)]
+
+
 def _parse_profile(block, where, lo, hi) -> ProfileFn:
     if not isinstance(block, dict) or "type" not in block:
         raise ConfigError(f"{where} must be an object with a 'type'")
@@ -74,9 +95,14 @@ def _parse_profile(block, where, lo, hi) -> ProfileFn:
     if kind not in _PROFILE_KEYS:
         raise ConfigError(f"{where}.type must be 'poly' or 'table'")
     _reject_unknown(block, _PROFILE_KEYS[kind], where)
+    missing = _PROFILE_KEYS[kind] - set(block)
+    if missing:
+        raise ConfigError(f"{where} misses {sorted(missing)}")
     if kind == "poly":
-        return ProfileFn.poly(block["coeffs"], lo, hi)
-    return ProfileFn.table(block["p"], block["v"], lo, hi)
+        return ProfileFn.poly(_numbers(block["coeffs"], f"{where}.coeffs"),
+                              lo, hi)
+    return ProfileFn.table(_numbers(block["p"], f"{where}.p"),
+                           _numbers(block["v"], f"{where}.v"), lo, hi)
 
 
 def _power_of_two(n):
@@ -90,15 +116,30 @@ def _parse_continuation(cb) -> heightsolver.ContinuationControls:
     _reject_unknown(cb, _CONTINUATION_KEYS, "continuation")
     for key, val in cb.items():
         if key in _CONTINUATION_COUNTS:
-            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-                raise ConfigError(f"continuation.{key} must be an integer >= 1")
-        elif (isinstance(val, bool) or not isinstance(val, (int, float))
-              or not math.isfinite(val) or val <= 0):
+            _count(val, f"continuation.{key}")
+        elif _number(val, f"continuation.{key}") <= 0:
             raise ConfigError(f"continuation.{key} must be a finite number > 0")
     controls = heightsolver.ContinuationControls(**cb)
     if controls.ds_min > controls.ds_max:
         raise ConfigError("continuation.ds_min must not exceed ds_max")
     return controls
+
+
+def _parse_numerics(nb) -> dict:
+    """Grid sizes are powers of two >= 16, n_max an int >= 1, every
+    tolerance a finite number > 0."""
+    if not isinstance(nb, dict):
+        raise ConfigError("numerics must be an object")
+    _reject_unknown(nb, _NUMERICS_KEYS, "numerics")
+    numerics = {**_NUMERICS_DEFAULTS, **nb}
+    for key in ("N_p", "N_q"):
+        if not _power_of_two(_count(numerics[key], f"numerics.{key}")):
+            raise ConfigError(f"numerics.{key} must be a power of two >= 16")
+    _count(numerics["n_max"], "numerics.n_max")
+    for key, val in numerics.items():
+        if key.endswith("tol") and _number(val, f"numerics.{key}") <= 0:
+            raise ConfigError(f"numerics.{key} must be positive")
+    return numerics
 
 
 def load_config(path: str) -> RunConfig:
@@ -113,40 +154,33 @@ def load_config(path: str) -> RunConfig:
     if "physics" not in raw:
         raise ConfigError("config requires a 'physics' block")
     pb = raw["physics"]
+    if not isinstance(pb, dict):
+        raise ConfigError("physics must be an object")
     _reject_unknown(pb, _PHYSICS_KEYS, "physics")
     for key in ("g", "c", "p0", "sigma", "rho", "beta"):
         if key not in pb:
             raise ConfigError(f"physics.{key} missing")
-    p0 = float(pb["p0"])
+    g, c, p0, sigma = (_number(pb[key], f"physics.{key}")
+                       for key in ("g", "c", "p0", "sigma"))
     if p0 >= 0:
         raise ConfigError("physics.p0 must be negative")
-    rho = _parse_profile(pb["rho"], "physics.rho", p0, 0.0)
-    beta = _parse_profile(pb["beta"], "physics.beta", 0.0, abs(p0))
+    sigma_override = raw.get("sigma")
+    if sigma_override is not None:
+        sigma_override = _number(sigma_override, "sigma")
     try:
-        physics = Physics(g=float(pb["g"]), c=float(pb["c"]), p0=p0,
-                          sigma=float(pb["sigma"]), rho=rho, beta=beta)
-    except StratiwaveError as exc:
+        rho = _parse_profile(pb["rho"], "physics.rho", p0, 0.0)
+        beta = _parse_profile(pb["beta"], "physics.beta", 0.0, abs(p0))
+        physics = Physics(g=g, c=c, p0=p0, sigma=sigma, rho=rho, beta=beta)
+        if sigma_override is not None:
+            physics = replace(physics, sigma=sigma_override)
+    except DomainError as exc:
         raise ConfigError(f"invalid physics: {exc}")
 
-    numerics = dict(_NUMERICS_DEFAULTS)
-    nb = raw.get("numerics", {})
-    _reject_unknown(nb, _NUMERICS_KEYS, "numerics")
-    numerics.update(nb)
-    for key in ("N_p", "N_q"):
-        if not _power_of_two(int(numerics[key])):
-            raise ConfigError(f"numerics.{key} must be a power of two >= 16")
-        numerics[key] = int(numerics[key])
-    for key, val in numerics.items():
-        if key.endswith("tol") and float(val) <= 0:
-            raise ConfigError(f"numerics.{key} must be positive")
-
+    numerics = _parse_numerics(raw.get("numerics", {}))
     controls = _parse_continuation(raw.get("continuation", {}))
-    if raw.get("sigma") is not None:
-        physics = Physics(g=physics.g, c=physics.c, p0=physics.p0,
-                          sigma=float(raw["sigma"]), rho=rho, beta=beta)
     return RunConfig(physics=physics, numerics=numerics,
                      continuation=controls,
-                     lambdas=[float(v) for v in raw.get("lambdas", [])],
+                     lambdas=_numbers(raw.get("lambdas", []), "lambdas"),
                      output_dir=str(raw.get("output_dir", "out")))
 
 

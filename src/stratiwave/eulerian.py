@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 
 from .errors import EllipticityLossError
 from .heightsolver import HeightField, derivatives
@@ -68,31 +68,143 @@ def reconstruct(physics: Physics, hf: HeightField) -> EulerianWave:
                         eta=eta, d=d, Q=hf.Q, c=physics.c, p0=hf.pgrid.p0)
 
 
-def flux(wave: EulerianWave, column: int, n_resample: int | None = None) -> float:
-    """Column integral of sqrt(rho) (u - c) over depth: approximates p0.
+# --- piecewise cubics on every column at once -------------------------------
+#
+# Each row of a (columns, nodes) array is one interpolation problem; rows
+# share no data.  The formulas are scipy's (PchipInterpolator, the
+# not-a-knot CubicSpline, PPoly evaluation) written for whole arrays, so
+# the interpolated values round as the scipy objects built per column do.
 
-    The integrand is resampled onto a uniform y-grid in [-d, eta(x)] by
-    monotone cubic interpolation and integrated with Simpson's rule.
+def _locate(knots, points):
+    """Interval index i with knots[r, i] <= points[r, j] < knots[r, i + 1].
+
+    Rows of both arrays are increasing; points outside a row's knots take
+    its first or last interval, and a point on the last knot the last one.
+    A stable sort of each row's knots followed by its points puts every
+    point after the knots at or below it and after the points before it.
     """
-    yk = wave.y[column]
-    fk = np.sqrt(wave.rho[column]) * (wave.u[column] - wave.c)
-    if np.any(np.diff(yk) <= 0):
+    nk, npt = knots.shape[1], points.shape[1]
+    order = np.argsort(np.concatenate([knots, points], axis=1), axis=1,
+                       kind="stable")
+    rank = np.nonzero(order >= nk)[1].reshape(points.shape)
+    return np.clip(rank - np.arange(npt) - 1, 0, nk - 2)
+
+
+def _hermite(x, y, slopes):
+    """Power-basis coefficients (c0, c1, c2, c3) of the cubic Hermite
+    interpolant on each interval, c0 multiplying (t - x_i)^3."""
+    dx = np.diff(x, axis=1)
+    secant = np.diff(y, axis=1) / dx
+    t = (slopes[:, :-1] + slopes[:, 1:] - 2 * secant) / dx
+    return (t / dx, (secant - slopes[:, :-1]) / dx - t, slopes[:, :-1],
+            y[:, :-1])
+
+
+def _evaluate(x, coeffs, points):
+    """Row-wise values of the piecewise cubic at increasing points."""
+    i = _locate(x, points)
+    s = points - np.take_along_axis(x, i, axis=1)
+    c0, c1, c2, c3 = (np.take_along_axis(c, i, axis=1) for c in coeffs)
+    s2 = s * s
+    return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+
+
+def _pchip_end(h0, h1, m0, m1):
+    """One-sided three-point end slope, limited to keep the data's shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    wrong_sign = np.sign(d) != np.sign(m0)
+    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3. * np.abs(m0))
+    return np.where(wrong_sign, 0.0, np.where(overshoot, 3. * m0, d))
+
+
+def _pchip_slopes(x, y):
+    """Monotone (Fritsch-Butland) node slopes: weighted harmonic means of
+    the neighbouring secants, zero at a local extremum."""
+    h = np.diff(x, axis=1)
+    m = np.diff(y, axis=1) / h
+    sm = np.sign(m)
+    flat = (sm[:, 1:] != sm[:, :-1]) | (m[:, 1:] == 0) | (m[:, :-1] == 0)
+    w1 = 2 * h[:, 1:] + h[:, :-1]
+    w2 = h[:, 1:] + 2 * h[:, :-1]
+    slopes = np.empty_like(y)
+    # the division by a zero secant only happens where `flat` discards it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:, :-1] + w2 / m[:, 1:]) / (w1 + w2)
+        slopes[:, 1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+    slopes[:, 0] = _pchip_end(h[:, 0], h[:, 1], m[:, 0], m[:, 1])
+    slopes[:, -1] = _pchip_end(h[:, -1], h[:, -2], m[:, -1], m[:, -2])
+    return slopes
+
+
+def _spline_slopes(x, y):
+    """Node slopes of the C^2 not-a-knot cubic spline through each row.
+
+    The tridiagonal systems of all rows are eliminated together without
+    row exchanges; each interior pivot is at least the sum of two adjacent
+    cell widths.
+    LAPACK's gtsv, which scipy's CubicSpline calls, exchanges rows only
+    where a cell is wider than the two below it together, so elsewhere
+    both do the same arithmetic.
+    """
+    dx = np.diff(x, axis=1)
+    secant = np.diff(y, axis=1) / dx
+    lower = np.empty_like(dx)                # row k + 1, column k
+    diag = np.empty_like(x)
+    upper = np.empty_like(dx)                # row k, column k + 1
+    rhs = np.empty_like(x)
+    diag[:, 1:-1] = 2 * (dx[:, :-1] + dx[:, 1:])
+    upper[:, 1:] = dx[:, :-1]
+    lower[:, :-1] = dx[:, 1:]
+    rhs[:, 1:-1] = 3 * (dx[:, 1:] * secant[:, :-1]
+                        + dx[:, :-1] * secant[:, 1:])
+    # not-a-knot: the third derivative is continuous at the second and the
+    # second-to-last knots
+    d = x[:, 2] - x[:, 0]
+    diag[:, 0] = dx[:, 1]
+    upper[:, 0] = d
+    rhs[:, 0] = ((dx[:, 0] + 2 * d) * dx[:, 1] * secant[:, 0]
+                 + dx[:, 0] ** 2 * secant[:, 1]) / d
+    d = x[:, -1] - x[:, -3]
+    diag[:, -1] = dx[:, -2]
+    lower[:, -1] = d
+    rhs[:, -1] = (dx[:, -1] ** 2 * secant[:, -2]
+                  + (2 * d + dx[:, -1]) * dx[:, -2] * secant[:, -1]) / d
+    for k in range(x.shape[1] - 1):
+        fact = lower[:, k] / diag[:, k]
+        diag[:, k + 1] -= fact * upper[:, k]
+        rhs[:, k + 1] -= fact * rhs[:, k]
+    slopes = np.empty_like(x)
+    slopes[:, -1] = rhs[:, -1] / diag[:, -1]
+    for k in range(x.shape[1] - 2, -1, -1):
+        slopes[:, k] = (rhs[:, k] - upper[:, k] * slopes[:, k + 1]) \
+            / diag[:, k]
+    return slopes
+
+
+def _increasing_columns(y):
+    """The column heights y[ix, :], which must increase with p."""
+    if np.any(np.diff(y, axis=1) <= 0):
         raise EllipticityLossError("column heights not strictly increasing")
-    if n_resample is None:
-        n_resample = 4 * (yk.size - 1)
-    if n_resample % 2:
-        n_resample += 1
-    yy = np.linspace(yk[0], yk[-1], n_resample + 1)
-    ff = PchipInterpolator(yk, fk)(yy)
-    w = np.ones(n_resample + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    hstep = (yk[-1] - yk[0]) / n_resample
-    return float((hstep / 3.0) * (w @ ff))
+    return y
 
 
 def flux_all_columns(wave: EulerianWave):
-    return np.array([flux(wave, ix) for ix in range(wave.x.size)])
+    """Column integrals of sqrt(rho) (u - c) over depth: each approximates p0.
+
+    Each column's integrand is resampled onto a uniform y-grid in
+    [-d, eta(x)] with four points per streamline cell by monotone cubic
+    (PCHIP) interpolation and integrated with Simpson's rule.
+    """
+    y = _increasing_columns(wave.y)
+    f = np.sqrt(wave.rho) * (wave.u - wave.c)
+    n = 4 * (y.shape[1] - 1)
+    yy = np.linspace(y[:, 0], y[:, -1], n + 1, axis=1)
+    ff = _evaluate(y, _hermite(y, f, _pchip_slopes(y, f)), yy)
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    hstep = (y[:, -1] - y[:, 0]) / n
+    return (hstep / 3.0) * (ff @ w)
 
 
 def surface_bernoulli_residual(wave: EulerianWave, physics: Physics,
@@ -132,62 +244,49 @@ def surface_bernoulli_residual(wave: EulerianWave, physics: Physics,
     return float(np.max(np.abs(resid)))
 
 
-def yih_residual(wave: EulerianWave, physics: Physics,
-                 n_y: int | None = None) -> float:
+def yih_residual(wave: EulerianWave, physics: Physics) -> float:
     """Max-abs residual of the stream-function equation
 
         Delta psi - g y rho'(-psi) + beta(psi) = 0
 
     after resampling psi = -p onto a uniform Cartesian grid in the fluid
-    (column-wise monotone interpolation of y(p)), 5-point Laplacian, and
-    restriction to points at least two cells from every boundary.
+    (as many rows as streamline cells), 5-point Laplacian, and restriction
+    to points at least two cells from every boundary.
     """
     nx = wave.x.size - 1
     dx = wave.x[1] - wave.x[0]
-    if n_y is None:
-        n_y = wave.p.size - 1
+    n_y = wave.p.size - 1
     y_lo = -wave.d
     y_hi = float(np.max(wave.eta))
     dy = (y_hi - y_lo) / n_y
     yy = y_lo + dy * np.arange(n_y + 1)
-    # psi(x_i, y) by inverting the monotone map p -> y(x_i, p)
-    psi = np.full((nx, n_y + 1), np.nan)
-    depth_ok = np.zeros((nx, n_y + 1), dtype=bool)
-    for ix in range(nx):
-        ycol = wave.y[ix]
-        # y(p) is strictly monotone, so a C^2 spline inverts it without
-        # the order loss a shape-limited interpolant shows under the
-        # Laplacian's second differences
-        interp = CubicSpline(ycol, wave.p)
-        inside = (yy >= ycol[0]) & (yy <= ycol[-1])
-        psi[ix, inside] = -interp(yy[inside])
-        depth_ok[ix, inside] = True
-    # interior points two cells clear of bed and surface, with full stencils
-    worst = 0.0
-    g = physics.g
-    ixp = np.roll(np.arange(nx), -1)
-    ixm = np.roll(np.arange(nx), 1)
-    for iy in range(2, n_y - 1):
-        ok = (depth_ok[:, iy] & depth_ok[:, iy - 1] & depth_ok[:, iy + 1]
-              & depth_ok[ixp, iy] & depth_ok[ixm, iy]
-              & depth_ok[:, iy + 2] & (yy[iy] >= y_lo + 2 * dy))
-        # stay two cells below the local surface
-        for ix in np.nonzero(ok)[0]:
-            if yy[iy] > wave.y[ix, -1] - 2 * dy:
-                ok[ix] = False
-        if not np.any(ok):
-            continue
-        lap = ((psi[ixp, iy] - 2.0 * psi[:, iy] + psi[ixm, iy]) / dx ** 2
-               + (psi[:, iy + 1] - 2.0 * psi[:, iy] + psi[:, iy - 1]) / dy ** 2)
-        pvals = -psi[:, iy]
-        rp = np.array([physics.rho.deriv(min(max(pp, wave.p0), 0.0))
-                       for pp in pvals])
-        bt = np.array([physics.beta.eval(min(max(-pp, 0.0), abs(wave.p0)))
-                       for pp in pvals])
-        resid = lap - g * yy[iy] * rp + bt
-        cand = float(np.max(np.abs(resid[ok])))
-        worst = max(worst, cand)
-    return worst
+    # psi(x_i, y) by inverting the monotone map p -> y(x_i, p): y(p) is
+    # strictly monotone, so a C^2 spline inverts it without the order loss
+    # a shape-limited interpolant shows under the Laplacian's second
+    # differences
+    ycol = _increasing_columns(wave.y[:nx])
+    p = np.broadcast_to(wave.p, ycol.shape)
+    points = np.broadcast_to(yy, (nx, n_y + 1))
+    depth_ok = (yy >= ycol[:, :1]) & (yy <= ycol[:, -1:])
+    spline = _hermite(ycol, p, _spline_slopes(ycol, p))
+    psi = np.where(depth_ok, -_evaluate(ycol, spline, points), np.nan)
+    # rows iy = 2 .. n_y - 2: interior points with full stencils, two cells
+    # clear of the bed and of the local surface
+    mid, below, above = slice(2, n_y - 1), slice(1, n_y - 2), slice(3, n_y)
+    east = np.roll(psi, -1, axis=0)
+    west = np.roll(psi, 1, axis=0)
+    ok = (depth_ok[:, mid] & depth_ok[:, below] & depth_ok[:, above]
+          & np.roll(depth_ok, -1, axis=0)[:, mid]
+          & np.roll(depth_ok, 1, axis=0)[:, mid]
+          & depth_ok[:, 4:n_y + 1] & (yy[mid] >= y_lo + 2 * dy)
+          & (yy[mid] <= ycol[:, -1:] - 2 * dy))
+    centre = psi[:, mid]
+    lap = ((east[:, mid] - 2.0 * centre + west[:, mid]) / dx ** 2
+           + (psi[:, above] - 2.0 * centre + psi[:, below]) / dy ** 2)
+    rp = physics.rho.deriv(np.clip(-centre, wave.p0, 0.0))
+    bt = physics.beta.eval(np.clip(centre, 0.0, abs(wave.p0)))
+    resid = lap - physics.g * yy[mid] * rp + bt
+    return float(np.max(np.abs(resid[ok]), initial=0.0))
 
 
 def wave_csv(wave: EulerianWave) -> str:

@@ -69,6 +69,33 @@ def test_bad_continuation_rejected(config_path, capsys, block):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("case", [
+    ("physics", "sigma", "abc"), ("physics", "sigma", float("nan")),
+    ("physics", "g", True), ("physics", "c", "1"),
+    ("physics", "rho", {"type": "poly", "coeffs": ["x"]}),
+    ("physics", "rho", {"type": "table", "p": [0.0, -1.0], "v": [1.0, 1.0]}),
+    ("physics", "beta", {"type": "poly"}),
+    ("numerics", "resonance_rtol", "x"), ("numerics", "N_p", 16.5),
+    ("numerics", "N_q", 32.0), ("numerics", "n_max", 0),
+    ("numerics", "verify_yih_tol", float("nan")),
+    (None, "sigma", "abc"), (None, "lambdas", ["a"]),
+], ids=lambda case: f"{case[0] or 'config'}.{case[1]}="
+   f"{json.dumps(case[2], separators=(',', ':'))}")
+def test_bad_numerics_physics_rejected(tmp_path, capsys, case):
+    # exit 2 from load_config: no ValueError, no truncation, no NaN physics
+    block, key, value = case
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    (doc if block is None else doc[block])[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    from stratiwave.errors import ConfigError
+    with pytest.raises(ConfigError):
+        cli.load_config(str(path))
+    assert cli.main(["classify", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+    capsys.readouterr()
+
+
 def test_bad_grid_rejected(tmp_path):
     doc = json.loads(json.dumps(BASE_CONFIG))
     doc["numerics"]["N_p"] = 48                     # not a power of two

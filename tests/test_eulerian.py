@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from conftest import make_physics
 from stratiwave import eulerian as eu
@@ -8,6 +11,118 @@ from stratiwave import laminar as lm
 from stratiwave import profiles as pr
 from stratiwave import spectral as sp
 from stratiwave.errors import EllipticityLossError
+
+
+def _flux_reference(wave, column):
+    """Column integral of sqrt(rho) (u - c) over depth: approximates p0.
+
+    The integrand is resampled onto a uniform y-grid in [-d, eta(x)] by
+    monotone cubic interpolation and integrated with Simpson's rule.
+    One scipy PchipInterpolator per column: the reference that
+    ``eu.flux_all_columns`` batches across columns.
+    """
+    yk = wave.y[column]
+    fk = np.sqrt(wave.rho[column]) * (wave.u[column] - wave.c)
+    if np.any(np.diff(yk) <= 0):
+        raise EllipticityLossError("column heights not strictly increasing")
+    n_resample = 4 * (yk.size - 1)
+    yy = np.linspace(yk[0], yk[-1], n_resample + 1)
+    ff = PchipInterpolator(yk, fk)(yy)
+    w = np.ones(n_resample + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    hstep = (yk[-1] - yk[0]) / n_resample
+    return float((hstep / 3.0) * (w @ ff))
+
+
+def _yih_reference(wave, physics):
+    """Max-abs residual of the stream-function equation
+
+        Delta psi - g y rho'(-psi) + beta(psi) = 0
+
+    after resampling psi = -p onto a uniform Cartesian grid in the fluid
+    (column-wise monotone interpolation of y(p)), 5-point Laplacian, and
+    restriction to points at least two cells from every boundary.
+    Row by row with scalar profile calls and one scipy CubicSpline per
+    column: the reference that ``eu.yih_residual`` does on the whole grid.
+    """
+    nx = wave.x.size - 1
+    dx = wave.x[1] - wave.x[0]
+    n_y = wave.p.size - 1
+    y_lo = -wave.d
+    y_hi = float(np.max(wave.eta))
+    dy = (y_hi - y_lo) / n_y
+    yy = y_lo + dy * np.arange(n_y + 1)
+    # psi(x_i, y) by inverting the monotone map p -> y(x_i, p)
+    psi = np.full((nx, n_y + 1), np.nan)
+    depth_ok = np.zeros((nx, n_y + 1), dtype=bool)
+    for ix in range(nx):
+        ycol = wave.y[ix]
+        # y(p) is strictly monotone, so a C^2 spline inverts it without
+        # the order loss a shape-limited interpolant shows under the
+        # Laplacian's second differences
+        interp = CubicSpline(ycol, wave.p)
+        inside = (yy >= ycol[0]) & (yy <= ycol[-1])
+        psi[ix, inside] = -interp(yy[inside])
+        depth_ok[ix, inside] = True
+    # interior points two cells clear of bed and surface, with full stencils
+    worst = 0.0
+    g = physics.g
+    ixp = np.roll(np.arange(nx), -1)
+    ixm = np.roll(np.arange(nx), 1)
+    for iy in range(2, n_y - 1):
+        ok = (depth_ok[:, iy] & depth_ok[:, iy - 1] & depth_ok[:, iy + 1]
+              & depth_ok[ixp, iy] & depth_ok[ixm, iy]
+              & depth_ok[:, iy + 2] & (yy[iy] >= y_lo + 2 * dy))
+        # stay two cells below the local surface
+        for ix in np.nonzero(ok)[0]:
+            if yy[iy] > wave.y[ix, -1] - 2 * dy:
+                ok[ix] = False
+        if not np.any(ok):
+            continue
+        lap = ((psi[ixp, iy] - 2.0 * psi[:, iy] + psi[ixm, iy]) / dx ** 2
+               + (psi[:, iy + 1] - 2.0 * psi[:, iy] + psi[:, iy - 1]) / dy ** 2)
+        pvals = -psi[:, iy]
+        rp = np.array([physics.rho.deriv(min(max(pp, wave.p0), 0.0))
+                       for pp in pvals])
+        bt = np.array([physics.beta.eval(min(max(-pp, 0.0), abs(wave.p0)))
+                       for pp in pvals])
+        resid = lap - g * yy[iy] * rp + bt
+        cand = float(np.max(np.abs(resid[ok])))
+        worst = max(worst, cand)
+    return worst
+
+
+def _solved_field(phys, N):
+    # Newton solve at frozen amplitude 0.06 from the simple-point germ
+    grid = pr.PGrid(-1.0, N)
+    lam_star = sp.find_lambda_star(phys, grid, phys.sigma)
+    flow = lm.solve_laminar(phys, lam_star, grid)
+    mode = sp.shoot_mode(flow, phys, 1)
+    germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 0.06 / mode.M[-1], N)
+    return hs.newton(phys, germ, phys.sigma, frozen="amplitude",
+                     amplitude_target=0.06)
+
+
+@pytest.fixture(scope="module")
+def solved_waves():
+    # constant density; rho' != 0; table rho (PCHIP deriv) with beta != 0;
+    # the rho' != 0 field with noise on its top streamlines, whose largest
+    # residuals sit at the surface clearance, so that a wrong clearance
+    # rule changes the maximum
+    table_rho = pr.ProfileFn.table([-1.0, -0.5, 0.0], [1.15, 1.06, 1.0])
+    table = pr.Physics(g=1.0, c=1.0, p0=-1.0, sigma=10.0, rho=table_rho,
+                       beta=pr.ProfileFn.poly((0.0, 0.2), 0.0, 1.0))
+    strat = make_physics(sigma=10.0, rho_coeffs=(1.0, -0.1))
+    fields = [(make_physics(), _solved_field(make_physics(), 32)),
+              (strat, _solved_field(strat, 32)),
+              (table, _solved_field(table, 16))]
+    sol = fields[1][1]
+    noise = np.zeros(sol.h.shape)
+    noise[:, -4:-1] = 1e-4 * np.random.default_rng(5).standard_normal(
+        (sol.h.shape[0], 3))
+    fields.append((strat, replace(sol, h=sol.h + noise)))
+    return [(phys, eu.reconstruct(phys, fld)) for phys, fld in fields]
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +174,7 @@ def test_reconstruct_requires_ellipticity(t0, grid64):
 def test_flux_laminar_exact(t0, grid64):
     flow = lm.solve_laminar(t0, 4.0, grid64)
     wave = eu.reconstruct(t0, hs.laminar_field(flow, 64))
-    assert eu.flux(wave, 0) == pytest.approx(-1.0, abs=1e-10)
+    assert eu.flux_all_columns(wave)[0] == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_flux_uniform_across_columns(t0, small_wave):
@@ -67,6 +182,25 @@ def test_flux_uniform_across_columns(t0, small_wave):
     fluxes = eu.flux_all_columns(wave)
     assert np.max(np.abs(fluxes + 1.0)) < 1e-4
     assert np.max(np.abs(fluxes - fluxes[0])) < 1e-4
+
+
+def test_flux_matches_column_reference(solved_waves):
+    # same resampled integrand; only the Simpson sum may round differently
+    for _, wave in solved_waves:
+        ref = np.array([_flux_reference(wave, ix)
+                        for ix in range(wave.x.size)])
+        assert np.max(np.abs(eu.flux_all_columns(wave) - ref)) \
+            <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_oracles_reject_folded_column(t0, small_wave):
+    wave = eu.reconstruct(t0, small_wave)
+    y = wave.y.copy()
+    y[3, 10], y[3, 11] = y[3, 11], y[3, 10]
+    with pytest.raises(EllipticityLossError):
+        eu.flux_all_columns(replace(wave, y=y))
+    with pytest.raises(EllipticityLossError):
+        eu.yih_residual(replace(wave, y=y), t0)
 
 
 def test_surface_bernoulli_laminar_zero(t0, grid64):
@@ -102,6 +236,14 @@ def test_yih_laminar_with_vorticity():
         errs.append(eu.yih_residual(wave, phys))
     assert errs[0] < 2e-3
     assert errs[0] / errs[1] > 3.0       # ~second order
+
+
+def test_yih_matches_row_reference(solved_waves):
+    residuals = []
+    for phys, wave in solved_waves:
+        residuals.append(eu.yih_residual(wave, phys))
+        assert residuals[-1] == _yih_reference(wave, phys)
+    assert all(0.0 < r < 5e-2 for r in residuals[:3])
 
 
 def test_csv_emission(t0, small_wave):
