@@ -468,6 +468,11 @@ def oracle_roots(coeffs: CoefficientSet, side: str,
     Each axis of the 21 x 21 start grid spans three times its own
     pure-root magnitude: mixed roots can sit on a far smaller scale in one
     component than the larger pure root (Double(4): 0.04 against 1.07).
+    All starts iterate together as arrays with a closed-form 2 x 2 step.
+    A start stops once converged, or when its step is not finite (a
+    singular Jacobian divides by a zero determinant); then it goes on to
+    the residual filter.  A start still iterating after 60 steps is
+    dropped.
     """
     mags = [np.sqrt(abs(psi / theta)) if theta != 0.0 else 0.0
             for psi, theta in ((coeffs.psi11, coeffs.theta1111),
@@ -476,37 +481,41 @@ def oracle_roots(coeffs: CoefficientSet, side: str,
     # an axis without a pure root falls back to the larger box
     starts1, starts2 = [np.linspace(-half, half, 21)
                         for half in (3.0 * m or box for m in mags)]
+    # flattened in the (s1, s2) start order: s1 outer, s2 inner
+    th1, th2 = [a.ravel() for a in np.meshgrid(starts1, starts2,
+                                               indexing="ij")]
+    scale = max(1.0, abs(coeffs.psi11))
+    near = dedup_tol * max(1.0, box)
+    active = np.ones(th1.size, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(60):
+            idx = np.flatnonzero(active)
+            if idx.size == 0:
+                break
+            t1, t2 = th1[idx], th2[idx]
+            r1, r2 = _reduced_residual(coeffs, side, (t1, t2))
+            (j11, j12), (j21, j22) = _reduced_jacobian(coeffs, side, (t1, t2))
+            det = j11 * j22 - j12 * j21
+            step1 = (j12 * r2 - j22 * r1) / det
+            step2 = (j21 * r1 - j11 * r2) / det
+            stop = ((np.maximum(np.abs(r1), np.abs(r2)) < 1e-13 * scale)
+                    | ~(np.isfinite(step1) & np.isfinite(step2)))
+            active[idx[stop]] = False
+            go = ~stop
+            th1[idx[go]] = t1[go] + step1[go]
+            th2[idx[go]] = t2[go] + step2[go]
+        res = np.max(np.abs(_reduced_residual(coeffs, side, (th1, th2))),
+                     axis=0)
+    keep = (~active & np.isfinite(th1) & np.isfinite(th2)
+            & ~(res > 1e-10 * scale)
+            & ~(np.hypot(th1, th2) < near))             # trivial roots
     roots = []
-    for s1 in starts1:
-        for s2 in starts2:
-            th = np.array([s1, s2])
-            for _ in range(60):
-                r = _reduced_residual(coeffs, side, th)
-                if np.max(np.abs(r)) < 1e-13 * max(1.0, abs(coeffs.psi11)):
-                    break
-                J = _reduced_jacobian(coeffs, side, th)
-                try:
-                    step = np.linalg.solve(J, -r)
-                except np.linalg.LinAlgError:
-                    break
-                if not np.all(np.isfinite(step)):
-                    break
-                th = th + step
-            else:
-                continue
-            if not np.all(np.isfinite(th)):
-                continue
-            if np.max(np.abs(_reduced_residual(coeffs, side, th))) \
-                    > 1e-10 * max(1.0, abs(coeffs.psi11)):
-                continue
-            if np.hypot(*th) < dedup_tol * max(1.0, box):
-                continue                       # trivial root
-            for known in roots:
-                if np.hypot(th[0] - known[0], th[1] - known[1]) \
-                        < dedup_tol * max(1.0, box):
-                    break
-            else:
-                roots.append((float(th[0]), float(th[1])))
+    for t1, t2 in zip(th1[keep].tolist(), th2[keep].tolist()):
+        for known in roots:
+            if np.hypot(t1 - known[0], t2 - known[1]) < near:
+                break
+        else:
+            roots.append((t1, t2))
     return sorted(roots)
 
 

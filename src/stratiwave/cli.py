@@ -382,11 +382,24 @@ def cmd_branch(cfg: RunConfig, args):
     return 0
 
 
-def cmd_eulerian(cfg: RunConfig, args):
+def _load_dump(cfg: RunConfig, args):
+    """The --field dump, which must live on the config's [p0, 0]."""
     if not args.field:
-        raise ConfigError("eulerian needs --field <dump>")
-    with open(args.field, "r", encoding="utf-8") as fh:
-        hf = heightsolver.load_field(fh.read())
+        raise ConfigError(f"{args.subcommand} needs --field <dump>")
+    try:
+        with open(args.field, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read field {args.field}: {exc}")
+    hf = heightsolver.load_field(text)
+    if hf.pgrid.p0 != cfg.physics.p0:
+        raise ConfigError(f"dump p0 = {hf.pgrid.p0!r} differs from "
+                          f"physics.p0 = {cfg.physics.p0!r}")
+    return hf
+
+
+def cmd_eulerian(cfg: RunConfig, args):
+    hf = _load_dump(cfg, args)
     wave = eulerian.reconstruct(cfg.physics, hf)
     p1 = _write(args.out, "wave.csv", eulerian.wave_csv(wave))
     p2 = _write(args.out, "surface.csv", eulerian.surface_csv(wave))
@@ -429,10 +442,7 @@ def run_verify(cfg: RunConfig, hf) -> list:
 
 
 def cmd_verify(cfg: RunConfig, args):
-    if not args.field:
-        raise ConfigError("verify needs --field <dump>")
-    with open(args.field, "r", encoding="utf-8") as fh:
-        hf = heightsolver.load_field(fh.read())
+    hf = _load_dump(cfg, args)
     results = run_verify(cfg, hf)
     for name, value, tol, ok in results:
         print(f"{'PASS' if ok else 'FAIL'} {name} value={value:.16e} "

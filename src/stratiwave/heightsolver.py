@@ -753,14 +753,22 @@ def dump_field(hf: HeightField) -> str:
 
 
 def load_field(text: str, provenance: str = "loaded") -> HeightField:
+    """Parse a ``dump_field`` text; ShapeError on anything malformed."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
+    head = lines[0].split() if lines else []
     if head[:2] != ["heightfield", "v1"]:
         raise ShapeError("not a heightfield v1 dump")
-    N_q, N_p = int(head[2]), int(head[3])
-    p0, Q = float(head[4]), float(head[5])
-    rows = [np.fromstring(ln, sep=" ") for ln in lines[1:]]
-    h = np.vstack(rows)
+    if len(head) != 6:
+        raise ShapeError(f"heightfield header has {len(head)} fields, not 6")
+    try:
+        N_q, N_p = int(head[2]), int(head[3])
+        p0, Q = float(head[4]), float(head[5])
+        # a token that is no number, or rows of unequal length
+        h = np.vstack([np.fromstring(ln, sep=" ") for ln in lines[1:]])
+    except ValueError as exc:
+        raise ShapeError(f"unreadable heightfield dump: {exc}") from None
+    if not (np.isfinite(p0) and np.isfinite(Q) and np.all(np.isfinite(h))):
+        raise ShapeError("heightfield dump holds a non-finite value")
     if h.shape != (N_q + 1, N_p + 1):
         raise ShapeError(f"dump body {h.shape} does not match header")
     return HeightField(Q=Q, N_q=N_q, pgrid=PGrid(p0, N_p), h=h,

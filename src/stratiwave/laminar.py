@@ -192,16 +192,6 @@ def _lambda_derivatives(physics, lam, grid, G, homogeneous, tol, max_iter):
     return Ydot, Gdot, float(Qdot)
 
 
-def lambda_derivatives(flow: LaminarFlow):
-    """(Ydot, Gdot, Qdot) of a converged flow."""
-    return flow.Ydot, flow.Gdot, flow.Qdot
-
-
-def q_of_lambda(flow: LaminarFlow) -> float:
-    """Q = lambda + 2 g rho(0) H(0)."""
-    return flow.Q
-
-
 def _qdot_at(physics, grid, lam):
     return solve_laminar(physics, lam, grid, enforce_floor=False).Qdot
 

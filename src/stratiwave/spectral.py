@@ -106,13 +106,15 @@ def _shoot(flow, physics, n, forcing=0.0, M0p=1.0):
 
     Coefficient samples at the nodes and half-step stations are evaluated
     in one batch up front (the stage values of a linear system only need
-    those), so the marching loop is pure scalar arithmetic.  Returns node
-    samples of M, M', M'' and the accumulated log rescale applied to keep
-    the state finite for large n.
+    those), so the marching loop is pure scalar arithmetic, done on Python
+    floats: the same IEEE double operations in the same order as on numpy
+    scalars, without their per-operation dispatch.  Returns node samples
+    of M, M', M'' and the accumulated log rescale applied to keep the
+    state finite for large n.
     """
     grid = flow.grid
     p = grid.nodes
-    h = grid.h
+    h = float(grid.h)
     a_of, ap_of = _coefficient_interpolants(flow)
     g = physics.g
     half = p[:-1] + 0.5 * h
@@ -127,37 +129,40 @@ def _shoot(flow, physics, n, forcing=0.0, M0p=1.0):
     f_nodes = forcing * rp_nodes
     f_half = forcing * rp_half
 
-    M = np.empty(grid.N_p + 1)
-    Mp = np.empty(grid.N_p + 1)
-    m, w = 0.0, a_nodes[0] ** 3 * M0p
+    m, w = 0.0, float(a_nodes[0] ** 3 * M0p)
     log_rescale = 0.0
-    M[0], Mp[0] = m, M0p
+    corr = 1.0
+    M, Mp = [m], [float(M0p)]
+    hh, h6 = 0.5 * h, h / 6.0
+    ia3_n, ia3_h = inv_a3_nodes.tolist(), inv_a3_half.tolist()
+    c_n, c_h = c_nodes.tolist(), c_half.tolist()
+    f_n, f_h = f_nodes.tolist(), f_half.tolist()
     for k in range(grid.N_p):
-        corr = np.exp(-log_rescale)
-        dm1 = w * inv_a3_nodes[k]
-        dw1 = c_nodes[k] * m + f_nodes[k] * corr
-        m2, w2 = m + 0.5 * h * dm1, w + 0.5 * h * dw1
-        dm2 = w2 * inv_a3_half[k]
-        dw2 = c_half[k] * m2 + f_half[k] * corr
-        m3, w3 = m + 0.5 * h * dm2, w + 0.5 * h * dw2
-        dm3 = w3 * inv_a3_half[k]
-        dw3 = c_half[k] * m3 + f_half[k] * corr
+        dm1 = w * ia3_n[k]
+        dw1 = c_n[k] * m + f_n[k] * corr
+        m2, w2 = m + hh * dm1, w + hh * dw1
+        dm2 = w2 * ia3_h[k]
+        dw2 = c_h[k] * m2 + f_h[k] * corr
+        m3, w3 = m + hh * dm2, w + hh * dw2
+        dm3 = w3 * ia3_h[k]
+        dw3 = c_h[k] * m3 + f_h[k] * corr
         m4, w4 = m + h * dm3, w + h * dw3
-        dm4 = w4 * inv_a3_nodes[k + 1]
-        dw4 = c_nodes[k + 1] * m4 + f_nodes[k + 1] * corr
-        m += (h / 6.0) * (dm1 + 2.0 * dm2 + 2.0 * dm3 + dm4)
-        w += (h / 6.0) * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
+        dm4 = w4 * ia3_n[k + 1]
+        dw4 = c_n[k + 1] * m4 + f_n[k + 1] * corr
+        m += h6 * (dm1 + 2.0 * dm2 + 2.0 * dm3 + dm4)
+        w += h6 * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
         big = max(abs(m), abs(w))
         if big > _RESCALE_LIMIT:
             m /= big
             w /= big
-            M[:k + 2] /= big
-            Mp[:k + 2] /= big
+            M = [x / big for x in M]
+            Mp = [x / big for x in Mp]
             log_rescale += np.log(big)
-        M[k + 1] = m
-        Mp[k + 1] = w * inv_a3_nodes[k + 1]
+            corr = float(np.exp(-log_rescale))
+        M.append(m)
+        Mp.append(w * ia3_n[k + 1])
+    M, Mp = np.array(M), np.array(Mp)
     ap_nodes = ap_of(p)
-    corr = np.exp(-log_rescale)
     Mpp = ((n * n * a_nodes + g * rp_nodes) * M + forcing * rp_nodes * corr
            - 3.0 * a_nodes ** 2 * ap_nodes * Mp) * inv_a3_nodes
     return M, Mp, Mpp, log_rescale

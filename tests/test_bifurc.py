@@ -9,6 +9,50 @@ from stratiwave import spectral as sp
 from stratiwave.profiles import simpson_weights
 
 
+def _oracle_roots_loop(coeffs, side, dedup_tol=bf.ROOT_DEDUP_TOL):
+    """The start-by-start multi-start Newton of ``bifurc.oracle_roots`` as
+    it stood before the batched iteration; the reference it must match."""
+    mags = [np.sqrt(abs(psi / theta)) if theta != 0.0 else 0.0
+            for psi, theta in ((coeffs.psi11, coeffs.theta1111),
+                               (coeffs.psi22, coeffs.theta2222))]
+    box = 3.0 * max(mags) or 3.0          # also the deduplication scale
+    # an axis without a pure root falls back to the larger box
+    starts1, starts2 = [np.linspace(-half, half, 21)
+                        for half in (3.0 * m or box for m in mags)]
+    roots = []
+    for s1 in starts1:
+        for s2 in starts2:
+            th = np.array([s1, s2])
+            for _ in range(60):
+                r = bf._reduced_residual(coeffs, side, th)
+                if np.max(np.abs(r)) < 1e-13 * max(1.0, abs(coeffs.psi11)):
+                    break
+                J = bf._reduced_jacobian(coeffs, side, th)
+                try:
+                    step = np.linalg.solve(J, -r)
+                except np.linalg.LinAlgError:
+                    break
+                if not np.all(np.isfinite(step)):
+                    break
+                th = th + step
+            else:
+                continue
+            if not np.all(np.isfinite(th)):
+                continue
+            if np.max(np.abs(bf._reduced_residual(coeffs, side, th))) \
+                    > 1e-10 * max(1.0, abs(coeffs.psi11)):
+                continue
+            if np.hypot(*th) < dedup_tol * max(1.0, box):
+                continue                       # trivial root
+            for known in roots:
+                if np.hypot(th[0] - known[0], th[1] - known[1]) \
+                        < dedup_tol * max(1.0, box):
+                    break
+            else:
+                roots.append((float(th[0]), float(th[1])))
+    return sorted(roots)
+
+
 # --- independent projection probe (analytic fields, no stencils) ----------
 
 def project_operator(physics, flow, sigma, modes, coefs, test_mode, Q=None,
@@ -324,7 +368,8 @@ def test_oracle_matches_predictions_computed(double3):
                        for p in pred) < 1e-7
 
 
-def test_oracle_matches_predictions_randomized():
+def _randomized_sets():
+    """50 random cubic coefficient sets with nondegenerate mixed roots."""
     rng = np.random.default_rng(20260808)
     done = 0
     while done < 50:
@@ -338,25 +383,82 @@ def test_oracle_matches_predictions_randomized():
         det = cs.theta1111 * cs.theta2222 - cs.theta1122 * cs.theta2211
         if abs(det) < 1e-2:
             continue
+        yield cs
+        done += 1
+
+
+def test_oracle_matches_predictions_randomized():
+    for cs in _randomized_sets():
         germs = bf.predict_branches(cs, "cubic")
         for side in ("plus", "minus"):
             pred = sorted(tuple(g.theta) for g in germs if g.side == side)
             roots = bf.oracle_roots(cs, side)
-            assert len(roots) == len(pred), (psi, diag, cross, side)
+            assert len(roots) == len(pred), (cs, side)
             for r in roots:
                 assert min(np.hypot(r[0] - p[0], r[1] - p[1])
                            for p in pred) < 1e-7
-        done += 1
 
 
-def test_oracle_finds_small_mixed_roots_double4():
-    # the constant-density Double(4) coefficients (N_p = 512): the mixed
-    # roots sit at th2 = +-0.040, far inside the pure n1 root at 1.07
-    cs = bf.CoefficientSet(
+def _double4_coeffs():
+    # the constant-density Double(4) coefficients (N_p = 512)
+    return bf.CoefficientSet(
         n1=1, n2=4, psi11=-7.2271, psi22=-784.99,
         phi112=0.0, phi121=0.0, phi211=0.0,
         theta1111=6.3114, theta2222=162405.7,
         theta1122=3133.6, theta2211=1525.3, normalization="hand-built")
+
+
+def _degenerate_coeffs(psi, diag):
+    # psi11 = 0: Newton converges only linearly in th1, and every start
+    # with th1 = 0 has a singular Jacobian
+    return bf.CoefficientSet(
+        n1=1, n2=3, psi11=0.0, psi22=psi, phi112=0.0, phi121=0.0,
+        phi211=0.0, theta1111=diag[0], theta2222=diag[1], theta1122=0.0,
+        theta2211=0.0, normalization="hand-built")
+
+
+def _ties_by_th2(roots, tol=1e-12):
+    """Sorted roots with each run of th1 values equal within tol ordered
+    by th2.  A th1 that is zero comes out as rounding noise of either
+    sign, so roots on the th2 axis may trade places in the sort."""
+    runs = []
+    for r in roots:
+        if runs and abs(r[0] - runs[-1][-1][0]) <= tol:
+            runs[-1].append(r)
+        else:
+            runs.append([r])
+    return [r for run in runs for r in sorted(run, key=lambda r: r[1])]
+
+
+def test_oracle_matches_loop_reference(double3):
+    t0, grid, sigma_d, bp, flow = double3
+    m1, m2 = bp.modes
+    # the random sets alternate sides, which halves the time the loop
+    # takes; the Double(3) and Double(4) sets run on both
+    cases = [(cs, ("plus", "minus")[k % 2])
+             for k, cs in enumerate(_randomized_sets())]
+    cases += [(cs, side) for cs in (
+        bf.coefficient_set(flow, t0, sigma_d, m1, m2), _double4_coeffs())
+        for side in ("plus", "minus")]
+    cases += [
+        # the singular starts (0, s2) are kept as roots: th2 psi22 is
+        # below the residual filter
+        (_degenerate_coeffs(1e-11, (1.0, 0.0)), "plus"),
+        # starts with |s1| >= 0.6 use up their 60 iterations on a root
+        # the filter would pass; the first kept root depends on it
+        (_degenerate_coeffs(-1.0, (3e19, 1.0)), "plus")]
+    for cs, side in cases:
+        got = _ties_by_th2(bf.oracle_roots(cs, side))
+        want = _ties_by_th2(_oracle_roots_loop(cs, side))
+        assert len(got) == len(want), (cs, side)
+        assert np.all(np.abs(np.subtract(got, want))
+                      <= 1e-12 * np.maximum(1.0, np.abs(want))), (cs, side)
+
+
+def test_oracle_finds_small_mixed_roots_double4():
+    # the mixed roots sit at th2 = +-0.040, far inside the pure n1 root
+    # at 1.07
+    cs = _double4_coeffs()
     germs = bf.predict_branches(cs, "cubic")
     for side in ("plus", "minus"):
         pred = [g.theta for g in germs if g.side == side]

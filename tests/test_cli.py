@@ -206,6 +206,27 @@ def test_eulerian_subcommand(t0, config_path, tmp_path, capsys):
     assert abs(checks["eta_mean"]) < 1e-12
 
 
+@pytest.mark.parametrize("sub", ["verify", "eulerian"])
+def test_foreign_or_unreadable_field_rejected(t0, config_path, tmp_path,
+                                              capsys, sub):
+    # a laminar dump on [-1, 0] against a config with p0 = -2: exit 2
+    flow = lm.solve_laminar(t0, 4.0, pr.PGrid(-1.0, 64))
+    dump = tmp_path / "field.txt"
+    dump.write_text(hs.dump_field(hs.laminar_field(flow, 32)))
+    code = cli.main([sub, "--config", config_path(p0=-2.0), "--out",
+                     str(tmp_path / "out"), "--field", str(dump)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config-error" in captured.err and "p0" in captured.err
+    assert not (tmp_path / "out").exists()
+    # a --field path that cannot be read: exit 2, no traceback
+    code = cli.main([sub, "--config", config_path(), "--out",
+                     str(tmp_path / "out"), "--field", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config-error" in captured.err and "cannot read" in captured.err
+
+
 def test_missing_config_is_validation_error(capsys):
     code = cli.main(["classify", "--config", "/nonexistent.json"])
     captured = capsys.readouterr()

@@ -429,6 +429,22 @@ def test_dump_load_roundtrip(t0, simple_point):
     assert abs(r0 - r1) < 1e-14
 
 
+# a header without p0 and Q; a body token that is no number; a nan entry
+@pytest.mark.parametrize("line, start, stop, new",
+                         [(0, 4, 6, []), (1, 3, 4, ["0.5x"]),
+                          (2, 5, 6, ["nan"])],
+                         ids=["short-header", "bad-token", "nan-value"])
+def test_load_field_rejects_malformed(t0, line, start, stop, new):
+    flow = lm.solve_laminar(t0, 4.0, pr.PGrid(-1.0, 16))
+    lines = hs.dump_field(hs.laminar_field(flow, 16)).split("\n")
+    hs.load_field("\n".join(lines))
+    tokens = lines[line].split(" ")
+    tokens[start:stop] = new
+    lines[line] = " ".join(tokens)
+    with pytest.raises(ShapeError):
+        hs.load_field("\n".join(lines))
+
+
 def test_field_shape_validation(grid64):
     with pytest.raises(ShapeError):
         hs.HeightField(Q=1.0, N_q=16, pgrid=grid64, h=np.zeros((5, 5)))

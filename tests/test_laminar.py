@@ -83,15 +83,16 @@ def test_h_refinement_order(grid64):
 
 
 def test_q_of_lambda_examples(t0, grid128):
-    assert lm.q_of_lambda(lm.solve_laminar(t0, 4.0, grid128)) == pytest.approx(5.0)
-    assert lm.q_of_lambda(lm.solve_laminar(t0, 1.0, grid128)) == pytest.approx(3.0)
+    # Q = lambda + 2 g rho(0) H(0)
+    assert lm.solve_laminar(t0, 4.0, grid128).Q == pytest.approx(5.0)
+    assert lm.solve_laminar(t0, 1.0, grid128).Q == pytest.approx(3.0)
     g0 = make_physics(g=0.0)
-    assert lm.q_of_lambda(lm.solve_laminar(g0, 2.5, grid128)) == pytest.approx(2.5)
+    assert lm.solve_laminar(g0, 2.5, grid128).Q == pytest.approx(2.5)
 
 
 def test_lambda_derivatives_t0(t0, grid128):
     flow = lm.solve_laminar(t0, 4.0, grid128)
-    Ydot, Gdot, Qdot = lm.lambda_derivatives(flow)
+    Ydot, Gdot, Qdot = flow.Ydot, flow.Gdot, flow.Qdot
     assert np.max(np.abs(Gdot)) == 0.0
     assert Ydot[0] == pytest.approx(1.0 / 16.0, abs=1e-12)
     assert Qdot == pytest.approx(0.875, abs=1e-12)

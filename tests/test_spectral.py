@@ -8,6 +8,62 @@ from stratiwave import spectral as sp
 from stratiwave.errors import UndefinedQuantityError
 
 
+def _shoot_loop(flow, physics, n, forcing=0.0, M0p=1.0):
+    """The RK4 march of ``spectral._shoot`` on numpy scalars, as it stood
+    before the float march; the reference for bit-equality."""
+    grid = flow.grid
+    p = grid.nodes
+    h = grid.h
+    a_of, ap_of = sp._coefficient_interpolants(flow)
+    g = physics.g
+    half = p[:-1] + 0.5 * h
+    a_nodes = a_of(p)
+    a_half = a_of(half)
+    rp_nodes = physics.rho_p(p)
+    rp_half = physics.rho_p(half)
+    inv_a3_nodes = a_nodes ** -3.0
+    inv_a3_half = a_half ** -3.0
+    c_nodes = n * n * a_nodes + g * rp_nodes
+    c_half = n * n * a_half + g * rp_half
+    f_nodes = forcing * rp_nodes
+    f_half = forcing * rp_half
+
+    M = np.empty(grid.N_p + 1)
+    Mp = np.empty(grid.N_p + 1)
+    m, w = 0.0, a_nodes[0] ** 3 * M0p
+    log_rescale = 0.0
+    M[0], Mp[0] = m, M0p
+    for k in range(grid.N_p):
+        corr = np.exp(-log_rescale)
+        dm1 = w * inv_a3_nodes[k]
+        dw1 = c_nodes[k] * m + f_nodes[k] * corr
+        m2, w2 = m + 0.5 * h * dm1, w + 0.5 * h * dw1
+        dm2 = w2 * inv_a3_half[k]
+        dw2 = c_half[k] * m2 + f_half[k] * corr
+        m3, w3 = m + 0.5 * h * dm2, w + 0.5 * h * dw2
+        dm3 = w3 * inv_a3_half[k]
+        dw3 = c_half[k] * m3 + f_half[k] * corr
+        m4, w4 = m + h * dm3, w + h * dw3
+        dm4 = w4 * inv_a3_nodes[k + 1]
+        dw4 = c_nodes[k + 1] * m4 + f_nodes[k + 1] * corr
+        m += (h / 6.0) * (dm1 + 2.0 * dm2 + 2.0 * dm3 + dm4)
+        w += (h / 6.0) * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
+        big = max(abs(m), abs(w))
+        if big > sp._RESCALE_LIMIT:
+            m /= big
+            w /= big
+            M[:k + 2] /= big
+            Mp[:k + 2] /= big
+            log_rescale += np.log(big)
+        M[k + 1] = m
+        Mp[k + 1] = w * inv_a3_nodes[k + 1]
+    ap_nodes = ap_of(p)
+    corr = np.exp(-log_rescale)
+    Mpp = ((n * n * a_nodes + g * rp_nodes) * M + forcing * rp_nodes * corr
+           - 3.0 * a_nodes ** 2 * ap_nodes * Mp) * inv_a3_nodes
+    return M, Mp, Mpp, log_rescale
+
+
 def test_shoot_mode_sinh_closed_form(t0, grid128):
     flow = lm.solve_laminar(t0, 1.0, grid128)
     mode = sp.shoot_mode(flow, t0, 1, normalization="sinh")
@@ -58,6 +114,31 @@ def test_zero_mode_forcing_vanishes_for_constant_rho(t0, grid128):
     flow = lm.solve_laminar(t0, 2.0, grid128)
     M2, M2p, _, _ = sp._shoot(flow, t0, 0, forcing=-t0.g, M0p=0.0)
     assert np.max(np.abs(M2)) == 0.0
+
+
+@pytest.mark.parametrize("rho, beta", [((1.0,), (0.0,)),
+                                       ((1.0, -0.1), (0.0,)),
+                                       ((1.0, -0.1), (0.0, 0.2)),
+                                       ((1.0, -0.1, -0.04), (0.0,))],
+                         ids=["constant", "linear-rho", "linear-rho-beta",
+                              "quadratic-rho"])
+def test_shoot_matches_loop_reference(rho, beta):
+    # constant rho; rho = 1 - p/10 (rho_p != 0, so the n = 0 forcing acts);
+    # the same with beta = 0.2 s; a rho_p that varies between the nodes
+    # and the half steps.  n = 1000 overflows 1e150 and rescales, also
+    # with a forcing, which the rescale then scales down.
+    phys = make_physics(sigma=10.0, rho_coeffs=rho, beta_coeffs=beta)
+    grid = pr.PGrid(-1.0, 512)
+    flow = lm.solve_laminar(phys, 5.0, grid)
+    cases = [(0, 0.0, 1.0), (0, -phys.g, 0.0), (1, 0.0, 1.0),
+             (1000, -phys.g, 1.0), (1000, 0.0, 1.0)]
+    for n, forcing, M0p in cases:
+        got = sp._shoot(flow, phys, n, forcing=forcing, M0p=M0p)
+        ref = _shoot_loop(flow, phys, n, forcing=forcing, M0p=M0p)
+        for a, b in zip(got[:3], ref[:3]):
+            assert np.array_equal(a, b), (n, forcing)
+        assert got[3] == ref[3]
+    assert ref[3] > 0.0                     # the n = 1000 march rescaled
 
 
 @pytest.mark.parametrize("sigma", [0.05, 0.5, 2.0])
