@@ -335,18 +335,28 @@ def compute_Theta(flow: LaminarFlow, physics: Physics, sigma: float,
 
 
 def coefficient_set(flow: LaminarFlow, physics: Physics, sigma: float,
-                    mode1: EigenMode, mode2: EigenMode,
+                    mode1: EigenMode, mode2: EigenMode | None = None,
                     normalization: str = "shooting") -> CoefficientSet:
-    """Assemble all stored coefficients for the pair (mode1, mode2)."""
+    """Assemble all stored coefficients for the pair (mode1, mode2).
+
+    Without mode2 (a simple point) only Psi11 and Theta1111 are computed;
+    n2 = 0 and every other coefficient and flag is zero or false.
+    """
     m1 = mode1.renormalized(normalization)
-    m2 = mode2.renormalized(normalization)
     psi11 = compute_Psi(flow, physics, sigma, m1)
+    theta1111 = compute_Theta(flow, physics, sigma, m1, m1)
+    if mode2 is None:
+        return CoefficientSet(
+            n1=m1.n, n2=0, psi11=psi11, psi22=0.0, phi112=0.0, phi121=0.0,
+            phi211=0.0, theta1111=theta1111, theta2222=0.0, theta1122=0.0,
+            theta2211=0.0, normalization=normalization).with_flags()
+    m2 = mode2.renormalized(normalization)
     psi22 = compute_Psi(flow, physics, sigma, m2)
     phi112, phi121, phi211 = compute_Phi(flow, physics, sigma, m1, m2)
     cs = CoefficientSet(
         n1=m1.n, n2=m2.n, psi11=psi11, psi22=psi22,
         phi112=phi112, phi121=phi121, phi211=phi211,
-        theta1111=compute_Theta(flow, physics, sigma, m1, m1),
+        theta1111=theta1111,
         theta2222=compute_Theta(flow, physics, sigma, m2, m2),
         theta1122=compute_Theta(flow, physics, sigma, m1, m2),
         theta2211=compute_Theta(flow, physics, sigma, m2, m1),
@@ -392,15 +402,29 @@ def _reduced_jacobian(coeffs: CoefficientSet, side: str, th):
     return np.array([[j11, j12], [j21, j22]])
 
 
+def _pure_germs(psi, theta, n, slot, signs=(+1.0, -1.0)):
+    """Pitchfork germs of mode n alone, theta in slot 0 or 1: on the side
+    of sign(Theta) with |theta| = sqrt|Psi/Theta|, or 1 when Theta = 0."""
+    side = "plus" if theta > 0 else "minus"
+    mag = np.sqrt(abs(psi / theta)) if theta != 0.0 else 1.0
+    thetas = [(sgn * mag, 0.0) if slot == 0 else (0.0, sgn * mag)
+              for sgn in signs]
+    return [BranchGerm(kind="pure", n=n, side=side, theta=th,
+                       scaling_exponent=0.5) for th in thetas]
+
+
 def predict_branches(coeffs: CoefficientSet, case: str = "cubic"):
     """Local branch germs from the reduced equation.
 
-    Cubic case (Phi = 0): pure pitchforks on the side given by the sign of
-    the corresponding Theta diagonal; mixed roots from the 2x2 linear
-    system A (th1^2, th2^2)^T = -+ (Psi11, Psi22)^T, emitted only when both
+    Simple case (n2 = 0): the two germs of the n1 pitchfork.  Cubic case
+    (Phi = 0): pure pitchforks on the side given by the sign of the
+    corresponding Theta diagonal; mixed roots from the 2x2 linear system
+    A (th1^2, th2^2)^T = -+ (Psi11, Psi22)^T, emitted only when both
     squares are positive.  Quadratic case (n2 = 2 n1): two mixed germs per
     side iff Phi112 Phi211 > 0, plus the pure-n2 pitchfork germ.
     """
+    if case == "simple":
+        return _pure_germs(coeffs.psi11, coeffs.theta1111, coeffs.n1, 0)
     germs = []
     if case == "cubic":
         for idx, (psi, theta, n) in enumerate((
@@ -408,12 +432,7 @@ def predict_branches(coeffs: CoefficientSet, case: str = "cubic"):
                 (coeffs.psi22, coeffs.theta2222, coeffs.n2))):
             if theta == 0.0:
                 raise SingularSystemError("vanishing Theta diagonal")
-            side = "plus" if theta > 0 else "minus"
-            mag = np.sqrt(abs(psi / theta))
-            for sgn in (+1.0, -1.0):
-                th = (sgn * mag, 0.0) if idx == 0 else (0.0, sgn * mag)
-                germs.append(BranchGerm(kind="pure", n=n, side=side,
-                                        theta=th, scaling_exponent=0.5))
+            germs += _pure_germs(psi, theta, n, idx)
         A = np.array([[coeffs.theta1111, coeffs.theta1122],
                       [coeffs.theta2211, coeffs.theta2222]])
         det = np.linalg.det(A)
@@ -448,13 +467,8 @@ def predict_branches(coeffs: CoefficientSet, case: str = "cubic"):
                                             scaling_exponent=1.0))
         # The pure-n2 branch always exists (restriction to the n2-periodic
         # subspace); its pitchfork data come from the cubic diagonal.
-        if coeffs.theta2222 != 0.0:
-            side = "plus" if coeffs.theta2222 > 0 else "minus"
-            mag = np.sqrt(abs(coeffs.psi22 / coeffs.theta2222))
-        else:
-            side, mag = "plus", 1.0
-        germs.append(BranchGerm(kind="pure", n=coeffs.n2, side=side,
-                                theta=(0.0, mag), scaling_exponent=0.5))
+        germs += _pure_germs(coeffs.psi22, coeffs.theta2222, coeffs.n2, 1,
+                             signs=(+1.0,))
         return germs
 
     raise ValueError(f"unknown case {case!r}")

@@ -185,11 +185,9 @@ def load_config(path: str) -> RunConfig:
 
 
 def _with_sigma(cfg: RunConfig, sigma) -> Physics:
-    ph = cfg.physics
     if sigma is None:
-        return ph
-    return Physics(g=ph.g, c=ph.c, p0=ph.p0, sigma=float(sigma),
-                   rho=ph.rho, beta=ph.beta)
+        return cfg.physics
+    return replace(cfg.physics, sigma=float(sigma))
 
 
 def _resolve_physics(cfg: RunConfig, args) -> Physics:
@@ -235,10 +233,13 @@ def cmd_dispersion(cfg: RunConfig, args):
     sigma = physics.sigma
     rows = ["n,lambda,D,scale"]
     roots = ["n,lambda_star"]
+    # each window starts where the root scan does, at the lowest admissible
+    # lambda, when half the root lies below the laminar floor
+    lam_lo = spectral._first_admissible(laminar.lambda_floor(physics, grid))
     for n in range(1, 7):
         lam_n = spectral.find_lambda_star(physics, grid, sigma, n=n)
         roots.append(f"{n},{lam_n:.16e}")
-        for lam in np.linspace(0.5 * lam_n, 1.5 * lam_n, 11):
+        for lam in np.linspace(max(0.5 * lam_n, lam_lo), 1.5 * lam_n, 11):
             flow = laminar.solve_laminar(physics, lam, grid)
             mode = spectral.shoot_mode(flow, physics, n)
             D = spectral.dispersion_D(flow, physics, sigma, mode)
@@ -283,26 +284,14 @@ def _coefficients(cfg, physics):
     flow = laminar.solve_laminar(physics, bp.lambda_star, grid)
     mode1 = bp.modes[0]
     if bp.classification == "Double":
-        mode2 = bp.modes[1]
         coeffs = bifurc.coefficient_set(flow, physics, physics.sigma,
-                                        mode1, mode2)
+                                        mode1, bp.modes[1])
         case = "quadratic" if bp.n2 == 2 * mode1.n else "cubic"
-        germs = bifurc.predict_branches(coeffs, case)
     else:
         # simple (or zero-mode) point: single-mode pitchfork data
-        psi = bifurc.compute_Psi(flow, physics, physics.sigma, mode1)
-        theta = bifurc.compute_Theta(flow, physics, physics.sigma,
-                                     mode1, mode1)
-        coeffs = bifurc.CoefficientSet(
-            n1=mode1.n, n2=0, psi11=psi, psi22=0.0, phi112=0.0, phi121=0.0,
-            phi211=0.0, theta1111=theta, theta2222=0.0, theta1122=0.0,
-            theta2211=0.0, normalization="shooting")
-        side = "plus" if theta > 0 else "minus"
-        mag = np.sqrt(abs(psi / theta)) if theta != 0 else 1.0
-        germs = [bifurc.BranchGerm(kind="pure", n=mode1.n, side=side,
-                                   theta=(s * mag, 0.0), scaling_exponent=0.5)
-                 for s in (+1.0, -1.0)]
-    return bp, flow, coeffs, germs, report
+        coeffs = bifurc.coefficient_set(flow, physics, physics.sigma, mode1)
+        case = "simple"
+    return bp, flow, coeffs, bifurc.predict_branches(coeffs, case), report
 
 
 def cmd_coeffs(cfg: RunConfig, args):

@@ -111,6 +111,14 @@ def derivatives(hf: HeightField):
     return hq, hp, hqq, hpp, hpq
 
 
+def _surface(hq, hqq):
+    """Slope factor 1 + h_q^2 and curvature kappa of the free-surface row,
+    from the ``derivatives`` arrays."""
+    hq_t = hq[:, -1]
+    slope = 1.0 + hq_t ** 2
+    return slope, -hqq[:, -1] / slope ** 1.5
+
+
 def residual(physics: Physics, hf: HeightField, sigma: float | None = None,
              check_ellipticity: bool = True):
     """Node-indexed residual of the height equation.
@@ -135,22 +143,12 @@ def residual(physics: Physics, hf: HeightField, sigma: float | None = None,
                   - g * (hf.h - d) * rho_p * hp ** 3
                   + hp ** 3 * beta)[:, 1:-1]
     R[:, 0] = hf.h[:, 0]
-    top = hf.top
-    hq_t, hqq_t, hp_t = hq[:, -1], hqq[:, -1], hp[:, -1]
-    kappa = -hqq_t / (1.0 + hq_t ** 2) ** 1.5
-    R[:, -1] = (1.0 + hq_t ** 2
-                + hp_t ** 2 * (2.0 * sigma * kappa
-                               + 2.0 * g * physics.rho0() * top - hf.Q))
+    slope, kappa = _surface(hq, hqq)
+    R[:, -1] = (slope
+                + hp[:, -1] ** 2 * (2.0 * sigma * kappa
+                                    + 2.0 * g * physics.rho0() * hf.top
+                                    - hf.Q))
     return R
-
-
-def surface_curvature(hf: HeightField):
-    left, right = _q_indices(hf.N_q)
-    top = hf.top
-    dq = hf.dq
-    hq_t = (top[right] - top[left]) / (2.0 * dq)
-    hqq_t = (top[right] - 2.0 * top + top[left]) / dq ** 2
-    return -hqq_t / (1.0 + hq_t ** 2) ** 1.5
 
 
 @dataclass
@@ -261,8 +259,7 @@ def jacobian(physics: Physics, hf: HeightField,
     # Venttsel top rows
     it = off[:, 0] + N_p
     hq_t, hqq_t, hp_t = hq[:, -1], hqq[:, -1], hp[:, -1]
-    slope = 1.0 + hq_t ** 2
-    kappa = -hqq_t / slope ** 1.5
+    slope, kappa = _surface(hq, hqq)
     c_q = (2.0 * hq_t
            + hp_t ** 2 * 2.0 * sigma * 3.0 * hqq_t * hq_t / slope ** 2.5)
     c_qq = -hp_t ** 2 * 2.0 * sigma / slope ** 1.5
@@ -479,34 +476,21 @@ def fourier_block_matrix(physics: Physics, flow: LaminarFlow, sigma: float,
                          n: int, N_q: int) -> np.ndarray:
     """The n-th q-Fourier block of the discrete Jacobian at the laminar
     field, as a dense (N_p+1)^2 matrix (bed row, interior rows, Venttsel
-    row)."""
-    grid = flow.grid
-    dp = grid.h
-    dq = np.pi / N_q
-    kn2 = (2.0 - 2.0 * np.cos(n * dq)) / dq ** 2      # symbol of -d^2/dq^2
-    p = grid.nodes
-    rho_p = physics.rho_p(p)
-    beta = physics.beta_at(p)
-    g = physics.g
-    Hp = flow.Hp
-    Y = flow.Y
-    m = grid.N_p + 1
-    B = np.zeros((m, m))
-    B[0, 0] = 1.0
-    for k in range(1, grid.N_p):
-        c_p = -3.0 * g * Y[k] * rho_p[k] * Hp[k] ** 2 + 3.0 * Hp[k] ** 2 * beta[k]
-        c_0 = -Hp[k] ** 2 * kn2 - g * rho_p[k] * Hp[k] ** 3
-        B[k, k - 1] = 1.0 / dp ** 2 - c_p / (2.0 * dp)
-        B[k, k] = -2.0 / dp ** 2 + c_0
-        B[k, k + 1] = 1.0 / dp ** 2 + c_p / (2.0 * dp)
-    lam = flow.lam
-    g_rho0 = g * physics.rho0()
-    c_p_top = 2.0 * Hp[-1] * (-lam)
-    B[-1, -1] = c_p_top * 3.0 / (2.0 * dp) + 2.0 * g_rho0 * Hp[-1] ** 2 \
-        + 2.0 * sigma * Hp[-1] ** 2 * kn2
-    B[-1, -2] = -c_p_top * 4.0 / (2.0 * dp)
-    B[-1, -3] = c_p_top / (2.0 * dp)
-    return B
+    row), for 1 <= n < 2 N_q.
+
+    Read off the assembled ``jacobian``: at a laminar field every q-column
+    carries the same stencil, so the rows of column 0 against column 0
+    (A00) and against column 1, which is both of its neighbours under
+    reflection (A01), give the block A00 + cos(n dq) A01.  The rank-one
+    depth term drops out because sum_j w_j cos(n q_j) = 0 for these n.
+    """
+    jac = jacobian(physics, laminar_field(flow, N_q), sigma)
+    m = flow.grid.N_p + 1
+    rows = np.arange(m)[:, None]
+    cols = np.arange(2 * m)[None, :]
+    diag = jac.bandwidth + rows - cols      # band row of entry (row, col)
+    A = np.where(diag >= 0, jac.ab[np.maximum(diag, 0), cols], 0.0)
+    return A[:, :m] + np.cos(n * np.pi / N_q) * A[:, m:]
 
 
 def fourier_block_dispersion(physics: Physics, flow: LaminarFlow,
@@ -515,11 +499,13 @@ def fourier_block_dispersion(physics: Physics, flow: LaminarFlow,
     Jacobian at the laminar field.
 
     At a laminar state the Jacobian decouples over discrete cosine modes;
-    marching the block's interior rows from the bed (discrete shooting with
-    v_0 = 0, v_1 = dp) and applying the Venttsel row gives a scalar whose
-    zeros are the bifurcation points of the DISCRETE operator.  They differ
-    from the continuum shooting roots by the O(dp^2, dq^2) discretization
-    error, which matters when two modes must resonate at the same lambda.
+    marching the interior rows of the block that ``fourier_block_matrix``
+    reads from the assembled ``jacobian`` up from the bed (discrete
+    shooting with v_0 = 0, v_1 = dp) and applying the Venttsel row gives a
+    scalar whose zeros are the bifurcation points of the DISCRETE operator,
+    the points where that Jacobian turns singular.  They differ from the
+    continuum shooting roots by the O(dp^2, dq^2) discretization error,
+    which matters when two modes must resonate at the same lambda.
     """
     B = fourier_block_matrix(physics, flow, sigma, n, N_q)
     v = np.zeros(B.shape[0])
@@ -580,8 +566,8 @@ class Branch:
 
 
 def _monitors(physics, hf, sigma):
-    _, hp, _, _, _ = derivatives(hf)
-    kappa = surface_curvature(hf)
+    hq, hp, hqq, _, _ = derivatives(hf)
+    _, kappa = _surface(hq, hqq)
     venttsel = hf.Q - 2.0 * sigma * kappa - 2.0 * physics.g * physics.rho0() * hf.top
     return (float(np.max(hp)), float(np.min(hp)), float(np.min(venttsel)),
             float(np.min(kappa)), float(hf.Q), hf.amplitude())

@@ -239,13 +239,18 @@ def _relative_D(physics, grid, sigma, n):
     return f
 
 
+def _first_admissible(floor: float) -> float:
+    """The lowest lambda a scan evaluates: just above the laminar floor."""
+    return floor + 1e-8 * max(1.0, abs(floor))
+
+
 def _smallest_root(f, floor: float, cap: float) -> float | None:
     """Smallest sign change of f(lambda) above the laminar floor.
 
     Geometric bracket scan from just above the floor, then Brent; None
     when f keeps its sign up to ``cap``.
     """
-    lo = floor + 1e-8 * max(1.0, abs(floor))
+    lo = _first_admissible(floor)
     flo = f(lo)
     if flo == 0.0:
         return lo

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -499,3 +501,28 @@ def test_quadratic_case_branches():
     germs = bf.predict_branches(cs_neg, "quadratic")
     assert [g.kind for g in germs] == ["pure"]
     assert germs[0].n == cs_neg.n2
+
+
+def test_simple_point_coefficients_and_germs(t0, grid64):
+    # without a second mode: Psi11 and Theta1111 alone, n2 = 0, every
+    # flag false, and the two germs of the n1 pitchfork
+    lam = sp.find_lambda_star(t0, grid64, 1.0)
+    flow = lm.solve_laminar(t0, lam, grid64)
+    mode = sp.shoot_mode(flow, t0, 1)
+    cs = bf.coefficient_set(flow, t0, 1.0, mode)
+    psi = bf.compute_Psi(flow, t0, 1.0, mode)
+    theta = bf.compute_Theta(flow, t0, 1.0, mode, mode)
+    assert (cs.n1, cs.n2, cs.psi11, cs.theta1111) == (1, 0, psi, theta)
+    assert cs.psi22 == cs.phi112 == cs.phi121 == cs.phi211 == 0.0
+    assert cs.theta2222 == cs.theta1122 == cs.theta2211 == 0.0
+    assert not (cs.nd1 or cs.nd2 or cs.regular_value)
+    germs = bf.predict_branches(cs, "simple")
+    mag = np.sqrt(abs(psi / theta))
+    assert [g.theta for g in germs] == [(mag, 0.0), (-mag, 0.0)]
+    assert all(g.kind == "pure" and g.n == 1 and g.scaling_exponent == 0.5
+               and g.side == ("plus" if theta > 0 else "minus")
+               for g in germs)
+    # a vanishing Theta falls back to |theta| = 1 instead of dividing by 0
+    flat = bf.predict_branches(replace(cs, theta1111=0.0), "simple")
+    assert [(g.side, g.theta) for g in flat] == [("minus", (1.0, 0.0)),
+                                                 ("minus", (-1.0, 0.0))]

@@ -191,6 +191,27 @@ def test_dispersion_subcommand(config_path, tmp_path, capsys):
     assert len(roots) == 7
 
 
+def test_dispersion_window_starts_above_floor(config_path, tmp_path, capsys):
+    # rho = 1 - p/10, sigma = 10: half of lambda*_1 lies below the laminar
+    # floor 4, so the n = 1 window starts just above the floor instead
+    path = config_path(sigma=10.0, rho={"type": "poly", "coeffs": [1.0, -0.1]})
+    out = tmp_path / "out"
+    code = cli.main(["dispersion", "--config", path, "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    cfg = cli.load_config(path)
+    floor = lm.lambda_floor(cfg.physics, cfg.grid)
+    roots = [float(line.split(",")[1]) for line in
+             (out / "dispersion_roots.csv").read_text().splitlines()[1:]]
+    rows = [[float(v) for v in line.split(",")] for line in
+            (out / "dispersion.csv").read_text().splitlines()[1:]]
+    assert len(roots) == 6 and len(rows) == 66
+    assert all(np.isfinite(row).all() for row in rows)
+    starts = [rows[11 * k][1] for k in range(6)]
+    assert 0.5 * roots[0] < floor < starts[0] < floor + 1e-6
+    assert starts[1:] == [0.5 * lam for lam in roots[1:]]
+
+
 def test_eulerian_subcommand(t0, config_path, tmp_path, capsys):
     grid = pr.PGrid(-1.0, 64)
     flow = lm.solve_laminar(t0, 4.0, grid)

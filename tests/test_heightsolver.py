@@ -279,6 +279,24 @@ def test_fourier_block_singular_at_lambda_star(t0, simple_point):
     assert s[-1] / s[0] < 1e-10
 
 
+def test_discrete_lambda_star_flips_jacobian_determinant():
+    # stratified with beta != 0, where the laminar H_p and its finite
+    # difference differ: the assembled Jacobian (band + u v^T) at the
+    # laminar field must turn singular at discrete_lambda_star itself,
+    # not O(dp^2) away from it
+    phys = make_physics(sigma=10.0, rho_coeffs=(1.0, -0.1),
+                        beta_coeffs=(0.0, 0.2))
+    grid = pr.PGrid(-1.0, 16)
+    lam = hs.discrete_lambda_star(phys, grid, 10.0, 16)
+    signs = []
+    for factor in (1.0 - 1e-9, 1.0 + 1e-9):
+        flow = lm.solve_laminar(phys, lam * factor, grid)
+        jac = hs.jacobian(phys, hs.laminar_field(flow, 16), 10.0)
+        dense = np.column_stack([jac.matvec(e) for e in np.eye(jac.shape[0])])
+        signs.append(np.linalg.slogdet(dense)[0])
+    assert signs[0] * signs[1] < 0
+
+
 def test_newton_accepts_root_without_iterating(t0, simple_point):
     grid, lam_star, flow, mode = simple_point
     fld = hs.laminar_field(flow, 64)
