@@ -25,7 +25,7 @@ with a = H_p^{-1} frozen at lambda_*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 
 import numpy as np
@@ -70,13 +70,7 @@ class CoefficientSet:
 
     def with_flags(self):
         nd1, nd2, regular = check_nondegeneracy(self, self.n2)
-        return CoefficientSet(
-            n1=self.n1, n2=self.n2, psi11=self.psi11, psi22=self.psi22,
-            phi112=self.phi112, phi121=self.phi121, phi211=self.phi211,
-            theta1111=self.theta1111, theta2222=self.theta2222,
-            theta1122=self.theta1122, theta2211=self.theta2211,
-            normalization=self.normalization,
-            nd1=nd1, nd2=nd2, regular_value=regular)
+        return replace(self, nd1=nd1, nd2=nd2, regular_value=regular)
 
 
 @dataclass(frozen=True)
@@ -137,10 +131,8 @@ class _FormAssembler:
     """Accumulates separable terms of a multilinear variation and pairs
     them with a test mode under the weighted inner product."""
 
-    def __init__(self, flow: LaminarFlow, physics: Physics, sigma: float):
+    def __init__(self, flow: LaminarFlow):
         self.flow = flow
-        self.physics = physics
-        self.sigma = sigma
         self.interior = []      # (p-array, [trig factors])
         self.top = []           # (scalar at p=0, [trig factors])
 
@@ -181,7 +173,7 @@ class _FormAssembler:
 
 def _second_variation(flow, physics, sigma, A: EigenMode, B: EigenMode):
     """D^2 G at the laminar state in directions (A, B), d(A) = d(B) = 0."""
-    asm = _FormAssembler(flow, physics, sigma)
+    asm = _FormAssembler(flow)
     p = flow.grid.nodes
     Hp = flow.Hp
     Hpp = flow.Hpp(physics)
@@ -214,7 +206,7 @@ def _second_variation(flow, physics, sigma, A: EigenMode, B: EigenMode):
 
 def _third_variation(flow, physics, sigma, A, B, C):
     """D^3 G at the laminar state in directions (A, B, C)."""
-    asm = _FormAssembler(flow, physics, sigma)
+    asm = _FormAssembler(flow)
     p = flow.grid.nodes
     Hp = flow.Hp
     g = physics.g
@@ -474,8 +466,7 @@ def predict_branches(coeffs: CoefficientSet, case: str = "cubic"):
     raise ValueError(f"unknown case {case!r}")
 
 
-def oracle_roots(coeffs: CoefficientSet, side: str,
-                 dedup_tol: float = ROOT_DEDUP_TOL):
+def oracle_roots(coeffs: CoefficientSet, side: str):
     """Independent multi-start Newton root finder for the cubic reduced
     system; returns the deduplicated nontrivial roots.
 
@@ -499,7 +490,7 @@ def oracle_roots(coeffs: CoefficientSet, side: str,
     th1, th2 = [a.ravel() for a in np.meshgrid(starts1, starts2,
                                                indexing="ij")]
     scale = max(1.0, abs(coeffs.psi11))
-    near = dedup_tol * max(1.0, box)
+    near = ROOT_DEDUP_TOL * max(1.0, box)
     active = np.ones(th1.size, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(60):

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -28,25 +28,18 @@ from .profiles import PGrid, Physics, ProfileFn
 
 _PROFILE_KEYS = {"poly": {"type", "coeffs"}, "table": {"type", "p", "v"}}
 _PHYSICS_KEYS = {"g", "c", "p0", "sigma", "rho", "beta"}
-_NUMERICS_KEYS = {
-    "N_p", "N_q", "n_max", "resonance_rtol", "verify_residual_tol",
-    "verify_eta_tol", "verify_flux_tol", "verify_bernoulli_tol",
-    "verify_yih_tol",
-}
-_CONTINUATION_KEYS = {
-    "ds_min", "ds_max", "max_steps", "newton_tol", "newton_max_iter",
-    "delta_stop", "kappa_stop", "Q_stop", "tol_loop", "s_min",
-}
-_CONTINUATION_COUNTS = {"max_steps", "newton_max_iter"}
-_TOP_KEYS = {"physics", "numerics", "continuation", "lambdas", "sigma",
-             "output_dir"}
-
 _NUMERICS_DEFAULTS = {
     "N_p": 64, "N_q": 64, "n_max": 64, "resonance_rtol": 1e-6,
     "verify_residual_tol": 1e-8, "verify_eta_tol": 1e-10,
     "verify_flux_tol": 1e-3, "verify_bernoulli_tol": 1e-3,
     "verify_yih_tol": 5e-2,
 }
+_NUMERICS_KEYS = set(_NUMERICS_DEFAULTS)
+_CONTINUATION_KEYS = {f.name for f in
+                      fields(heightsolver.ContinuationControls)}
+_CONTINUATION_COUNTS = {"max_steps", "newton_max_iter"}
+_TOP_KEYS = {"physics", "numerics", "continuation", "lambdas", "sigma",
+             "output_dir"}
 
 
 @dataclass
@@ -184,6 +177,20 @@ def load_config(path: str) -> RunConfig:
                      output_dir=str(raw.get("output_dir", "out")))
 
 
+def _check_flags(args):
+    """The numeric flags pass the checks of the config values they stand
+    in for: --lambda and --sigma finite (sigma >= 0), --steps a count,
+    --n2 at least 2."""
+    if args.lam is not None:
+        _number(args.lam, "--lambda")
+    if args.sigma is not None and _number(args.sigma, "--sigma") < 0:
+        raise ConfigError("--sigma must be nonnegative")
+    if args.n2 is not None and args.n2 < 2:
+        raise ConfigError("--n2 must be >= 2")
+    if args.steps is not None:
+        _count(args.steps, "--steps")
+
+
 def _with_sigma(cfg: RunConfig, sigma) -> Physics:
     if sigma is None:
         return cfg.physics
@@ -242,8 +249,7 @@ def cmd_dispersion(cfg: RunConfig, args):
         for lam in np.linspace(max(0.5 * lam_n, lam_lo), 1.5 * lam_n, 11):
             flow = laminar.solve_laminar(physics, lam, grid)
             mode = spectral.shoot_mode(flow, physics, n)
-            D = spectral.dispersion_D(flow, physics, sigma, mode)
-            sc = spectral.dispersion_scale(flow, physics, sigma, mode)
+            D, sc = spectral.dispersion(flow, physics, sigma, mode)
             rows.append(f"{n},{lam:.16e},{D:.16e},{sc:.16e}")
     p1 = _write(args.out, "dispersion.csv", "\n".join(rows) + "\n")
     p2 = _write(args.out, "dispersion_roots.csv", "\n".join(roots) + "\n")
@@ -331,8 +337,7 @@ def cmd_branch(cfg: RunConfig, args):
     bp, flow, coeffs, germs, _ = _coefficients(cfg, physics)
     controls = cfg.continuation
     if args.steps is not None:
-        controls = heightsolver.ContinuationControls(
-            **{**controls.__dict__, "max_steps": int(args.steps)})
+        controls = replace(controls, max_steps=args.steps)
     N_q = cfg.numerics["N_q"]
     paths = []
     branches = []
@@ -345,8 +350,7 @@ def cmd_branch(cfg: RunConfig, args):
         # mixed branches detach from the trivial family at the resonance
         # splitting scale of the discretization; seed them above it
         eps = 1e-3 if germ.kind == "pure" else 4e-3
-        fld = heightsolver.germ_field(flow, modes, theta, eps, N_q,
-                                      provenance=f"germ{k}")
+        fld = heightsolver.germ_field(flow, modes, theta, eps, N_q)
         if abs(fld.amplitude()) < 1e-14:
             continue
         if verbose:
@@ -357,14 +361,10 @@ def cmd_branch(cfg: RunConfig, args):
         branches.append(branch)
         paths.append(_write(args.out, f"branch_{k}.csv",
                             heightsolver.branch_csv(branch)))
-        last = branch.points[-1].field
-        if last is not None:
-            paths.append(_write(args.out, f"branch_{k}_last.field",
-                                heightsolver.dump_field(last)))
-        first = branch.points[0].field
-        if first is not None:
-            paths.append(_write(args.out, f"branch_{k}_first.field",
-                                heightsolver.dump_field(first)))
+        paths.append(_write(args.out, f"branch_{k}_last.field",
+                            heightsolver.dump_field(branch.points[-1].field)))
+        paths.append(_write(args.out, f"branch_{k}_first.field",
+                            heightsolver.dump_field(branch.points[0].field)))
     paths.append(_write(args.out, "branches.svg",
                         heightsolver.branch_svg(branches)))
     print("\n".join(paths))
@@ -479,14 +479,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         cfg = load_config(args.config)
+        _check_flags(args)
     except ConfigError as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)
         return 2
     if args.out is None:
         args.out = cfg.output_dir
-    if args.n2 is not None and args.n2 < 2:
-        print("config-error: --n2 must be >= 2", file=sys.stderr)
-        return 2
     try:
         return _SUBCOMMANDS[args.subcommand](cfg, args)
     except ConfigError as exc:

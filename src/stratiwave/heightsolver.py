@@ -46,7 +46,6 @@ class HeightField:
     N_q: int
     pgrid: PGrid
     h: np.ndarray
-    provenance: str = "unspecified"
     residual_norm: float = float("nan")
 
     def __post_init__(self):
@@ -119,18 +118,18 @@ def _surface(hq, hqq):
     return slope, -hqq[:, -1] / slope ** 1.5
 
 
-def residual(physics: Physics, hf: HeightField, sigma: float | None = None,
-             check_ellipticity: bool = True):
+def residual(physics: Physics, hf: HeightField, sigma: float | None = None):
     """Node-indexed residual of the height equation.
 
     Interior rows carry the quasilinear elliptic operator with the
     stratification term, the top row the Venttsel free-surface condition,
-    the bottom row the Dirichlet condition h = 0.
+    the bottom row the Dirichlet condition h = 0.  EllipticityLossError
+    where h_p <= 0.
     """
     if sigma is None:
         sigma = physics.sigma
     hq, hp, hqq, hpp, hpq = derivatives(hf)
-    if check_ellipticity and np.any(hp <= 0):
+    if np.any(hp <= 0):
         raise EllipticityLossError("h_p <= 0 on the grid")
     p = hf.pgrid.nodes
     rho_p = physics.rho_p(p)[None, :]
@@ -451,23 +450,20 @@ def newton(physics: Physics, hf: HeightField, sigma: float | None = None,
     return (accepted, history) if return_history else accepted
 
 
-def laminar_field(flow: LaminarFlow, N_q: int,
-                  provenance: str = "laminar") -> HeightField:
+def laminar_field(flow: LaminarFlow, N_q: int) -> HeightField:
     h = np.tile(flow.H, (N_q + 1, 1))
-    return HeightField(Q=flow.Q, N_q=N_q, pgrid=flow.grid, h=h,
-                       provenance=provenance)
+    return HeightField(Q=flow.Q, N_q=N_q, pgrid=flow.grid, h=h)
 
 
-def germ_field(flow: LaminarFlow, modes, xi, eps: float, N_q: int,
-               provenance: str = "germ") -> HeightField:
+def germ_field(flow: LaminarFlow, modes, xi, eps: float,
+               N_q: int) -> HeightField:
     """h = H + eps sum_k xi_k M_k(p) cos(n_k q) at Q = Q(lambda_*)."""
     q = np.linspace(0.0, np.pi, N_q + 1)
     h = np.tile(flow.H, (N_q + 1, 1))
     for coef, mode in zip(xi, modes):
         if coef != 0.0:
             h += eps * coef * np.outer(np.cos(mode.n * q), mode.M)
-    return HeightField(Q=flow.Q, N_q=N_q, pgrid=flow.grid, h=h,
-                       provenance=provenance)
+    return HeightField(Q=flow.Q, N_q=N_q, pgrid=flow.grid, h=h)
 
 
 # --- discrete Fourier-block dispersion -------------------------------------
@@ -556,7 +552,7 @@ class BranchPoint:
                           #  M4 min surface curvature, M5 Q, M6 amplitude)
     residual_norm: float
     step: float
-    field: HeightField | None
+    field: HeightField
 
 
 @dataclass(frozen=True)
@@ -608,8 +604,8 @@ def _corrector(physics, sigma, pred: HeightField, t_h, t_Q, x_prev, ds,
 
 def continue_branch(physics: Physics, germ: HeightField,
                     sigma: float | None = None,
-                    controls: ContinuationControls = ContinuationControls(),
-                    keep_fields: bool = True) -> Branch:
+                    controls: ContinuationControls = ContinuationControls()
+                    ) -> Branch:
     """Pseudo-arclength predictor-corrector from a germ field.
 
     Records the monitor tuple at every accepted point and stops on the
@@ -639,8 +635,7 @@ def continue_branch(physics: Physics, germ: HeightField,
         mon = _monitors(physics, fld, sigma)
         points.append(BranchPoint(
             s=s, Q=fld.Q, amplitude=fld.amplitude(), monitors=mon,
-            residual_norm=fld.residual_norm, step=ds,
-            field=fld if keep_fields else None))
+            residual_norm=fld.residual_norm, step=ds, field=fld))
         return mon
 
     mon = record(fld0, 0.0, 0.0)
@@ -738,7 +733,7 @@ def dump_field(hf: HeightField) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_field(text: str, provenance: str = "loaded") -> HeightField:
+def load_field(text: str) -> HeightField:
     """Parse a ``dump_field`` text; ShapeError on anything malformed."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     head = lines[0].split() if lines else []
@@ -757,8 +752,7 @@ def load_field(text: str, provenance: str = "loaded") -> HeightField:
         raise ShapeError("heightfield dump holds a non-finite value")
     if h.shape != (N_q + 1, N_p + 1):
         raise ShapeError(f"dump body {h.shape} does not match header")
-    return HeightField(Q=Q, N_q=N_q, pgrid=PGrid(p0, N_p), h=h,
-                       provenance=provenance)
+    return HeightField(Q=Q, N_q=N_q, pgrid=PGrid(p0, N_p), h=h)
 
 
 def branch_csv(branch: Branch) -> str:
@@ -770,8 +764,10 @@ def branch_csv(branch: Branch) -> str:
     return "\n".join(lines) + "\n"
 
 
-def branch_svg(branches, width: int = 640, height: int = 480) -> str:
-    """Amplitude-vs-Q polyline diagram, one polyline per branch."""
+def branch_svg(branches) -> str:
+    """Amplitude-vs-Q polyline diagram, one polyline per branch, on a
+    640 x 480 canvas."""
+    width, height = 640, 480
     pts_all = [(pt.Q, pt.amplitude) for br in branches for pt in br.points]
     if not pts_all:
         return ("<svg xmlns='http://www.w3.org/2000/svg' "

@@ -93,8 +93,7 @@ def _given_data(physics: Physics, grid: PGrid):
             physics.beta_at(p), physics.is_homogeneous(grid))
 
 
-def lambda_floor(physics: Physics, grid: PGrid,
-                 floor_hom: float = HOMOGENEOUS_FLOOR) -> float:
+def lambda_floor(physics: Physics, grid: PGrid) -> float:
     """Lower end of the admissible lambda range.
 
     -2 B_min + epsilon_0 for genuinely stratified rho; for rho_p == 0 the
@@ -103,7 +102,7 @@ def lambda_floor(physics: Physics, grid: PGrid,
     """
     _, bmin, _, _, homogeneous = _given_data(physics, grid)
     if homogeneous:
-        return -2.0 * bmin + floor_hom
+        return -2.0 * bmin + HOMOGENEOUS_FLOOR
     return -2.0 * bmin + epsilon0(physics, grid)
 
 
@@ -113,13 +112,12 @@ def existence_floor(physics: Physics, grid: PGrid) -> float:
 
 
 def solve_laminar(physics: Physics, lam: float, grid: PGrid,
-                  tol: float = DEFAULT_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER,
                   enforce_floor: bool = True) -> LaminarFlow:
     """Construct H(.; lambda) by Picard iteration on (H, G).
 
     Raises DomainError below the floor and IterationFailureError if the
-    sup-norm increment of G fails to drop under ``tol``.  With
+    sup-norm increment of G fails to drop under DEFAULT_TOL within
+    DEFAULT_MAX_ITER iterations (both read at every call).  With
     ``enforce_floor`` false only the existence threshold -2 B_min is
     required: the threshold searches for lambda_0 / lambda_c probe that
     range, where the contraction still holds in practice and divergence is
@@ -137,7 +135,7 @@ def solve_laminar(physics: Physics, lam: float, grid: PGrid,
     H = np.zeros_like(twoB)
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, DEFAULT_MAX_ITER + 1):
         arg = lam + G
         if np.any(arg <= 0):
             raise IterationFailureError(
@@ -151,42 +149,42 @@ def solve_laminar(physics: Physics, lam: float, grid: PGrid,
         G_new = twoB + 2.0 * g * cumquad_to_zero(grid, (H - H[-1]) * rho_p)
         diff = float(np.max(np.abs(G_new - G)))
         G = G_new
-        if diff < tol:
+        if diff < DEFAULT_TOL:
             converged = True
             break
     if not converged:
         raise IterationFailureError(
-            f"laminar fixed point did not converge in {max_iter} iterations",
+            "laminar fixed point did not converge in "
+            f"{DEFAULT_MAX_ITER} iterations",
             residual=diff, iterations=iterations)
 
     Hp = (lam + G) ** -0.5
     H = cumquad_from_left(grid, Hp)
     Q = lam + 2.0 * g * physics.rho0() * H[-1]
-    Ydot, Gdot, Qdot = _lambda_derivatives(physics, lam, grid, G,
-                                           homogeneous, tol, max_iter)
+    Ydot, Gdot, Qdot = _lambda_derivatives(physics, lam, grid, G, homogeneous)
     return LaminarFlow(lam=lam, grid=grid, H=H, Hp=Hp, G=G, Q=Q,
                        Ydot=Ydot, Gdot=Gdot, Qdot=Qdot,
                        iterations=iterations, converged=True)
 
 
-def _lambda_derivatives(physics, lam, grid, G, homogeneous, tol, max_iter):
+def _lambda_derivatives(physics, lam, grid, G, homogeneous):
     _, _, rho_p, _, _ = _given_data(physics, grid)
     g = physics.g
     base = (lam + G) ** -1.5
     Gdot = np.zeros_like(G)
     Ydot = 0.5 * cumquad_to_zero(grid, base)
     if not homogeneous:
-        for _ in range(max_iter):
+        for _ in range(DEFAULT_MAX_ITER):
             Ydot = 0.5 * cumquad_to_zero(grid, (1.0 + Gdot) * base)
             Gdot_new = 2.0 * g * cumquad_to_zero(grid, Ydot * rho_p)
             diff = float(np.max(np.abs(Gdot_new - Gdot)))
             Gdot = Gdot_new
-            if diff < tol:
+            if diff < DEFAULT_TOL:
                 break
         else:
             raise IterationFailureError(
                 "lambda-derivative fixed point did not converge",
-                residual=diff, iterations=max_iter)
+                residual=diff, iterations=DEFAULT_MAX_ITER)
         Ydot = 0.5 * cumquad_to_zero(grid, (1.0 + Gdot) * base)
     Qdot = 1.0 - 2.0 * g * physics.rho0() * Ydot[0]
     return Ydot, Gdot, float(Qdot)
@@ -210,6 +208,18 @@ def _expand_bracket(f, lo, cap=LAMBDA_CAP):
     return None
 
 
+def _bisect(f, a, b, tol):
+    """Shrink the bracket [a, b] of an increasing f's sign change to
+    relative width tol; returns its midpoint."""
+    while b - a > tol * max(1.0, abs(a)):
+        mid = 0.5 * (a + b)
+        if f(mid) >= 0:
+            b = mid
+        else:
+            a = mid
+    return 0.5 * (a + b)
+
+
 def find_lambda0(physics: Physics, grid: PGrid, tol: float = 1e-12) -> float:
     """Unique minimizer of Q(lambda).
 
@@ -223,17 +233,14 @@ def find_lambda0(physics: Physics, grid: PGrid, tol: float = 1e-12) -> float:
         raise NoMinimumError("Q(lambda) = lambda has no interior minimum for g = 0")
     floor = existence_floor(physics, grid)
     lo = floor + 1e-6 * max(1.0, abs(floor))
-    bracket = _expand_bracket(lambda lam: _qdot_at(physics, grid, lam), lo)
+
+    def qdot(lam):
+        return _qdot_at(physics, grid, lam)
+
+    bracket = _expand_bracket(qdot, lo)
     if bracket is None:
         raise NoMinimumError("Qdot never changes sign up to the lambda cap")
-    a, b = bracket
-    while b - a > tol * max(1.0, abs(a)):
-        mid = 0.5 * (a + b)
-        if _qdot_at(physics, grid, mid) >= 0:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
+    return _bisect(qdot, *bracket, tol)
 
 
 def find_lambda_c(physics: Physics, grid: PGrid, tol: float = ROOT_TOL) -> float:
@@ -266,14 +273,7 @@ def find_lambda_c(physics: Physics, grid: PGrid, tol: float = ROOT_TOL) -> float
     bracket = _expand_bracket(fvalue, lam0)
     if bracket is None:
         raise UndefinedQuantityError("lambda_c not found below the lambda cap")
-    a, b = bracket
-    while b - a > tol * max(1.0, abs(a)):
-        mid = 0.5 * (a + b)
-        if fvalue(mid) >= 0:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
+    return _bisect(fvalue, *bracket, tol)
 
 
 def sigma_c(physics: Physics, grid: PGrid) -> float:
@@ -292,8 +292,7 @@ def sigma_c(physics: Physics, grid: PGrid) -> float:
     return float((physics.g * physics.rho0()) ** 2 * quad(grid, integrand))
 
 
-def check_size_condition(physics: Physics, grid: PGrid,
-                         eps0: float | None = None):
+def check_size_condition(physics: Physics, grid: PGrid):
     """Explicit sufficient condition for local bifurcation.
 
     margin = (g rho(0) + sigma) p0^2
@@ -302,12 +301,11 @@ def check_size_condition(physics: Physics, grid: PGrid,
                                     + g rho'(p) ] } dp
 
     (period 2 pi, so the 4 pi^2 / L^2 prefactor is 1).  Returns
-    (satisfied, margin).  By default eps0 follows the same homogeneous /
-    stratified rule as the admissibility floor.
+    (satisfied, margin).  eps0 follows the same homogeneous / stratified
+    rule as the admissibility floor.
     """
-    if eps0 is None:
-        eps0 = (HOMOGENEOUS_FLOOR if physics.is_homogeneous(grid)
-                else epsilon0(physics, grid))
+    eps0 = (HOMOGENEOUS_FLOOR if physics.is_homogeneous(grid)
+            else epsilon0(physics, grid))
     p = grid.nodes
     B = build_B(physics.beta, grid)
     shifted = 2.0 * B.eval(p) - 2.0 * b_min(B) + 2.0 * eps0

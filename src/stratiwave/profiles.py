@@ -76,9 +76,6 @@ class ProfileFn:
                 f"profile evaluated at p={p} outside [{self.lo}, {self.hi}]")
         return p
 
-    def __call__(self, p):
-        return self.eval(p)
-
     def eval(self, p):
         """Value of the profile at p (scalar or array), p in [lo, hi]."""
         p = self._check_domain(p)
@@ -169,9 +166,10 @@ class Physics:
         """max |rho_p| over the grid nodes (the L^inf norm used in thresholds)."""
         return float(np.max(np.abs(self.rho.deriv(grid.nodes))))
 
-    def is_homogeneous(self, grid: PGrid, tol: float = 1e-13) -> bool:
+    def is_homogeneous(self, grid: PGrid) -> bool:
+        """rho_p vanishes on the grid to 1e-13 relative to max |rho|."""
         scale = max(1.0, float(np.max(np.abs(self.rho.eval(grid.nodes)))))
-        return self.rho_p_sup(grid) <= tol * scale
+        return self.rho_p_sup(grid) <= 1e-13 * scale
 
 
 def _shape_error(grid, samples):
@@ -252,11 +250,11 @@ def build_B(beta: ProfileFn, grid: PGrid) -> ProfileFn:
     return ProfileFn.table(p, vals)
 
 
-def b_min(B: ProfileFn, refine: int = 8) -> float:
-    """Minimum of B over its domain, on a refined node set plus endpoints."""
+def b_min(B: ProfileFn) -> float:
+    """Minimum of B over its domain, on an 8-fold refined node set plus
+    endpoints."""
     if B.kind == "table":
-        nodes = np.asarray(B.nodes)
-        fine = np.linspace(B.lo, B.hi, refine * (nodes.size - 1) + 1)
+        fine = np.linspace(B.lo, B.hi, 8 * (len(B.nodes) - 1) + 1)
     else:
         fine = np.linspace(B.lo, B.hi, 8 * 128 + 1)
     return float(np.min(B.eval(fine)))

@@ -40,9 +40,9 @@ _RESCALE_LIMIT = 1e150
 class EigenMode:
     """Solution M(p) of the linearized problem for wavenumber n.
 
-    normalization is one of "shooting" (M'(p0) = 1), "surface" (M(0) = 1)
-    or "sinh" (M'(p0) = n / sqrt(lambda), matching the constant-density
-    closed form sinh(n (p - p0) / sqrt(lambda))).  log_rescale records the
+    normalization is one of "shooting" (M'(p0) = 1) or "sinh"
+    (M'(p0) = n / sqrt(lambda), matching the constant-density closed form
+    sinh(n (p - p0) / sqrt(lambda))).  log_rescale records the
     log of any overflow-guard factor divided out during integration; it
     cancels in all ratios used downstream.
     """
@@ -60,8 +60,6 @@ class EigenMode:
             return self
         if normalization == "shooting":
             factor = 1.0 / self.Mp[0]
-        elif normalization == "surface":
-            factor = 1.0 / self.M[-1]
         elif normalization == "sinh":
             factor = (self.n / np.sqrt(self.lam)) / self.Mp[0]
         else:
@@ -179,22 +177,17 @@ def shoot_mode(flow, physics: Physics, n: int,
     return mode.renormalized(normalization)
 
 
-def dispersion_D(flow, physics: Physics, sigma: float, mode: EigenMode) -> float:
-    """Boundary mismatch D = lambda^{3/2} M'(0) - (n^2 sigma + g rho(0)) M(0).
+def dispersion(flow, physics: Physics, sigma: float, mode: EigenMode):
+    """(D, scale): the boundary mismatch
+    D = lambda^{3/2} M'(0) - (n^2 sigma + g rho(0)) M(0) and the sum of the
+    magnitudes of its two terms, for relative tolerances.
 
-    Positive exactly when lambda exceeds the mode-n bifurcation value.
+    D is positive exactly when lambda exceeds the mode-n bifurcation value;
+    n = 0 gives the nonlocal mode's D0 = lambda^{3/2} M'(0) - g rho(0) M(0).
     """
-    lam = flow.lam
-    coef = mode.n ** 2 * sigma + physics.g * physics.rho0()
-    return float(lam ** 1.5 * mode.Mp[-1] - coef * mode.M[-1])
-
-
-def dispersion_scale(flow, physics: Physics, sigma: float,
-                     mode: EigenMode) -> float:
-    """Natural magnitude of the two boundary terms, for relative tolerances."""
-    lam = flow.lam
-    coef = mode.n ** 2 * sigma + physics.g * physics.rho0()
-    return float(lam ** 1.5 * abs(mode.Mp[-1]) + coef * abs(mode.M[-1]))
+    top = flow.lam ** 1.5 * mode.Mp[-1]
+    bottom = (mode.n ** 2 * sigma + physics.g * physics.rho0()) * mode.M[-1]
+    return float(top - bottom), float(abs(top) + abs(bottom))
 
 
 def shoot_zero_mode(flow, physics: Physics):
@@ -217,25 +210,20 @@ def shoot_zero_mode(flow, physics: Physics):
     Mpp = M1pp + m0 * M2pp
     mode = EigenMode(n=0, lam=flow.lam, M=M, Mp=Mp, Mpp=Mpp,
                      normalization="shooting")
-    lam = flow.lam
-    D0 = float(lam ** 1.5 * Mp[-1] - physics.g * physics.rho0() * M[-1])
-    return mode, D0
+    return mode, dispersion(flow, physics, physics.sigma, mode)[0]
 
 
-def _zero_mode_scale(flow, physics, mode):
-    lam = flow.lam
-    return float(lam ** 1.5 * abs(mode.Mp[-1])
-                 + physics.g * physics.rho0() * abs(mode.M[-1]) + 1e-300)
+def _relative(flow, physics, sigma, mode) -> float:
+    """D / scale of ``dispersion``."""
+    D, scale = dispersion(flow, physics, sigma, mode)
+    return D / scale
 
 
 def _relative_D(physics, grid, sigma, n):
     """lambda -> D / scale for the given n, as a smooth scalar function."""
     def f(lam):
         flow = solve_laminar(physics, lam, grid)
-        mode = shoot_mode(flow, physics, n)
-        D = dispersion_D(flow, physics, sigma, mode)
-        scale = dispersion_scale(flow, physics, sigma, mode)
-        return D / scale
+        return _relative(flow, physics, sigma, shoot_mode(flow, physics, n))
     return f
 
 
@@ -266,7 +254,7 @@ def _smallest_root(f, floor: float, cap: float) -> float | None:
 
 
 def find_lambda_star(physics: Physics, grid: PGrid, sigma: float | None = None,
-                     n: int = 1, cap: float = LAMBDA_CAP) -> float:
+                     n: int = 1) -> float:
     """Smallest dispersion root for mode n (default n = 1).
 
     Geometric bracket scan above the floor followed by Brent, with the
@@ -276,10 +264,10 @@ def find_lambda_star(physics: Physics, grid: PGrid, sigma: float | None = None,
     if sigma is None:
         sigma = physics.sigma
     f = _relative_D(physics, grid, sigma, n)
-    root = _smallest_root(f, lambda_floor(physics, grid), cap)
+    root = _smallest_root(f, lambda_floor(physics, grid), LAMBDA_CAP)
     if root is None:
         raise LBViolatedError(
-            f"no dispersion sign change for n={n} up to lambda={cap}")
+            f"no dispersion sign change for n={n} up to lambda={LAMBDA_CAP}")
     if abs(f(root)) > DISPERSION_RTOL:
         raise RootNotFoundError(
             f"dispersion root for n={n} not resolved to tolerance")
@@ -383,29 +371,25 @@ def classify(physics: Physics, grid: PGrid, sigma: float | None = None,
     flow = solve_laminar(physics, lam_star, grid)
 
     mode1 = shoot_mode(flow, physics, 1)
-    residuals = {1: abs(dispersion_D(flow, physics, sigma, mode1))
-                 / dispersion_scale(flow, physics, sigma, mode1)}
+    residuals = {1: abs(_relative(flow, physics, sigma, mode1))}
     modes = [mode1]
 
-    zmode, D0 = shoot_zero_mode(flow, physics)
-    res0 = abs(D0) / _zero_mode_scale(flow, physics, zmode)
-    residuals[0] = res0
-    zero_resonant = res0 < resonance_rtol
+    zmode, _ = shoot_zero_mode(flow, physics)
+    residuals[0] = abs(_relative(flow, physics, sigma, zmode))
+    zero_resonant = residuals[0] < resonance_rtol
 
     resonant = []
     grow_streak = 0
     prev_gap = None
     for n in range(2, n_max + 1):
         mode = shoot_mode(flow, physics, n)
-        D = dispersion_D(flow, physics, sigma, mode)
-        scale = dispersion_scale(flow, physics, sigma, mode)
-        rel = abs(D) / scale
-        residuals[n] = rel
-        if rel < resonance_rtol:
+        rel = _relative(flow, physics, sigma, mode)
+        residuals[n] = abs(rel)
+        if abs(rel) < resonance_rtol:
             resonant.append((n, mode))
         # D < 0 means the mode-n bifurcation value sits above lambda_*;
         # once that gap grows with n, higher resonances are impossible.
-        gap = -D / scale
+        gap = -rel
         if gap > 0 and prev_gap is not None and gap > prev_gap:
             grow_streak += 1
         else:
@@ -471,13 +455,13 @@ def _irrotational_double_seed(physics, n2, cap=LAMBDA_CAP):
     return sigma_of(lam_d), lam_d
 
 
-def find_double_sigma(physics: Physics, grid: PGrid, n2: int,
-                      tol: float = 1e-12, max_iter: int = 40):
+def find_double_sigma(physics: Physics, grid: PGrid, n2: int):
     """Surface tension and parameter of an exact double bifurcation point.
 
     2-d Newton (finite-difference Jacobian) on
-    (D(1, lambda; sigma), D(n2, lambda; sigma)) = 0, seeded from the
-    constant-density closed forms.  Returns (sigma_d, lambda_d).
+    (D(1, lambda; sigma), D(n2, lambda; sigma)) = 0 relative to their
+    scales, seeded from the constant-density closed forms, until both are
+    below 1e-12 (at most 40 steps).  Returns (sigma_d, lambda_d).
     """
     if n2 < 2:
         raise ValueError("n2 must be >= 2")
@@ -485,18 +469,14 @@ def find_double_sigma(physics: Physics, grid: PGrid, n2: int,
 
     def F(sigma_, lam_):
         flow = solve_laminar(physics, lam_, grid)
-        out = []
-        for n in (1, n2):
-            mode = shoot_mode(flow, physics, n)
-            D = dispersion_D(flow, physics, sigma_, mode)
-            scale = dispersion_scale(flow, physics, sigma_, mode)
-            out.append(D / scale)
-        return np.array(out)
+        return np.array([_relative(flow, physics, sigma_,
+                                   shoot_mode(flow, physics, n))
+                         for n in (1, n2)])
 
     x = np.array([sigma, lam])
-    for _ in range(max_iter):
+    for _ in range(40):
         r = F(*x)
-        if np.max(np.abs(r)) < tol:
+        if np.max(np.abs(r)) < 1e-12:
             return float(x[0]), float(x[1])
         J = np.empty((2, 2))
         for j in range(2):

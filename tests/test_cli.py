@@ -290,3 +290,36 @@ def test_branch_subcommand_simple_point(tmp_path, capsys):
     recorded = float(rows[-1].split(",")[9])
     recomputed = float(_np.max(_np.abs(hs.residual(cfg.physics, fld))))
     assert abs(recomputed - recorded) < 1e-14
+
+
+@pytest.mark.parametrize("argv", [
+    ["laminar", "--lambda", "nan"], ["laminar", "--lambda", "inf"],
+    ["classify", "--sigma", "nan"], ["classify", "--sigma", "inf"],
+    ["classify", "--sigma", "-1"],
+    ["branch", "--steps", "0"], ["branch", "--steps", "-2"],
+], ids=" ".join)
+def test_bad_flag_rejected(config_path, tmp_path, capsys, argv):
+    # a flag fails the check its config value would: exit 2 before any work
+    out = tmp_path / "out"
+    code = cli.main(argv + ["--config", config_path(), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config-error: " + argv[1])
+    assert not out.exists()
+
+
+def test_laminar_iteration_budget(stratified, grid64, config_path, tmp_path,
+                                  capsys, monkeypatch):
+    # rho = 1 - p/10 needs more than one Picard pass; the budget is read
+    # at every call, so lowering it makes the solve fail by name
+    from stratiwave.errors import IterationFailureError
+    monkeypatch.setattr(lm, "DEFAULT_MAX_ITER", 1)
+    with pytest.raises(IterationFailureError):
+        lm.solve_laminar(stratified, lm.lambda_floor(stratified, grid64) + 1.0,
+                         grid64)
+    path = config_path(sigma=10.0, rho={"type": "poly", "coeffs": [1.0, -0.1]})
+    code = cli.main(["classify", "--config", path,
+                     "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("iteration-failure: ")

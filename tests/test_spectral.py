@@ -94,7 +94,7 @@ def test_dispersion_sign_convention(t0, grid128):
     for lam, positive in ((3.0, True), (0.1, False)):
         flow = lm.solve_laminar(t0, lam, grid128)
         mode = sp.shoot_mode(flow, t0, 1)
-        D = sp.dispersion_D(flow, t0, 2.0, mode)
+        D, _ = sp.dispersion(flow, t0, 2.0, mode)
         assert (D > 0) == positive
 
 
