@@ -171,7 +171,7 @@ class _FormAssembler:
         return total
 
 
-def _second_variation(flow, physics, sigma, A: EigenMode, B: EigenMode):
+def _second_variation(flow, physics, A: EigenMode, B: EigenMode):
     """D^2 G at the laminar state in directions (A, B), d(A) = d(B) = 0."""
     asm = _FormAssembler(flow)
     p = flow.grid.nodes
@@ -193,6 +193,7 @@ def _second_variation(flow, physics, sigma, A: EigenMode, B: EigenMode):
     asm.add_interior(6.0 * Hp * beta, (A, "p"), (B, "p"))
 
     g_rho0 = g * physics.rho0()
+    sigma = physics.sigma
     venttsel = 2.0 * g_rho0 * flow.H[-1] - flow.Q      # equals -lambda
     Hp0 = Hp[-1]
     asm.add_top(2.0, (A, "q"), (B, "q"))
@@ -204,7 +205,7 @@ def _second_variation(flow, physics, sigma, A: EigenMode, B: EigenMode):
     return asm
 
 
-def _third_variation(flow, physics, sigma, A, B, C):
+def _third_variation(flow, physics, A, B, C):
     """D^3 G at the laminar state in directions (A, B, C)."""
     asm = _FormAssembler(flow)
     p = flow.grid.nodes
@@ -228,6 +229,7 @@ def _third_variation(flow, physics, sigma, A, B, C):
     asm.add_interior(6.0 * beta, (A, "p"), (B, "p"), (C, "p"))
 
     g_rho0 = g * physics.rho0()
+    sigma = physics.sigma
     Hp0 = Hp[-1]
     for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         X, W, Z = modes[i], modes[j], modes[k]
@@ -239,8 +241,8 @@ def _third_variation(flow, physics, sigma, A, B, C):
 
 # --- the coefficients ----------------------------------------------------
 
-def compute_Psi(flow: LaminarFlow, physics: Physics, sigma: float,
-                mode: EigenMode, mode_j: EigenMode | None = None) -> float:
+def compute_Psi(flow: LaminarFlow, physics: Physics, mode: EigenMode,
+                mode_j: EigenMode | None = None) -> float:
     """Psi_ij: the (lambda - lambda_*) xi_j coefficient of the projection.
 
     Off-diagonal entries vanish by orthogonality of distinct cosines; the
@@ -279,12 +281,12 @@ def compute_Psi(flow: LaminarFlow, physics: Physics, sigma: float,
                  + 1.5 * g * one_plus_Gdot / a ** 2 * rho_p * M ** 2)
     boundary = 0.5 * (2.0 * g * physics.rho0() / lam * M[-1] ** 2
                       + np.sqrt(lam) * M[-1] * Mp[-1]
-                      + 2.0 * sigma * n * n / lam * M[-1] ** 2)
+                      + 2.0 * physics.sigma * n * n / lam * M[-1] ** 2)
     return float(np.pi * (quad(grid, integrand) - boundary))
 
 
-def compute_Phi(flow: LaminarFlow, physics: Physics, sigma: float,
-                mode1: EigenMode, mode2: EigenMode):
+def compute_Phi(flow: LaminarFlow, physics: Physics, mode1: EigenMode,
+                mode2: EigenMode):
     """(Phi112, Phi121, Phi211); identically zero unless n2 = 2 n1.
 
     Phi211 is the t1^2 coefficient of the projection onto phi_2 and
@@ -297,22 +299,22 @@ def compute_Phi(flow: LaminarFlow, physics: Physics, sigma: float,
     if mode2.n != 2 * mode1.n:
         return 0.0, 0.0, 0.0
     phi211 = 0.5 * _second_variation(
-        flow, physics, sigma, mode1, mode1).pair_with(mode2)
+        flow, physics, mode1, mode1).pair_with(mode2)
     phi112 = 0.5 * _second_variation(
-        flow, physics, sigma, mode1, mode2).pair_with(mode1)
+        flow, physics, mode1, mode2).pair_with(mode1)
     return float(phi112), float(phi112), float(phi211)
 
 
-def theta_entry(flow: LaminarFlow, physics: Physics, sigma: float,
-                test: EigenMode, directions) -> float:
+def theta_entry(flow: LaminarFlow, physics: Physics, test: EigenMode,
+                directions) -> float:
     """Symmetric tensor entry (1/6)(phi_i, D^3 G[phi_j, phi_k, phi_l])_Y."""
     A, B, C = directions
-    return float(_third_variation(flow, physics, sigma, A, B, C)
+    return float(_third_variation(flow, physics, A, B, C)
                  .pair_with(test) / 6.0)
 
 
-def compute_Theta(flow: LaminarFlow, physics: Physics, sigma: float,
-                  mode_i: EigenMode, mode_j: EigenMode) -> float:
+def compute_Theta(flow: LaminarFlow, physics: Physics, mode_i: EigenMode,
+                  mode_j: EigenMode) -> float:
     """Theta_iiii (i = j) or the full mixed coefficient Theta_iijj (i != j).
 
     Theta_iiii multiplies th_i^3 in the reduced system; the mixed value
@@ -320,14 +322,12 @@ def compute_Theta(flow: LaminarFlow, physics: Physics, sigma: float,
     entry.  Odd-parity entries vanish through the exact trig integrals.
     """
     if mode_i.n == mode_j.n:
-        return theta_entry(flow, physics, sigma, mode_i,
-                           (mode_i, mode_i, mode_i))
-    return 3.0 * theta_entry(flow, physics, sigma, mode_i,
-                             (mode_i, mode_j, mode_j))
+        return theta_entry(flow, physics, mode_i, (mode_i, mode_i, mode_i))
+    return 3.0 * theta_entry(flow, physics, mode_i, (mode_i, mode_j, mode_j))
 
 
-def coefficient_set(flow: LaminarFlow, physics: Physics, sigma: float,
-                    mode1: EigenMode, mode2: EigenMode | None = None,
+def coefficient_set(flow: LaminarFlow, physics: Physics, mode1: EigenMode,
+                    mode2: EigenMode | None = None,
                     normalization: str = "shooting") -> CoefficientSet:
     """Assemble all stored coefficients for the pair (mode1, mode2).
 
@@ -335,29 +335,29 @@ def coefficient_set(flow: LaminarFlow, physics: Physics, sigma: float,
     n2 = 0 and every other coefficient and flag is zero or false.
     """
     m1 = mode1.renormalized(normalization)
-    psi11 = compute_Psi(flow, physics, sigma, m1)
-    theta1111 = compute_Theta(flow, physics, sigma, m1, m1)
+    psi11 = compute_Psi(flow, physics, m1)
+    theta1111 = compute_Theta(flow, physics, m1, m1)
     if mode2 is None:
         return CoefficientSet(
             n1=m1.n, n2=0, psi11=psi11, psi22=0.0, phi112=0.0, phi121=0.0,
             phi211=0.0, theta1111=theta1111, theta2222=0.0, theta1122=0.0,
             theta2211=0.0, normalization=normalization).with_flags()
     m2 = mode2.renormalized(normalization)
-    psi22 = compute_Psi(flow, physics, sigma, m2)
-    phi112, phi121, phi211 = compute_Phi(flow, physics, sigma, m1, m2)
+    psi22 = compute_Psi(flow, physics, m2)
+    phi112, phi121, phi211 = compute_Phi(flow, physics, m1, m2)
     cs = CoefficientSet(
         n1=m1.n, n2=m2.n, psi11=psi11, psi22=psi22,
         phi112=phi112, phi121=phi121, phi211=phi211,
         theta1111=theta1111,
-        theta2222=compute_Theta(flow, physics, sigma, m2, m2),
-        theta1122=compute_Theta(flow, physics, sigma, m1, m2),
-        theta2211=compute_Theta(flow, physics, sigma, m2, m1),
+        theta2222=compute_Theta(flow, physics, m2, m2),
+        theta1122=compute_Theta(flow, physics, m1, m2),
+        theta2211=compute_Theta(flow, physics, m2, m1),
         normalization=normalization)
     return cs.with_flags()
 
 
-def _differs(x, y, rtol=NONDEG_RTOL):
-    return abs(x - y) > rtol * max(abs(x), abs(y), 1e-300)
+def _differs(x, y):
+    return abs(x - y) > NONDEG_RTOL * max(abs(x), abs(y), 1e-300)
 
 
 def check_nondegeneracy(coeffs: CoefficientSet, n2: int):
@@ -405,20 +405,22 @@ def _pure_germs(psi, theta, n, slot, signs=(+1.0, -1.0)):
                        scaling_exponent=0.5) for th in thetas]
 
 
-def predict_branches(coeffs: CoefficientSet, case: str = "cubic"):
-    """Local branch germs from the reduced equation.
+def predict_branches(coeffs: CoefficientSet):
+    """Local branch germs from the reduced equation; the case follows
+    from the wavenumbers of the coefficient set.
 
-    Simple case (n2 = 0): the two germs of the n1 pitchfork.  Cubic case
-    (Phi = 0): pure pitchforks on the side given by the sign of the
-    corresponding Theta diagonal; mixed roots from the 2x2 linear system
+    Simple case (n2 = 0): the two germs of the n1 pitchfork.  Quadratic
+    case (n2 = 2 n1): two mixed germs per side iff Phi112 Phi211 > 0, plus
+    the pure-n2 pitchfork germ.  Cubic case (any other n2, Phi = 0): pure
+    pitchforks on the side given by the sign of the corresponding Theta
+    diagonal; mixed roots from the 2x2 linear system
     A (th1^2, th2^2)^T = -+ (Psi11, Psi22)^T, emitted only when both
-    squares are positive.  Quadratic case (n2 = 2 n1): two mixed germs per
-    side iff Phi112 Phi211 > 0, plus the pure-n2 pitchfork germ.
+    squares are positive.
     """
-    if case == "simple":
+    if coeffs.n2 == 0:
         return _pure_germs(coeffs.psi11, coeffs.theta1111, coeffs.n1, 0)
     germs = []
-    if case == "cubic":
+    if coeffs.n2 != 2 * coeffs.n1:
         for idx, (psi, theta, n) in enumerate((
                 (coeffs.psi11, coeffs.theta1111, coeffs.n1),
                 (coeffs.psi22, coeffs.theta2222, coeffs.n2))):
@@ -444,26 +446,23 @@ def predict_branches(coeffs: CoefficientSet, case: str = "cubic"):
                             theta=(s1 * r1, s2 * r2), scaling_exponent=0.5))
         return germs
 
-    if case == "quadratic":
-        if coeffs.phi112 == 0.0 or coeffs.phi211 == 0.0:
-            raise SingularSystemError("quadratic case requires nonzero Phi")
-        if coeffs.phi112 * coeffs.phi211 > 0:
-            sq = coeffs.psi11 * coeffs.psi22 / (2.0 * coeffs.phi112
-                                                * coeffs.phi211)
-            r1 = np.sqrt(sq)
-            for side, s in (("plus", 1.0), ("minus", -1.0)):
-                th2 = -s * coeffs.psi11 / (2.0 * coeffs.phi112)
-                for s1 in (+1.0, -1.0):
-                    germs.append(BranchGerm(kind="mixed", n=None, side=side,
-                                            theta=(s1 * r1, th2),
-                                            scaling_exponent=1.0))
-        # The pure-n2 branch always exists (restriction to the n2-periodic
-        # subspace); its pitchfork data come from the cubic diagonal.
-        germs += _pure_germs(coeffs.psi22, coeffs.theta2222, coeffs.n2, 1,
-                             signs=(+1.0,))
-        return germs
-
-    raise ValueError(f"unknown case {case!r}")
+    if coeffs.phi112 == 0.0 or coeffs.phi211 == 0.0:
+        raise SingularSystemError("quadratic case requires nonzero Phi")
+    if coeffs.phi112 * coeffs.phi211 > 0:
+        sq = coeffs.psi11 * coeffs.psi22 / (2.0 * coeffs.phi112
+                                            * coeffs.phi211)
+        r1 = np.sqrt(sq)
+        for side, s in (("plus", 1.0), ("minus", -1.0)):
+            th2 = -s * coeffs.psi11 / (2.0 * coeffs.phi112)
+            for s1 in (+1.0, -1.0):
+                germs.append(BranchGerm(kind="mixed", n=None, side=side,
+                                        theta=(s1 * r1, th2),
+                                        scaling_exponent=1.0))
+    # The pure-n2 branch always exists (restriction to the n2-periodic
+    # subspace); its pitchfork data come from the cubic diagonal.
+    germs += _pure_germs(coeffs.psi22, coeffs.theta2222, coeffs.n2, 1,
+                         signs=(+1.0,))
+    return germs
 
 
 def oracle_roots(coeffs: CoefficientSet, side: str):

@@ -191,18 +191,14 @@ def _check_flags(args):
         _count(args.steps, "--steps")
 
 
-def _with_sigma(cfg: RunConfig, sigma) -> Physics:
-    if sigma is None:
-        return cfg.physics
-    return replace(cfg.physics, sigma=float(sigma))
-
-
 def _resolve_physics(cfg: RunConfig, args) -> Physics:
     """--sigma overrides the config; --n2 computes the double-point sigma."""
-    physics = _with_sigma(cfg, args.sigma)
+    physics = cfg.physics
+    if args.sigma is not None:
+        physics = replace(physics, sigma=args.sigma)
     if args.n2 is not None:
         sigma_d, _ = spectral.find_double_sigma(physics, cfg.grid, args.n2)
-        physics = _with_sigma(cfg, sigma_d)
+        physics = replace(physics, sigma=sigma_d)
     return physics
 
 
@@ -237,19 +233,18 @@ def cmd_laminar(cfg: RunConfig, args):
 def cmd_dispersion(cfg: RunConfig, args):
     physics = _resolve_physics(cfg, args)
     grid = cfg.grid
-    sigma = physics.sigma
     rows = ["n,lambda,D,scale"]
     roots = ["n,lambda_star"]
     # each window starts where the root scan does, at the lowest admissible
     # lambda, when half the root lies below the laminar floor
     lam_lo = spectral._first_admissible(laminar.lambda_floor(physics, grid))
     for n in range(1, 7):
-        lam_n = spectral.find_lambda_star(physics, grid, sigma, n=n)
+        lam_n = spectral.find_lambda_star(physics, grid, n=n)
         roots.append(f"{n},{lam_n:.16e}")
         for lam in np.linspace(max(0.5 * lam_n, lam_lo), 1.5 * lam_n, 11):
             flow = laminar.solve_laminar(physics, lam, grid)
             mode = spectral.shoot_mode(flow, physics, n)
-            D, sc = spectral.dispersion(flow, physics, sigma, mode)
+            D, sc = spectral.dispersion(flow, physics, mode)
             rows.append(f"{n},{lam:.16e},{D:.16e},{sc:.16e}")
     p1 = _write(args.out, "dispersion.csv", "\n".join(rows) + "\n")
     p2 = _write(args.out, "dispersion_roots.csv", "\n".join(roots) + "\n")
@@ -259,15 +254,14 @@ def cmd_dispersion(cfg: RunConfig, args):
 
 
 def _classification_report(physics, grid, numerics):
-    bp = spectral.classify(physics, grid, physics.sigma,
-                           n_max=numerics["n_max"],
+    bp = spectral.classify(physics, grid, n_max=numerics["n_max"],
                            resonance_rtol=numerics["resonance_rtol"])
     label = bp.classification
     if label == "Double":
         label = f"Double({bp.n2})"
     return bp, {
         "lambda_star": bp.lambda_star,
-        "Q_star": bp.Q_star,
+        "Q_star": bp.flow.Q,
         "class": label,
         "resonant_n": [] if bp.classification == "Simple"
         else [bp.n2],
@@ -285,24 +279,16 @@ def cmd_classify(cfg: RunConfig, args):
 
 
 def _coefficients(cfg, physics):
-    grid = cfg.grid
-    bp, report = _classification_report(physics, grid, cfg.numerics)
-    flow = laminar.solve_laminar(physics, bp.lambda_star, grid)
-    mode1 = bp.modes[0]
-    if bp.classification == "Double":
-        coeffs = bifurc.coefficient_set(flow, physics, physics.sigma,
-                                        mode1, bp.modes[1])
-        case = "quadratic" if bp.n2 == 2 * mode1.n else "cubic"
-    else:
-        # simple (or zero-mode) point: single-mode pitchfork data
-        coeffs = bifurc.coefficient_set(flow, physics, physics.sigma, mode1)
-        case = "simple"
-    return bp, flow, coeffs, bifurc.predict_branches(coeffs, case), report
+    bp, report = _classification_report(physics, cfg.grid, cfg.numerics)
+    # a simple (or zero-mode) point gets single-mode pitchfork data
+    modes = bp.modes if bp.classification == "Double" else bp.modes[:1]
+    coeffs = bifurc.coefficient_set(bp.flow, physics, *modes)
+    return bp, coeffs, bifurc.predict_branches(coeffs), report
 
 
 def cmd_coeffs(cfg: RunConfig, args):
     physics = _resolve_physics(cfg, args)
-    bp, _, coeffs, germs, report = _coefficients(cfg, physics)
+    _, coeffs, germs, report = _coefficients(cfg, physics)
     out = bifurc.coefficients_to_dict(coeffs, germs)
     out["classification"] = report
     path = _write(args.out, "coefficients.json", _json_dump(out))
@@ -312,7 +298,7 @@ def cmd_coeffs(cfg: RunConfig, args):
 
 def cmd_predict(cfg: RunConfig, args):
     physics = _resolve_physics(cfg, args)
-    _, _, coeffs, germs, _ = _coefficients(cfg, physics)
+    _, coeffs, germs, _ = _coefficients(cfg, physics)
     out = bifurc.coefficients_to_dict(coeffs, germs)["germs"]
     path = _write(args.out, "germs.json", _json_dump(out))
     print(path)
@@ -334,7 +320,7 @@ def canonical_germs(germs):
 def cmd_branch(cfg: RunConfig, args):
     physics = _resolve_physics(cfg, args)
     verbose = bool(os.environ.get("STRATIWAVE_VERBOSE"))
-    bp, flow, coeffs, germs, _ = _coefficients(cfg, physics)
+    bp, coeffs, germs, _ = _coefficients(cfg, physics)
     controls = cfg.continuation
     if args.steps is not None:
         controls = replace(controls, max_steps=args.steps)
@@ -350,14 +336,13 @@ def cmd_branch(cfg: RunConfig, args):
         # mixed branches detach from the trivial family at the resonance
         # splitting scale of the discretization; seed them above it
         eps = 1e-3 if germ.kind == "pure" else 4e-3
-        fld = heightsolver.germ_field(flow, modes, theta, eps, N_q)
+        fld = heightsolver.germ_field(bp.flow, modes, theta, eps, N_q)
         if abs(fld.amplitude()) < 1e-14:
             continue
         if verbose:
             print(f"continuing germ {k}: kind={germ.kind} side={germ.side}",
                   file=sys.stderr)
-        branch = heightsolver.continue_branch(physics, fld, physics.sigma,
-                                              controls)
+        branch = heightsolver.continue_branch(physics, fld, controls)
         branches.append(branch)
         paths.append(_write(args.out, f"branch_{k}.csv",
                             heightsolver.branch_csv(branch)))

@@ -207,8 +207,7 @@ def flux_all_columns(wave: EulerianWave):
     return (hstep / 3.0) * (ff @ w)
 
 
-def surface_bernoulli_residual(wave: EulerianWave, physics: Physics,
-                               sigma: float | None = None) -> float:
+def surface_bernoulli_residual(wave: EulerianWave, physics: Physics) -> float:
     """Max-abs residual of the surface energy identity
 
         rho ((u-c)^2 + v^2) + 2 g rho (eta + d) + 2 sigma kappa[eta] - Q,
@@ -221,8 +220,6 @@ def surface_bernoulli_residual(wave: EulerianWave, physics: Physics,
     field: it measures the discretization error of the solution itself and
     shrinks at second order under grid refinement.
     """
-    if sigma is None:
-        sigma = physics.sigma
     x = wave.x
     eta = wave.eta
     dx = x[1] - x[0]
@@ -240,7 +237,7 @@ def surface_bernoulli_residual(wave: EulerianWave, physics: Physics,
     us, vs = u_i(mid), v_i(mid)
     resid = (rho_s * ((us - wave.c) ** 2 + vs ** 2)
              + 2.0 * physics.g * rho_s * (e + wave.d)
-             + 2.0 * sigma * kappa - wave.Q)
+             + 2.0 * physics.sigma * kappa - wave.Q)
     return float(np.max(np.abs(resid)))
 
 

@@ -118,7 +118,7 @@ def _surface(hq, hqq):
     return slope, -hqq[:, -1] / slope ** 1.5
 
 
-def residual(physics: Physics, hf: HeightField, sigma: float | None = None):
+def residual(physics: Physics, hf: HeightField):
     """Node-indexed residual of the height equation.
 
     Interior rows carry the quasilinear elliptic operator with the
@@ -126,8 +126,6 @@ def residual(physics: Physics, hf: HeightField, sigma: float | None = None):
     the bottom row the Dirichlet condition h = 0.  EllipticityLossError
     where h_p <= 0.
     """
-    if sigma is None:
-        sigma = physics.sigma
     hq, hp, hqq, hpp, hpq = derivatives(hf)
     if np.any(hp <= 0):
         raise EllipticityLossError("h_p <= 0 on the grid")
@@ -144,7 +142,7 @@ def residual(physics: Physics, hf: HeightField, sigma: float | None = None):
     R[:, 0] = hf.h[:, 0]
     slope, kappa = _surface(hq, hqq)
     R[:, -1] = (slope
-                + hp[:, -1] ** 2 * (2.0 * sigma * kappa
+                + hp[:, -1] ** 2 * (2.0 * physics.sigma * kappa
                                     + 2.0 * g * physics.rho0() * hf.top
                                     - hf.Q))
     return R
@@ -178,8 +176,7 @@ class JacobianRecord:
         return out
 
 
-def jacobian(physics: Physics, hf: HeightField,
-             sigma: float | None = None) -> JacobianRecord:
+def jacobian(physics: Physics, hf: HeightField) -> JacobianRecord:
     """Analytic Jacobian of the residual in band storage.
 
     Each stencil term is one whole-grid coefficient array scattered into
@@ -188,8 +185,6 @@ def jacobian(physics: Physics, hf: HeightField,
     reflection folds together (q = 0 and q = pi) sum their terms in
     stencil order, one update after another.
     """
-    if sigma is None:
-        sigma = physics.sigma
     hq, hp, hqq, hpp, hpq = derivatives(hf)
     N_q, N_p = hf.N_q, hf.pgrid.N_p
     npp = N_p + 1
@@ -207,6 +202,7 @@ def jacobian(physics: Physics, hf: HeightField,
     beta = physics.beta_at(p)
     g = physics.g
     g_rho0 = g * physics.rho0()
+    sigma = physics.sigma
     d = hf.depth()
 
     # flat node index iq * npp + ip: the q offsets of each node and of its
@@ -353,7 +349,7 @@ class _Border:
     tol: float
 
 
-def _bordered_newton(physics, sigma, fld: HeightField, tol, max_iter,
+def _bordered_newton(physics, fld: HeightField, tol, max_iter,
                      border: _Border | None = None):
     """Damped Newton on G(h, Q) = 0 with Q fixed, or with Q free under
     one border constraint.
@@ -366,7 +362,7 @@ def _bordered_newton(physics, sigma, fld: HeightField, tol, max_iter,
     def constraints(f):
         return [] if border is None else [border.constraint(f)]
 
-    r = residual(physics, fld, sigma)
+    r = residual(physics, fld)
     rnorm = float(np.max(np.abs(r)))
     cons = constraints(fld)
     history = [rnorm]
@@ -375,7 +371,7 @@ def _bordered_newton(physics, sigma, fld: HeightField, tol, max_iter,
             raise NewtonFailureError(
                 f"no convergence in {max_iter} Newton iterations",
                 residual=rnorm, iterations=max_iter)
-        jac = jacobian(physics, fld, sigma)
+        jac = jacobian(physics, fld)
         if border is None:
             cols, rows, smat = [], [], []
         else:
@@ -388,7 +384,7 @@ def _bordered_newton(physics, sigma, fld: HeightField, tol, max_iter,
             trial = replace(fld, h=fld.h + scale * delta.reshape(fld.h.shape),
                             Q=fld.Q + scale * dQ)
             try:
-                r_trial = residual(physics, trial, sigma)
+                r_trial = residual(physics, trial)
             except EllipticityLossError:
                 scale *= 0.5
                 continue
@@ -406,8 +402,8 @@ def _bordered_newton(physics, sigma, fld: HeightField, tol, max_iter,
     return replace(fld, residual_norm=rnorm), history
 
 
-def newton(physics: Physics, hf: HeightField, sigma: float | None = None,
-           frozen: str = "Q", tol: float = NEWTON_TOL,
+def newton(physics: Physics, hf: HeightField, frozen: str = "Q",
+           tol: float = NEWTON_TOL,
            max_iter: int = NEWTON_MAX_ITER,
            amplitude_target: float | None = None,
            direction: np.ndarray | None = None,
@@ -424,8 +420,6 @@ def newton(physics: Physics, hf: HeightField, sigma: float | None = None,
     amplitude cannot tell them apart).  Damping by step halving, at most
     8 halvings.
     """
-    if sigma is None:
-        sigma = physics.sigma
     if frozen == "Q":
         border = None
     elif frozen == "amplitude":
@@ -445,8 +439,7 @@ def newton(physics: Physics, hf: HeightField, sigma: float | None = None,
                          CONSTRAINT_TOL * max(1.0, abs(target)))
     else:
         raise ValueError(f"unknown frozen mode {frozen!r}")
-    accepted, history = _bordered_newton(physics, sigma, hf, tol, max_iter,
-                                         border)
+    accepted, history = _bordered_newton(physics, hf, tol, max_iter, border)
     return (accepted, history) if return_history else accepted
 
 
@@ -468,8 +461,8 @@ def germ_field(flow: LaminarFlow, modes, xi, eps: float,
 
 # --- discrete Fourier-block dispersion -------------------------------------
 
-def fourier_block_matrix(physics: Physics, flow: LaminarFlow, sigma: float,
-                         n: int, N_q: int) -> np.ndarray:
+def fourier_block_matrix(physics: Physics, flow: LaminarFlow, n: int,
+                         N_q: int) -> np.ndarray:
     """The n-th q-Fourier block of the discrete Jacobian at the laminar
     field, as a dense (N_p+1)^2 matrix (bed row, interior rows, Venttsel
     row), for 1 <= n < 2 N_q.
@@ -480,7 +473,7 @@ def fourier_block_matrix(physics: Physics, flow: LaminarFlow, sigma: float,
     reflection (A01), give the block A00 + cos(n dq) A01.  The rank-one
     depth term drops out because sum_j w_j cos(n q_j) = 0 for these n.
     """
-    jac = jacobian(physics, laminar_field(flow, N_q), sigma)
+    jac = jacobian(physics, laminar_field(flow, N_q))
     m = flow.grid.N_p + 1
     rows = np.arange(m)[:, None]
     cols = np.arange(2 * m)[None, :]
@@ -489,8 +482,8 @@ def fourier_block_matrix(physics: Physics, flow: LaminarFlow, sigma: float,
     return A[:, :m] + np.cos(n * np.pi / N_q) * A[:, m:]
 
 
-def fourier_block_dispersion(physics: Physics, flow: LaminarFlow,
-                             sigma: float, n: int, N_q: int) -> float:
+def fourier_block_dispersion(physics: Physics, flow: LaminarFlow, n: int,
+                             N_q: int) -> float:
     """Boundary mismatch of the n-th q-Fourier block of the discrete
     Jacobian at the laminar field.
 
@@ -503,7 +496,7 @@ def fourier_block_dispersion(physics: Physics, flow: LaminarFlow,
     continuum shooting roots by the O(dp^2, dq^2) discretization error,
     which matters when two modes must resonate at the same lambda.
     """
-    B = fourier_block_matrix(physics, flow, sigma, n, N_q)
+    B = fourier_block_matrix(physics, flow, n, N_q)
     v = np.zeros(B.shape[0])
     v[1] = flow.grid.h
     for k in range(1, B.shape[0] - 1):
@@ -514,12 +507,12 @@ def fourier_block_dispersion(physics: Physics, flow: LaminarFlow,
     return float(B[-1, -3:] @ v[-3:])
 
 
-def discrete_lambda_star(physics: Physics, grid: PGrid, sigma: float,
-                         N_q: int, n: int = 1) -> float:
+def discrete_lambda_star(physics: Physics, grid: PGrid, N_q: int,
+                         n: int = 1) -> float:
     """Smallest zero of the block dispersion for mode n."""
     def f(lam):
         flow = solve_laminar(physics, lam, grid)
-        return fourier_block_dispersion(physics, flow, sigma, n, N_q)
+        return fourier_block_dispersion(physics, flow, n, N_q)
 
     root = _smallest_root(f, lambda_floor(physics, grid), LAMBDA_CAP)
     if root is None:
@@ -561,10 +554,11 @@ class Branch:
     termination: str
 
 
-def _monitors(physics, hf, sigma):
+def _monitors(physics, hf):
     hq, hp, hqq, _, _ = derivatives(hf)
     _, kappa = _surface(hq, hqq)
-    venttsel = hf.Q - 2.0 * sigma * kappa - 2.0 * physics.g * physics.rho0() * hf.top
+    venttsel = (hf.Q - 2.0 * physics.sigma * kappa
+                - 2.0 * physics.g * physics.rho0() * hf.top)
     return (float(np.max(hp)), float(np.min(hp)), float(np.min(venttsel)),
             float(np.min(kappa)), float(hf.Q), hf.amplitude())
 
@@ -589,21 +583,19 @@ def _weighted_dot(dh, dQ, eh, eQ):
     return float(dh.ravel() @ eh.ravel()) / dh.size + dQ * eQ
 
 
-def _corrector(physics, sigma, pred: HeightField, t_h, t_Q, x_prev, ds,
-               controls):
+def _corrector(physics, pred: HeightField, t_h, t_Q, x_prev, ds, controls):
     """Newton on (G(h, Q), arclength constraint) from the predictor;
     returns the corrected field and its Newton step count plus one."""
     border = _Border(
         t_h.reshape(-1) / t_h.size, t_Q,
         lambda f: _weighted_dot(f.h - x_prev.h, f.Q - x_prev.Q, t_h, t_Q) - ds,
         CONSTRAINT_TOL * max(1.0, ds))
-    fld, history = _bordered_newton(physics, sigma, pred, controls.newton_tol,
+    fld, history = _bordered_newton(physics, pred, controls.newton_tol,
                                     controls.newton_max_iter, border)
     return fld, len(history)
 
 
 def continue_branch(physics: Physics, germ: HeightField,
-                    sigma: float | None = None,
                     controls: ContinuationControls = ContinuationControls()
                     ) -> Branch:
     """Pseudo-arclength predictor-corrector from a germ field.
@@ -612,8 +604,6 @@ def continue_branch(physics: Physics, germ: HeightField,
     first triggered alternative (blow-up monitors, closed loop, Newton
     failure with underflowed step, or the step budget).
     """
-    if sigma is None:
-        sigma = physics.sigma
     # reference laminar profile: the q-mean of the germ (cosine modes
     # average to zero over the period)
     w = mean_weights(germ.N_q)
@@ -626,13 +616,13 @@ def continue_branch(physics: Physics, germ: HeightField,
     dir_flat = direction.reshape(-1) / direction.size
     c0 = float(dir_flat @ germ.h.reshape(-1))
     c_lam = float(dir_flat @ x_lam.h.reshape(-1))
-    fld0 = newton(physics, germ, sigma, frozen="direction",
+    fld0 = newton(physics, germ, frozen="direction",
                   direction=direction, direction_target=c0,
                   tol=controls.newton_tol)
     points = []
 
     def record(fld, s, ds):
-        mon = _monitors(physics, fld, sigma)
+        mon = _monitors(physics, fld)
         points.append(BranchPoint(
             s=s, Q=fld.Q, amplitude=fld.amplitude(), monitors=mon,
             residual_norm=fld.residual_norm, step=ds, field=fld))
@@ -646,7 +636,7 @@ def continue_branch(physics: Physics, germ: HeightField,
     # second point: double the germ deviation at the same frozen mixture
     h1_guess = replace(fld0, h=x_lam.h + 2.0 * (fld0.h - x_lam.h))
     try:
-        fld1 = newton(physics, h1_guess, sigma, frozen="direction",
+        fld1 = newton(physics, h1_guess, frozen="direction",
                       direction=direction,
                       direction_target=c_lam + 2.0 * (c0 - c_lam),
                       tol=controls.newton_tol)
@@ -673,8 +663,8 @@ def continue_branch(physics: Physics, germ: HeightField,
         while accepted is None:
             pred = replace(curr, h=curr.h + ds * t_h, Q=curr.Q + ds * t_Q)
             try:
-                accepted, its = _corrector(physics, sigma, pred, t_h, t_Q,
-                                           curr, ds, controls)
+                accepted, its = _corrector(physics, pred, t_h, t_Q, curr, ds,
+                                           controls)
             except (NewtonFailureError, EllipticityLossError):
                 ds *= 0.5
                 if ds < controls.ds_min:
@@ -700,26 +690,19 @@ def continue_branch(physics: Physics, germ: HeightField,
     return Branch(points=tuple(points), termination=termination)
 
 
-def nodal_check(hf: HeightField, n_min: int = 1, tol: float = 1e-12) -> bool:
-    """Monotone crest-to-trough profile over one minimal period.
+def nodal_check(hf: HeightField) -> bool:
+    """Monotone crest-to-trough profile over the half period.
 
-    True iff the top trace restricted to [0, pi/n_min] decreases from the
-    crest at q = 0 with h_q of a single sign in the open interior; a flat
-    (laminar) trace counts as degenerate-true.
+    True iff the top trace on [0, pi] decreases from the crest at q = 0
+    with h_q of a single sign in the open interior, to 1e-12 relative to
+    max |top|; a flat (laminar) trace counts as degenerate-true.
     """
     top = hf.top
-    N_q = hf.N_q
-    if N_q % n_min == 0:
-        window = top[: N_q // n_min + 1]
-    else:
-        q = hf.q_nodes
-        fine = np.linspace(0.0, np.pi / n_min, 129)
-        window = np.interp(fine, q, top)
-    scale = max(1.0, float(np.max(np.abs(top))))
-    diffs = np.diff(window)
-    if np.max(np.abs(diffs)) < tol * scale:
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(top))))
+    diffs = np.diff(top)
+    if np.max(np.abs(diffs)) < tol:
         return True
-    return bool(np.all(diffs < tol * scale) and window[0] > window[-1])
+    return bool(np.all(diffs < tol) and top[0] > top[-1])
 
 
 # --- serialization --------------------------------------------------------

@@ -28,6 +28,7 @@ from .profiles import (PGrid, Physics, b_min, build_B,
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
+LAMBDA0_TOL = 1e-12
 ROOT_TOL = 1e-10
 LAMBDA_CAP = 1e6
 HOMOGENEOUS_FLOOR = 1e-6
@@ -93,17 +94,19 @@ def _given_data(physics: Physics, grid: PGrid):
             physics.beta_at(p), physics.is_homogeneous(grid))
 
 
-def lambda_floor(physics: Physics, grid: PGrid) -> float:
-    """Lower end of the admissible lambda range.
+def _floor_margin(physics: Physics, grid: PGrid) -> float:
+    """epsilon_0 for genuinely stratified rho; for rho_p == 0 the full
+    epsilon_0 is not needed and a small positive margin is used instead,
+    matching the homogeneous search domain lambda > -2 B_min."""
+    if _given_data(physics, grid)[4]:
+        return HOMOGENEOUS_FLOOR
+    return epsilon0(physics, grid)
 
-    -2 B_min + epsilon_0 for genuinely stratified rho; for rho_p == 0 the
-    full epsilon_0 is not needed and a small positive margin is used
-    instead, matching the homogeneous search domain lambda > -2 B_min.
-    """
-    _, bmin, _, _, homogeneous = _given_data(physics, grid)
-    if homogeneous:
-        return -2.0 * bmin + HOMOGENEOUS_FLOOR
-    return -2.0 * bmin + epsilon0(physics, grid)
+
+def lambda_floor(physics: Physics, grid: PGrid) -> float:
+    """Lower end of the admissible lambda range: -2 B_min plus the
+    ``_floor_margin``."""
+    return -2.0 * _given_data(physics, grid)[1] + _floor_margin(physics, grid)
 
 
 def existence_floor(physics: Physics, grid: PGrid) -> float:
@@ -194,13 +197,13 @@ def _qdot_at(physics, grid, lam):
     return solve_laminar(physics, lam, grid, enforce_floor=False).Qdot
 
 
-def _expand_bracket(f, lo, cap=LAMBDA_CAP):
+def _expand_bracket(f, lo):
     """Geometric expansion from lo until f changes sign; returns (a, b)."""
     fa = f(lo)
     if fa > 0:
         return None
     hi = max(2.0 * abs(lo), lo + 1.0)
-    while hi <= cap:
+    while hi <= LAMBDA_CAP:
         if f(hi) > 0:
             return lo, hi
         lo = hi
@@ -220,7 +223,7 @@ def _bisect(f, a, b, tol):
     return 0.5 * (a + b)
 
 
-def find_lambda0(physics: Physics, grid: PGrid, tol: float = 1e-12) -> float:
+def find_lambda0(physics: Physics, grid: PGrid) -> float:
     """Unique minimizer of Q(lambda).
 
     The bracket is expanded multiplicatively until Qdot changes sign, then
@@ -240,10 +243,10 @@ def find_lambda0(physics: Physics, grid: PGrid, tol: float = 1e-12) -> float:
     bracket = _expand_bracket(qdot, lo)
     if bracket is None:
         raise NoMinimumError("Qdot never changes sign up to the lambda cap")
-    return _bisect(qdot, *bracket, tol)
+    return _bisect(qdot, *bracket, LAMBDA0_TOL)
 
 
-def find_lambda_c(physics: Physics, grid: PGrid, tol: float = ROOT_TOL) -> float:
+def find_lambda_c(physics: Physics, grid: PGrid) -> float:
     """Threshold lambda_c above which the linearized null space is simple.
 
     Stratified rho: smallest lambda >= lambda_0 where
@@ -273,7 +276,7 @@ def find_lambda_c(physics: Physics, grid: PGrid, tol: float = ROOT_TOL) -> float
     bracket = _expand_bracket(fvalue, lam0)
     if bracket is None:
         raise UndefinedQuantityError("lambda_c not found below the lambda cap")
-    return _bisect(fvalue, *bracket, tol)
+    return _bisect(fvalue, *bracket, ROOT_TOL)
 
 
 def sigma_c(physics: Physics, grid: PGrid) -> float:
@@ -301,17 +304,15 @@ def check_size_condition(physics: Physics, grid: PGrid):
                                     + g rho'(p) ] } dp
 
     (period 2 pi, so the 4 pi^2 / L^2 prefactor is 1).  Returns
-    (satisfied, margin).  eps0 follows the same homogeneous / stratified
-    rule as the admissibility floor.
+    (satisfied, margin).  eps0 is the ``_floor_margin`` of the
+    admissibility floor.
     """
-    eps0 = (HOMOGENEOUS_FLOOR if physics.is_homogeneous(grid)
-            else epsilon0(physics, grid))
+    twoB, bmin, rho_p, _, _ = _given_data(physics, grid)
     p = grid.nodes
-    B = build_B(physics.beta, grid)
-    shifted = 2.0 * B.eval(p) - 2.0 * b_min(B) + 2.0 * eps0
+    shifted = twoB - 2.0 * bmin + 2.0 * _floor_margin(physics, grid)
     integrand = (shifted ** 1.5
                  + (p - physics.p0) ** 2 * (np.sqrt(shifted)
-                                            + physics.g * physics.rho_p(p)))
+                                            + physics.g * rho_p))
     lhs = (physics.g * physics.rho0() + physics.sigma) * physics.p0 ** 2
     margin = lhs - quad(grid, integrand)
     return bool(margin > 0), float(margin)

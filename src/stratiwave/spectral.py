@@ -19,7 +19,7 @@ scan classifies bifurcation points as simple, double, or zero-mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -28,7 +28,7 @@ from scipy.optimize import brentq
 from .errors import (IndefiniteFormError, LBViolatedError,
                      MultiplicityExceededError, RootNotFoundError,
                      SuperpositionDegenerateError)
-from .laminar import LAMBDA_CAP, lambda_floor, solve_laminar
+from .laminar import LAMBDA_CAP, LaminarFlow, lambda_floor, solve_laminar
 from .profiles import PGrid, Physics
 
 RESONANCE_RTOL = 1e-6
@@ -72,10 +72,11 @@ class EigenMode:
 
 @dataclass(frozen=True)
 class BifurcationPoint:
-    """lambda_* with its resonant modes and classification."""
+    """lambda_* with the laminar flow there, its resonant modes and
+    classification."""
 
     lambda_star: float
-    Q_star: float
+    flow: LaminarFlow
     modes: tuple            # EigenMode list, n = 1 first
     classification: str     # "Simple" | "Double" | "ZeroMode"
     n2: int | None
@@ -177,7 +178,7 @@ def shoot_mode(flow, physics: Physics, n: int,
     return mode.renormalized(normalization)
 
 
-def dispersion(flow, physics: Physics, sigma: float, mode: EigenMode):
+def dispersion(flow, physics: Physics, mode: EigenMode):
     """(D, scale): the boundary mismatch
     D = lambda^{3/2} M'(0) - (n^2 sigma + g rho(0)) M(0) and the sum of the
     magnitudes of its two terms, for relative tolerances.
@@ -186,7 +187,8 @@ def dispersion(flow, physics: Physics, sigma: float, mode: EigenMode):
     n = 0 gives the nonlocal mode's D0 = lambda^{3/2} M'(0) - g rho(0) M(0).
     """
     top = flow.lam ** 1.5 * mode.Mp[-1]
-    bottom = (mode.n ** 2 * sigma + physics.g * physics.rho0()) * mode.M[-1]
+    bottom = ((mode.n ** 2 * physics.sigma + physics.g * physics.rho0())
+              * mode.M[-1])
     return float(top - bottom), float(abs(top) + abs(bottom))
 
 
@@ -210,20 +212,20 @@ def shoot_zero_mode(flow, physics: Physics):
     Mpp = M1pp + m0 * M2pp
     mode = EigenMode(n=0, lam=flow.lam, M=M, Mp=Mp, Mpp=Mpp,
                      normalization="shooting")
-    return mode, dispersion(flow, physics, physics.sigma, mode)[0]
+    return mode, dispersion(flow, physics, mode)[0]
 
 
-def _relative(flow, physics, sigma, mode) -> float:
+def _relative(flow, physics, mode) -> float:
     """D / scale of ``dispersion``."""
-    D, scale = dispersion(flow, physics, sigma, mode)
+    D, scale = dispersion(flow, physics, mode)
     return D / scale
 
 
-def _relative_D(physics, grid, sigma, n):
+def _relative_D(physics, grid, n):
     """lambda -> D / scale for the given n, as a smooth scalar function."""
     def f(lam):
         flow = solve_laminar(physics, lam, grid)
-        return _relative(flow, physics, sigma, shoot_mode(flow, physics, n))
+        return _relative(flow, physics, shoot_mode(flow, physics, n))
     return f
 
 
@@ -253,17 +255,14 @@ def _smallest_root(f, floor: float, cap: float) -> float | None:
     return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
 
 
-def find_lambda_star(physics: Physics, grid: PGrid, sigma: float | None = None,
-                     n: int = 1) -> float:
+def find_lambda_star(physics: Physics, grid: PGrid, n: int = 1) -> float:
     """Smallest dispersion root for mode n (default n = 1).
 
     Geometric bracket scan above the floor followed by Brent, with the
     |D| <= 1e-10 * scale stopping rule.  Raises LBViolatedError when no
     sign change exists below the cap.
     """
-    if sigma is None:
-        sigma = physics.sigma
-    f = _relative_D(physics, grid, sigma, n)
+    f = _relative_D(physics, grid, n)
     root = _smallest_root(f, lambda_floor(physics, grid), LAMBDA_CAP)
     if root is None:
         raise LBViolatedError(
@@ -282,6 +281,10 @@ def rayleigh_mu(flow, physics: Physics, sigma: float, N: int = 512) -> float:
     denominator int (a + g rho_p) phi^2.
     The smallest generalized eigenvalue is found by bisection on the
     Sturm-sequence sign count of A - mu B.
+
+    Unlike every other function here, sigma is an argument and not read
+    from ``physics``: the laminar flow does not depend on it, so one flow
+    serves the quotient at any surface tension.
     """
     p0 = flow.grid.p0
     h = abs(p0) / N
@@ -356,8 +359,7 @@ def rayleigh_mu(flow, physics: Physics, sigma: float, N: int = 512) -> float:
     return 0.5 * (lo + hi)
 
 
-def classify(physics: Physics, grid: PGrid, sigma: float | None = None,
-             n_max: int = 64,
+def classify(physics: Physics, grid: PGrid, n_max: int = 64,
              resonance_rtol: float = RESONANCE_RTOL) -> BifurcationPoint:
     """Locate lambda_* and classify it by scanning resonances.
 
@@ -365,17 +367,15 @@ def classify(physics: Physics, grid: PGrid, sigma: float | None = None,
     Early exit once the dispersion gap has been growing (mode bifurcation
     values safely above lambda_*) for 3 consecutive n.
     """
-    if sigma is None:
-        sigma = physics.sigma
-    lam_star = find_lambda_star(physics, grid, sigma)
+    lam_star = find_lambda_star(physics, grid)
     flow = solve_laminar(physics, lam_star, grid)
 
     mode1 = shoot_mode(flow, physics, 1)
-    residuals = {1: abs(_relative(flow, physics, sigma, mode1))}
+    residuals = {1: abs(_relative(flow, physics, mode1))}
     modes = [mode1]
 
     zmode, _ = shoot_zero_mode(flow, physics)
-    residuals[0] = abs(_relative(flow, physics, sigma, zmode))
+    residuals[0] = abs(_relative(flow, physics, zmode))
     zero_resonant = residuals[0] < resonance_rtol
 
     resonant = []
@@ -383,7 +383,7 @@ def classify(physics: Physics, grid: PGrid, sigma: float | None = None,
     prev_gap = None
     for n in range(2, n_max + 1):
         mode = shoot_mode(flow, physics, n)
-        rel = _relative(flow, physics, sigma, mode)
+        rel = _relative(flow, physics, mode)
         residuals[n] = abs(rel)
         if abs(rel) < resonance_rtol:
             resonant.append((n, mode))
@@ -413,13 +413,13 @@ def classify(physics: Physics, grid: PGrid, sigma: float | None = None,
     else:
         classification, n2 = "Simple", None
 
-    return BifurcationPoint(lambda_star=lam_star, Q_star=flow.Q,
+    return BifurcationPoint(lambda_star=lam_star, flow=flow,
                             modes=tuple(modes), classification=classification,
                             n2=n2, residuals=residuals,
                             resonance_rtol=resonance_rtol)
 
 
-def _irrotational_double_seed(physics, n2, cap=LAMBDA_CAP):
+def _irrotational_double_seed(physics, n2):
     """Closed-form seed for (sigma_d, lambda_d) from the constant-density
     dispersion relation lambda = ((n^2 s + g rho0)/n) tanh(n |p0| / sqrt(lambda))."""
     g_rho = physics.g * physics.rho0()
@@ -441,7 +441,7 @@ def _irrotational_double_seed(physics, n2, cap=LAMBDA_CAP):
     if g_rho <= 0:
         raise RootNotFoundError(
             "no double bifurcation points without gravity")
-    lam_s = brentq(lambda lam: lam - g_rho * t(1, lam), 1e-12, cap,
+    lam_s = brentq(lambda lam: lam - g_rho * t(1, lam), 1e-12, LAMBDA_CAP,
                    xtol=1e-14, rtol=8.9e-16)
     lo = lam_s * (1.0 + 1e-9)
     if f(lo) >= 0:
@@ -449,7 +449,7 @@ def _irrotational_double_seed(physics, n2, cap=LAMBDA_CAP):
     hi = lo
     while f(hi) < 0:
         hi *= 1.5
-        if hi > cap:
+        if hi > LAMBDA_CAP:
             raise RootNotFoundError("no seed bracket for the double point")
     lam_d = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
     return sigma_of(lam_d), lam_d
@@ -468,8 +468,11 @@ def find_double_sigma(physics: Physics, grid: PGrid, n2: int):
     sigma, lam = _irrotational_double_seed(physics, n2)
 
     def F(sigma_, lam_):
+        # the laminar flow and the modes do not depend on sigma: solving
+        # them on the incoming physics keeps the laminar cache warm
         flow = solve_laminar(physics, lam_, grid)
-        return np.array([_relative(flow, physics, sigma_,
+        at_sigma = replace(physics, sigma=sigma_)
+        return np.array([_relative(flow, at_sigma,
                                    shoot_mode(flow, physics, n))
                          for n in (1, n2)])
 
@@ -500,4 +503,5 @@ def find_double_sigma(physics: Physics, grid: PGrid, n2: int):
 
 def lambda_star_of_sigma(physics: Physics, grid: PGrid, sigmas):
     """lambda_*(sigma) over a sigma sample set (monotone increasing)."""
-    return np.array([find_lambda_star(physics, grid, s) for s in sigmas])
+    return np.array([find_lambda_star(replace(physics, sigma=s), grid)
+                     for s in sigmas])

@@ -1,7 +1,9 @@
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from stratiwave import laminar as lm
 from stratiwave import profiles as pr
 from stratiwave import spectral as sp
 
@@ -37,11 +39,13 @@ def stratified():
 
 @pytest.fixture(scope="session")
 def double3(t0, grid64):
-    """The n2 = 3 double bifurcation point of the constant-density case."""
+    """The n2 = 3 double bifurcation point of the constant-density case:
+    the physics at its surface tension, the grid, the classified point and
+    the laminar flow there."""
     sigma_d, lam_d = sp.find_double_sigma(t0, grid64, 3)
-    bp = sp.classify(t0, grid64, sigma_d)
-    flow = lm.solve_laminar(t0, bp.lambda_star, grid64)
-    return t0, grid64, sigma_d, bp, flow
+    physics = replace(t0, sigma=sigma_d)
+    bp = sp.classify(physics, grid64)
+    return physics, grid64, bp, bp.flow
 
 
 def irrotational_lambda_star(n, sigma, g=1.0, rho0=1.0, p0=-1.0):
@@ -60,3 +64,16 @@ def sigma_for_root(n, lam, g=1.0, rho0=1.0, p0=-1.0):
     """Surface tension making (n, lam) a constant-density dispersion root."""
     P = abs(p0)
     return (lam * n / np.tanh(n * P / np.sqrt(lam)) - g * rho0) / n ** 2
+
+
+def at_sigma(physics, sigma):
+    """A copy of ``physics`` at surface tension sigma, negative included.
+
+    The constant-density closed forms hold for any sigma, and the n = 1
+    root at lambda = 0.8 needs sigma = -0.0088, which ``Physics`` rejects
+    as given data; only that check is skipped, for the coefficient
+    oracles, which read sigma and nothing that depends on it.
+    """
+    out = copy.copy(physics)
+    object.__setattr__(out, "sigma", sigma)
+    return out

@@ -10,7 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import irrotational_lambda_star, make_physics, sigma_for_root
+from conftest import (at_sigma, irrotational_lambda_star, make_physics,
+                      sigma_for_root)
 from test_bifurc import (closed_psi, closed_theta_cross_total,
                          closed_theta_diag, toy_coeffs)
 from stratiwave import bifurc as bf
@@ -45,7 +46,7 @@ def test_criterion_1_irrotational_dispersion(t0):
     worst = 0.0
     for sigma in (0.05, 0.5, 2.0):
         for n in (1, 2, 3, 4):
-            lam = sp.find_lambda_star(t0, grid, sigma, n=n)
+            lam = sp.find_lambda_star(replace(t0, sigma=sigma), grid, n=n)
             oracle = irrotational_lambda_star(n, sigma)
             worst = max(worst, abs(lam / oracle - 1.0))
     elapsed = time.perf_counter() - start
@@ -74,7 +75,7 @@ def test_criterion_3_rayleigh_cross_check(t0):
     grid = pr.PGrid(-1.0, 128)
     worst = 0.0
     for sigma in (0.5, 2.0):
-        lam = sp.find_lambda_star(t0, grid, sigma)
+        lam = sp.find_lambda_star(replace(t0, sigma=sigma), grid)
         flow = lm.solve_laminar(t0, lam, grid)
         worst = max(worst, abs(sp.rayleigh_mu(flow, t0, sigma, N=512) + 1.0))
     lams = np.linspace(0.35, 1.8, 20)
@@ -94,42 +95,41 @@ def test_criterion_4_coefficient_oracles(t0):
     worst = 0.0
     for lam in (0.8, 1.0, 1.3):
         sigma = sigma_for_root(1, lam)
+        phys = at_sigma(t0, sigma)
         flow = lm.solve_laminar(t0, lam, grid)
         mode = sp.shoot_mode(flow, t0, 1, normalization="sinh")
-        psi = bf.compute_Psi(flow, t0, sigma, mode)
-        theta = bf.compute_Theta(flow, t0, sigma, mode, mode)
+        psi = bf.compute_Psi(flow, phys, mode)
+        theta = bf.compute_Theta(flow, phys, mode, mode)
         worst = max(worst, abs(psi / closed_psi(1, lam) - 1.0),
                     abs(theta / closed_theta_diag(1, lam, sigma) - 1.0))
     cross_ok = True
     zeros_ok = True
     for n2 in (2, 3):
         sigma_d, lam_d = sp.find_double_sigma(t0, grid, n2)
+        phys = replace(t0, sigma=sigma_d)
         flow = lm.solve_laminar(t0, lam_d, grid)
         m1 = sp.shoot_mode(flow, t0, 1, normalization="sinh")
         m2 = sp.shoot_mode(flow, t0, n2, normalization="sinh")
-        th12 = bf.compute_Theta(flow, t0, sigma_d, m1, m2)
+        th12 = bf.compute_Theta(flow, phys, m1, m2)
         ref = closed_theta_cross_total(1, n2, lam_d, sigma_d)
         worst = max(worst, abs(th12 / ref - 1.0))
         # off-diagonal Psi, odd-parity Theta, non-resonant Phi
-        zeros_ok &= bf.compute_Psi(flow, t0, sigma_d, m1, m2) == 0.0
-        zeros_ok &= bf.theta_entry(flow, t0, sigma_d, m2,
-                                   (m2, m2, m1)) == 0.0
+        zeros_ok &= bf.compute_Psi(flow, phys, m1, m2) == 0.0
+        zeros_ok &= bf.theta_entry(flow, phys, m2, (m2, m2, m1)) == 0.0
         if n2 == 2:
-            zeros_ok &= bf.theta_entry(flow, t0, sigma_d, m1,
-                                       (m1, m1, m2)) == 0.0
+            zeros_ok &= bf.theta_entry(flow, phys, m1, (m1, m1, m2)) == 0.0
         if n2 != 2:
-            cross_ok &= bf.compute_Phi(flow, t0, sigma_d, m1, m2) == \
-                (0.0, 0.0, 0.0)
+            cross_ok &= bf.compute_Phi(flow, phys, m1, m2) == (0.0, 0.0, 0.0)
     ok = worst < 1e-6 and cross_ok and zeros_ok
     _report(4, f"Psi/Theta quadratures vs closed forms (worst rel "
                f"{worst:.2e}); structural zeros exact", ok)
 
 
 def test_criterion_5_reduced_equation_roots(double3):
-    t0, grid, sigma_d, bp, flow = double3
+    t0, grid, bp, flow = double3
 
     def roots_match(cs):
-        germs = bf.predict_branches(cs, "cubic")
+        germs = bf.predict_branches(cs)
         for side in ("plus", "minus"):
             pred = sorted(tuple(g.theta) for g in germs if g.side == side)
             roots = bf.oracle_roots(cs, side)
@@ -143,10 +143,10 @@ def test_criterion_5_reduced_equation_roots(double3):
 
     ok = True
     toy = toy_coeffs()
-    ok &= len(bf.predict_branches(toy, "cubic")) == 8
+    ok &= len(bf.predict_branches(toy)) == 8
     ok &= roots_match(toy)
     m1, m2 = bp.modes
-    computed = bf.coefficient_set(flow, t0, sigma_d, m1, m2)
+    computed = bf.coefficient_set(flow, t0, m1, m2)
     ok &= roots_match(computed)
     rng = np.random.default_rng(20260808)
     done = 0
@@ -167,12 +167,12 @@ def test_criterion_5_reduced_equation_roots(double3):
 
 def test_criterion_6_classification(t0, double3):
     grid = pr.PGrid(-1.0, 128)
-    ok = sp.classify(t0, grid, 1.0).classification == "Simple"
+    ok = sp.classify(t0, grid).classification == "Simple"
     sigma_zero = 1.0 / np.tanh(1.0) - 1.0
-    bp0 = sp.classify(t0, grid, sigma_zero)
+    bp0 = sp.classify(replace(t0, sigma=sigma_zero), grid)
     ok &= bp0.classification == "ZeroMode"
     ok &= abs(bp0.lambda_star - 1.0) < 1e-6
-    _, _, sigma_d, bp3, _ = double3
+    _, _, bp3, _ = double3
     ok &= bp3.classification == "Double" and bp3.n2 == 3
     sigmas = np.linspace(0.05, 2.0, 20)
     lams = sp.lambda_star_of_sigma(t0, pr.PGrid(-1.0, 64), sigmas)
@@ -185,20 +185,19 @@ def test_criterion_7_nonlinear_solver(t0):
     start = time.perf_counter()
     grid = pr.PGrid(-1.0, 64)
     N_q = 64
-    lam_star = sp.find_lambda_star(t0, grid, 1.0)
+    lam_star = sp.find_lambda_star(t0, grid)
     flow = lm.solve_laminar(t0, lam_star, grid)
     mode = sp.shoot_mode(flow, t0, 1)
     lam_field = hs.laminar_field(flow, N_q)
-    ok = np.max(np.abs(hs.residual(t0, lam_field, 1.0))) < 1e-10
+    ok = np.max(np.abs(hs.residual(t0, lam_field))) < 1e-10
 
     germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, N_q)
-    sol, hist = hs.newton(t0, germ, 1.0, frozen="amplitude",
-                          return_history=True)
+    sol, hist = hs.newton(t0, germ, frozen="amplitude", return_history=True)
     ratios = [hist[k + 1] / hist[k] ** 2 for k in range(len(hist) - 1)
               if hist[k] > 1e-8]
     ok &= bool(ratios) and all(r < 1e6 for r in ratios)
 
-    branch = hs.continue_branch(t0, germ, 1.0,
+    branch = hs.continue_branch(t0, germ,
                                 hs.ContinuationControls(max_steps=22))
     ok &= len(branch.points) >= 20
     ok &= max(pt.residual_norm for pt in branch.points) < 1e-10
@@ -207,7 +206,7 @@ def test_criterion_7_nonlinear_solver(t0):
         wave = eu.reconstruct(t0, pt.field)
         eta_worst = max(eta_worst, abs(float(np.mean(wave.eta[:-1]))))
     ok &= eta_worst < 1e-12
-    ok &= all(hs.nodal_check(pt.field, 1) for pt in branch.points[:5])
+    ok &= all(hs.nodal_check(pt.field) for pt in branch.points[:5])
 
     Q_star = flow.Q
     pts = branch.points[:10]
@@ -228,18 +227,18 @@ def test_criterion_8_eulerian_verification(t0):
     u_ok = True
     for N in (32, 64, 128):
         grid = pr.PGrid(-1.0, N)
-        lam_star = sp.find_lambda_star(t0, grid, 1.0)
+        lam_star = sp.find_lambda_star(t0, grid)
         flow = lm.solve_laminar(t0, lam_star, grid)
         mode = sp.shoot_mode(flow, t0, 1)
         eps = a_target / mode.M[-1]
         germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), eps, N)
-        sol = hs.newton(t0, germ, 1.0, frozen="amplitude",
+        sol = hs.newton(t0, germ, frozen="amplitude",
                         amplitude_target=a_target)
         wave = eu.reconstruct(t0, sol)
         u_ok &= bool(np.max(wave.u) < t0.c)
         results[N] = (
             float(np.max(np.abs(eu.flux_all_columns(wave) + 1.0))),
-            eu.surface_bernoulli_residual(wave, t0, 1.0),
+            eu.surface_bernoulli_residual(wave, t0),
             eu.yih_residual(wave, t0))
     orders = []
     for idx in range(3):
@@ -251,12 +250,12 @@ def test_criterion_8_eulerian_verification(t0):
 
 
 def test_criterion_9_double_point_branches(double3):
-    t0, grid, sigma_d, bp, flow = double3
+    t0, grid, bp, flow = double3
     N_q = 64
     m1, m2 = bp.modes
-    cs = bf.coefficient_set(flow, t0, sigma_d, m1, m2)
+    cs = bf.coefficient_set(flow, t0, m1, m2)
     ok = cs.nd1 and cs.nd2 and cs.regular_value
-    germs = cli.canonical_germs(bf.predict_branches(cs, "cubic"))
+    germs = cli.canonical_germs(bf.predict_branches(cs))
     kinds = sorted((g.kind, g.n) for g in germs)
     ok &= kinds == [("mixed", None), ("mixed", None), ("pure", 1),
                     ("pure", 3)]
@@ -268,7 +267,7 @@ def test_criterion_9_double_point_branches(double3):
         # discretization's resonance-splitting scale; seed them there
         eps = 1e-3 if g.kind == "pure" else 4e-3
         fld = hs.germ_field(flow, (m1, m2), g.theta, eps, N_q)
-        branch = hs.continue_branch(t0, fld, sigma_d, controls)
+        branch = hs.continue_branch(t0, fld, controls)
         ok &= len(branch.points) >= 10
         ok &= max(pt.residual_norm for pt in branch.points) < 1e-9
         kind_modes = ({1} if (g.kind, g.n) == ("pure", 1)
@@ -320,7 +319,7 @@ def test_criterion_10_negative_controls(t0, tmp_path):
     bad_h = np.tile(-(grid.nodes + 1.0), (9, 1))
     bad_field = hs.HeightField(Q=1.0, N_q=8, pgrid=grid, h=bad_h)
     try:
-        hs.residual(t0, bad_field, 1.0)
+        hs.residual(t0, bad_field)
         ok = False
     except EllipticityLossError:
         pass

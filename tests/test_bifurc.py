@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_physics, sigma_for_root
+from conftest import at_sigma, make_physics, sigma_for_root
 from stratiwave import bifurc as bf
 from stratiwave import laminar as lm
 from stratiwave import profiles as pr
@@ -146,7 +146,7 @@ def test_psi_matches_closed_form(t0, grid128, lam):
     sigma = sigma_for_root(1, lam)
     flow = lm.solve_laminar(t0, lam, grid128)
     mode = sp.shoot_mode(flow, t0, 1, normalization="sinh")
-    psi = bf.compute_Psi(flow, t0, sigma, mode)
+    psi = bf.compute_Psi(flow, at_sigma(t0, sigma), mode)
     assert abs(psi / closed_psi(1, lam) - 1.0) < 1e-6
 
 
@@ -155,7 +155,7 @@ def test_theta_diag_matches_closed_form(t0, grid128, lam):
     sigma = sigma_for_root(1, lam)
     flow = lm.solve_laminar(t0, lam, grid128)
     mode = sp.shoot_mode(flow, t0, 1, normalization="sinh")
-    theta = bf.compute_Theta(flow, t0, sigma, mode, mode)
+    theta = bf.compute_Theta(flow, at_sigma(t0, sigma), mode, mode)
     assert abs(theta / closed_theta_diag(1, lam, sigma) - 1.0) < 1e-6
 
 
@@ -165,8 +165,9 @@ def test_theta_cross_at_double_points(t0, grid128):
         flow = lm.solve_laminar(t0, lam_d, grid128)
         m1 = sp.shoot_mode(flow, t0, 1, normalization="sinh")
         m2 = sp.shoot_mode(flow, t0, n2, normalization="sinh")
-        th12 = bf.compute_Theta(flow, t0, sigma_d, m1, m2)
-        th21 = bf.compute_Theta(flow, t0, sigma_d, m2, m1)
+        phys = replace(t0, sigma=sigma_d)
+        th12 = bf.compute_Theta(flow, phys, m1, m2)
+        th21 = bf.compute_Theta(flow, phys, m2, m1)
         assert abs(th12 / closed_theta_cross_total(1, n2, lam_d, sigma_d)
                    - 1.0) < 1e-6
         assert abs(th21 / closed_theta_cross_total(n2, 1, lam_d, sigma_d)
@@ -174,9 +175,9 @@ def test_theta_cross_at_double_points(t0, grid128):
 
 
 def test_psi_offdiagonal_zero(double3):
-    t0, grid, sigma_d, bp, flow = double3
+    t0, grid, bp, flow = double3
     m1, m2 = bp.modes
-    assert bf.compute_Psi(flow, t0, sigma_d, m1, m2) == 0.0
+    assert bf.compute_Psi(flow, t0, m1, m2) == 0.0
 
 
 def test_odd_parity_theta_entries_vanish(t0, grid64):
@@ -185,23 +186,24 @@ def test_odd_parity_theta_entries_vanish(t0, grid64):
     flow = lm.solve_laminar(t0, lam_d, grid64)
     m1 = sp.shoot_mode(flow, t0, 1)
     m2 = sp.shoot_mode(flow, t0, 2)
-    assert bf.theta_entry(flow, t0, sigma_d, m1, (m1, m1, m2)) == 0.0
-    assert bf.theta_entry(flow, t0, sigma_d, m2, (m2, m2, m1)) == 0.0
-    assert bf.theta_entry(flow, t0, sigma_d, m1, (m2, m2, m2)) == 0.0
+    phys = replace(t0, sigma=sigma_d)
+    assert bf.theta_entry(flow, phys, m1, (m1, m1, m2)) == 0.0
+    assert bf.theta_entry(flow, phys, m2, (m2, m2, m1)) == 0.0
+    assert bf.theta_entry(flow, phys, m1, (m2, m2, m2)) == 0.0
 
 
 def test_cubic_resonance_entries_nonzero(double3):
     # n2 = 3 n1: cos^3(q) feeds cos(3q), so these entries survive
-    t0, grid, sigma_d, bp, flow = double3
+    t0, grid, bp, flow = double3
     m1, m2 = bp.modes
-    assert abs(bf.theta_entry(flow, t0, sigma_d, m2, (m1, m1, m1))) > 1e-3
-    assert abs(bf.theta_entry(flow, t0, sigma_d, m1, (m1, m1, m2))) > 1e-3
+    assert abs(bf.theta_entry(flow, t0, m2, (m1, m1, m1))) > 1e-3
+    assert abs(bf.theta_entry(flow, t0, m1, (m1, m1, m2))) > 1e-3
 
 
 def test_phi_zero_off_resonance(double3):
-    t0, grid, sigma_d, bp, flow = double3
+    t0, grid, bp, flow = double3
     m1, m2 = bp.modes
-    assert bf.compute_Phi(flow, t0, sigma_d, m1, m2) == (0.0, 0.0, 0.0)
+    assert bf.compute_Phi(flow, t0, m1, m2) == (0.0, 0.0, 0.0)
 
 
 def test_phi_fd_probe_at_double2(t0, grid128):
@@ -211,7 +213,8 @@ def test_phi_fd_probe_at_double2(t0, grid128):
     flow = lm.solve_laminar(t0, lam_d, grid128)
     m1 = sp.shoot_mode(flow, t0, 1)
     m2 = sp.shoot_mode(flow, t0, 2)
-    phi112, phi121, phi211 = bf.compute_Phi(flow, t0, sigma_d, m1, m2)
+    phi112, phi121, phi211 = bf.compute_Phi(
+        flow, replace(t0, sigma=sigma_d), m1, m2)
     assert phi112 == phi121
     assert abs(phi112) > 1e-3 and abs(phi211) > 1e-3
     ts = 1e-4
@@ -235,10 +238,10 @@ def test_psi_fd_probe_stratified():
     phys = make_physics(sigma=10.0, rho_coeffs=(1.0, -0.1),
                         beta_coeffs=(0.2,))
     grid = pr.PGrid(-1.0, 128)
-    lam = sp.find_lambda_star(phys, grid, phys.sigma)
+    lam = sp.find_lambda_star(phys, grid)
     flow = lm.solve_laminar(phys, lam, grid)
     mode = sp.shoot_mode(flow, phys, 1)
-    psi = bf.compute_Psi(flow, phys, phys.sigma, mode)
+    psi = bf.compute_Psi(flow, phys, mode)
     dl, dt = 1e-4, 1e-4
 
     def f(lmb, t):
@@ -255,10 +258,10 @@ def test_theta_fd_probe_stratified():
     phys = make_physics(sigma=10.0, rho_coeffs=(1.0, -0.1),
                         beta_coeffs=(0.2,))
     grid = pr.PGrid(-1.0, 128)
-    lam = sp.find_lambda_star(phys, grid, phys.sigma)
+    lam = sp.find_lambda_star(phys, grid)
     flow = lm.solve_laminar(phys, lam, grid)
     mode = sp.shoot_mode(flow, phys, 1)
-    theta = bf.compute_Theta(flow, phys, phys.sigma, mode, mode)
+    theta = bf.compute_Theta(flow, phys, mode, mode)
     ts = 2e-3
 
     def f(t):
@@ -270,27 +273,26 @@ def test_theta_fd_probe_stratified():
 
 
 def test_homogeneity_in_mode_normalization(double3):
-    t0, grid, sigma_d, bp, flow = double3
+    t0, grid, bp, flow = double3
     m1, m2 = bp.modes
     t = 1.7
     m1s = sp.EigenMode(n=m1.n, lam=m1.lam, M=t * m1.M, Mp=t * m1.Mp,
                        Mpp=t * m1.Mpp, normalization="scaled")
-    psi = bf.compute_Psi(flow, t0, sigma_d, m1)
-    psi_s = bf.compute_Psi(flow, t0, sigma_d, m1s)
+    psi = bf.compute_Psi(flow, t0, m1)
+    psi_s = bf.compute_Psi(flow, t0, m1s)
     assert psi_s == pytest.approx(t ** 2 * psi, rel=1e-13)
-    th = bf.compute_Theta(flow, t0, sigma_d, m1, m1)
-    th_s = bf.compute_Theta(flow, t0, sigma_d, m1s, m1s)
+    th = bf.compute_Theta(flow, t0, m1, m1)
+    th_s = bf.compute_Theta(flow, t0, m1s, m1s)
     assert th_s == pytest.approx(t ** 4 * th, rel=1e-13)
 
 
 def test_germ_direction_invariant_under_normalization(double3):
-    t0, grid, sigma_d, bp, flow = double3
+    t0, grid, bp, flow = double3
     m1, m2 = bp.modes
     germs = {}
     for norm in ("shooting", "sinh"):
-        cs = bf.coefficient_set(flow, t0, sigma_d, m1, m2,
-                                normalization=norm)
-        g = [g for g in bf.predict_branches(cs, "cubic")
+        cs = bf.coefficient_set(flow, t0, m1, m2, normalization=norm)
+        g = [g for g in bf.predict_branches(cs)
              if g.kind == "mixed" and g.theta[0] > 0 and g.theta[1] > 0][0]
         mode1 = m1.renormalized(norm)
         mode2 = m2.renormalized(norm)
@@ -301,9 +303,9 @@ def test_germ_direction_invariant_under_normalization(double3):
 
 
 def toy_coeffs(theta_cross=(0.0, 0.0), psi=(-1.0, -1.0), diag=(1.0, 1.0),
-               phi=(0.0, 0.0)):
+               phi=(0.0, 0.0), n2=3):
     return bf.CoefficientSet(
-        n1=1, n2=3, psi11=psi[0], psi22=psi[1],
+        n1=1, n2=n2, psi11=psi[0], psi22=psi[1],
         phi112=phi[0], phi121=phi[0], phi211=phi[1],
         theta1111=diag[0], theta2222=diag[1],
         theta1122=theta_cross[0], theta2211=theta_cross[1],
@@ -324,7 +326,7 @@ def test_nondegeneracy_flags():
 
 def test_predict_branches_toy_decoupled():
     cs = toy_coeffs()
-    germs = bf.predict_branches(cs, "cubic")
+    germs = bf.predict_branches(cs)
     assert len(germs) == 8
     assert all(g.side == "plus" for g in germs)
     thetas = sorted(tuple(np.round(g.theta, 10)) for g in germs)
@@ -337,7 +339,7 @@ def test_predict_branches_mixed_suppressed():
     # cross terms chosen so A^{-1}(1, 1) has a negative component on both
     # sides: only the four pure pitchfork germs remain
     cs = toy_coeffs(theta_cross=(-3.0, 2.0))
-    germs = bf.predict_branches(cs, "cubic")
+    germs = bf.predict_branches(cs)
     assert len(germs) == 4
     assert all(g.kind == "pure" for g in germs)
     roots = bf.oracle_roots(cs, "plus")
@@ -355,11 +357,11 @@ def test_oracle_matches_predictions_toy():
 
 
 def test_oracle_matches_predictions_computed(double3):
-    t0, grid, sigma_d, bp, flow = double3
+    t0, grid, bp, flow = double3
     m1, m2 = bp.modes
-    cs = bf.coefficient_set(flow, t0, sigma_d, m1, m2)
+    cs = bf.coefficient_set(flow, t0, m1, m2)
     assert cs.nd1 and cs.nd2 and cs.regular_value
-    germs = bf.predict_branches(cs, "cubic")
+    germs = bf.predict_branches(cs)
     assert len(germs) == 8
     for side in ("plus", "minus"):
         pred = sorted(tuple(g.theta) for g in germs if g.side == side)
@@ -391,7 +393,7 @@ def _randomized_sets():
 
 def test_oracle_matches_predictions_randomized():
     for cs in _randomized_sets():
-        germs = bf.predict_branches(cs, "cubic")
+        germs = bf.predict_branches(cs)
         for side in ("plus", "minus"):
             pred = sorted(tuple(g.theta) for g in germs if g.side == side)
             roots = bf.oracle_roots(cs, side)
@@ -433,14 +435,14 @@ def _ties_by_th2(roots, tol=1e-12):
 
 
 def test_oracle_matches_loop_reference(double3):
-    t0, grid, sigma_d, bp, flow = double3
+    t0, grid, bp, flow = double3
     m1, m2 = bp.modes
     # the random sets alternate sides, which halves the time the loop
     # takes; the Double(3) and Double(4) sets run on both
     cases = [(cs, ("plus", "minus")[k % 2])
              for k, cs in enumerate(_randomized_sets())]
     cases += [(cs, side) for cs in (
-        bf.coefficient_set(flow, t0, sigma_d, m1, m2), _double4_coeffs())
+        bf.coefficient_set(flow, t0, m1, m2), _double4_coeffs())
         for side in ("plus", "minus")]
     cases += [
         # the singular starts (0, s2) are kept as roots: th2 psi22 is
@@ -461,7 +463,7 @@ def test_oracle_finds_small_mixed_roots_double4():
     # the mixed roots sit at th2 = +-0.040, far inside the pure n1 root
     # at 1.07
     cs = _double4_coeffs()
-    germs = bf.predict_branches(cs, "cubic")
+    germs = bf.predict_branches(cs)
     for side in ("plus", "minus"):
         pred = [g.theta for g in germs if g.side == side]
         roots = bf.oracle_roots(cs, side)
@@ -478,15 +480,15 @@ def test_predicted_germs_solve_reduced_system():
         diag = rng.uniform(0.2, 3.0, size=2)
         cs = toy_coeffs(psi=tuple(psi), diag=tuple(diag),
                         theta_cross=(0.3, -0.4))
-        for g in bf.predict_branches(cs, "cubic"):
+        for g in bf.predict_branches(cs):
             res = bf._reduced_residual(cs, g.side, g.theta)
             assert np.max(np.abs(res)) < 1e-10
 
 
 def test_quadratic_case_branches():
     # mixed germs appear only when Phi112 Phi211 > 0
-    cs_pos = toy_coeffs(phi=(0.5, 0.4))
-    germs = bf.predict_branches(cs_pos, "quadratic")
+    cs_pos = toy_coeffs(phi=(0.5, 0.4), n2=2)
+    germs = bf.predict_branches(cs_pos)
     mixed = [g for g in germs if g.kind == "mixed"]
     pure = [g for g in germs if g.kind == "pure"]
     assert len(mixed) == 4 and len(pure) == 1
@@ -497,8 +499,8 @@ def test_quadratic_case_branches():
         r1 = s * t1 * cs_pos.psi11 + 2 * t1 * t2 * cs_pos.phi112
         r2 = s * t2 * cs_pos.psi22 + t1 ** 2 * cs_pos.phi211
         assert abs(r1) < 1e-12 and abs(r2) < 1e-12
-    cs_neg = toy_coeffs(phi=(0.5, -0.4))
-    germs = bf.predict_branches(cs_neg, "quadratic")
+    cs_neg = toy_coeffs(phi=(0.5, -0.4), n2=2)
+    germs = bf.predict_branches(cs_neg)
     assert [g.kind for g in germs] == ["pure"]
     assert germs[0].n == cs_neg.n2
 
@@ -506,23 +508,23 @@ def test_quadratic_case_branches():
 def test_simple_point_coefficients_and_germs(t0, grid64):
     # without a second mode: Psi11 and Theta1111 alone, n2 = 0, every
     # flag false, and the two germs of the n1 pitchfork
-    lam = sp.find_lambda_star(t0, grid64, 1.0)
+    lam = sp.find_lambda_star(t0, grid64)
     flow = lm.solve_laminar(t0, lam, grid64)
     mode = sp.shoot_mode(flow, t0, 1)
-    cs = bf.coefficient_set(flow, t0, 1.0, mode)
-    psi = bf.compute_Psi(flow, t0, 1.0, mode)
-    theta = bf.compute_Theta(flow, t0, 1.0, mode, mode)
+    cs = bf.coefficient_set(flow, t0, mode)
+    psi = bf.compute_Psi(flow, t0, mode)
+    theta = bf.compute_Theta(flow, t0, mode, mode)
     assert (cs.n1, cs.n2, cs.psi11, cs.theta1111) == (1, 0, psi, theta)
     assert cs.psi22 == cs.phi112 == cs.phi121 == cs.phi211 == 0.0
     assert cs.theta2222 == cs.theta1122 == cs.theta2211 == 0.0
     assert not (cs.nd1 or cs.nd2 or cs.regular_value)
-    germs = bf.predict_branches(cs, "simple")
+    germs = bf.predict_branches(cs)
     mag = np.sqrt(abs(psi / theta))
     assert [g.theta for g in germs] == [(mag, 0.0), (-mag, 0.0)]
     assert all(g.kind == "pure" and g.n == 1 and g.scaling_exponent == 0.5
                and g.side == ("plus" if theta > 0 else "minus")
                for g in germs)
     # a vanishing Theta falls back to |theta| = 1 instead of dividing by 0
-    flat = bf.predict_branches(replace(cs, theta1111=0.0), "simple")
+    flat = bf.predict_branches(replace(cs, theta1111=0.0))
     assert [(g.side, g.theta) for g in flat] == [("minus", (1.0, 0.0)),
                                                  ("minus", (-1.0, 0.0))]

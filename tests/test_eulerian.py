@@ -96,11 +96,11 @@ def _yih_reference(wave, physics):
 def _solved_field(phys, N):
     # Newton solve at frozen amplitude 0.06 from the simple-point germ
     grid = pr.PGrid(-1.0, N)
-    lam_star = sp.find_lambda_star(phys, grid, phys.sigma)
+    lam_star = sp.find_lambda_star(phys, grid)
     flow = lm.solve_laminar(phys, lam_star, grid)
     mode = sp.shoot_mode(flow, phys, 1)
     germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 0.06 / mode.M[-1], N)
-    return hs.newton(phys, germ, phys.sigma, frozen="amplitude",
+    return hs.newton(phys, germ, frozen="amplitude",
                      amplitude_target=0.06)
 
 
@@ -128,11 +128,11 @@ def solved_waves():
 @pytest.fixture(scope="module")
 def small_wave(t0):
     grid = pr.PGrid(-1.0, 64)
-    lam_star = sp.find_lambda_star(t0, grid, 1.0)
+    lam_star = sp.find_lambda_star(t0, grid)
     flow = lm.solve_laminar(t0, lam_star, grid)
     mode = sp.shoot_mode(flow, t0, 1)
     germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 0.05 / mode.M[-1], 64)
-    sol = hs.newton(t0, germ, 1.0, frozen="amplitude")
+    sol = hs.newton(t0, germ, frozen="amplitude")
     return sol
 
 
@@ -206,17 +206,17 @@ def test_oracles_reject_folded_column(t0, small_wave):
 def test_surface_bernoulli_laminar_zero(t0, grid64):
     flow = lm.solve_laminar(t0, 4.0, grid64)
     wave = eu.reconstruct(t0, hs.laminar_field(flow, 64))
-    assert eu.surface_bernoulli_residual(wave, t0, 1.0) < 1e-12
+    assert eu.surface_bernoulli_residual(wave, t0) < 1e-12
 
 
 def test_surface_bernoulli_detects_corruption(t0, small_wave):
     wave = eu.reconstruct(t0, small_wave)
-    clean = eu.surface_bernoulli_residual(wave, t0, 1.0)
+    clean = eu.surface_bernoulli_residual(wave, t0)
     rng = np.random.default_rng(3)
     bad_field = small_wave.h + 1e-3 * rng.standard_normal(small_wave.h.shape)
     from dataclasses import replace
     bad = eu.reconstruct(t0, replace(small_wave, h=bad_field))
-    assert eu.surface_bernoulli_residual(bad, t0, 1.0) > 100 * max(clean, 1e-9)
+    assert eu.surface_bernoulli_residual(bad, t0) > 100 * max(clean, 1e-9)
 
 
 def test_yih_laminar_linear_psi(t0, grid64):

@@ -13,7 +13,7 @@ from stratiwave.errors import EllipticityLossError, ShapeError
 @pytest.fixture(scope="module")
 def simple_point(t0):
     grid = pr.PGrid(-1.0, 64)
-    lam_star = sp.find_lambda_star(t0, grid, 1.0)
+    lam_star = sp.find_lambda_star(t0, grid)
     flow = lm.solve_laminar(t0, lam_star, grid)
     mode = sp.shoot_mode(flow, t0, 1)
     return grid, lam_star, flow, mode
@@ -22,7 +22,7 @@ def simple_point(t0):
 def test_laminar_field_residual(t0, simple_point):
     grid, lam_star, flow, mode = simple_point
     fld = hs.laminar_field(flow, 64)
-    r = hs.residual(t0, fld, 1.0)
+    r = hs.residual(t0, fld)
     assert np.max(np.abs(r)) < 1e-10
 
 
@@ -31,7 +31,7 @@ def test_constant_field_residual_by_hand(t0, grid64):
     # top row is 1 + 1 * (2 g rho0 * 1 - Q) = 3 - Q at every node
     h = np.tile(grid64.nodes + 1.0, (33, 1))
     fld = hs.HeightField(Q=2.2, N_q=32, pgrid=grid64, h=h)
-    r = hs.residual(t0, fld, 1.0)
+    r = hs.residual(t0, fld)
     assert np.max(np.abs(r[:, 1:-1])) < 1e-12
     assert np.allclose(r[:, -1], 3.0 - 2.2, atol=1e-12)
     assert np.allclose(r[:, 0], 0.0)
@@ -39,14 +39,14 @@ def test_constant_field_residual_by_hand(t0, grid64):
 
 def test_germ_residual_quadratic_in_eps(t0):
     grid = pr.PGrid(-1.0, 128)
-    lam_star = sp.find_lambda_star(t0, grid, 1.0)
+    lam_star = sp.find_lambda_star(t0, grid)
     flow = lm.solve_laminar(t0, lam_star, grid)
     mode = sp.shoot_mode(flow, t0, 1)
     sups = []
     eps_list = (1e-2, 1e-3, 1e-4)
     for eps in eps_list:
         fld = hs.germ_field(flow, (mode, mode), (1.0, 0.0), eps, 128)
-        sups.append(np.max(np.abs(hs.residual(t0, fld, 1.0))))
+        sups.append(np.max(np.abs(hs.residual(t0, fld))))
     fit = np.polyfit(np.log(eps_list), np.log(sups), 1)[0]
     assert 1.8 <= fit <= 2.2
 
@@ -59,7 +59,7 @@ def test_jacobian_matches_finite_differences(t0):
     pert = sum(np.outer(np.cos(k * q), 0.01 * np.sin(k + grid.nodes))
                * np.linspace(0, 1, 17) for k in range(1, 4))
     fld = replace(base, h=base.h + pert)
-    jac = hs.jacobian(t0, fld, 1.0)
+    jac = hs.jacobian(t0, fld)
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(10):
@@ -67,7 +67,7 @@ def test_jacobian_matches_finite_differences(t0):
         step = 1e-6
         f2 = replace(fld, h=fld.h + step * v.reshape(fld.h.shape))
         f1 = replace(fld, h=fld.h - step * v.reshape(fld.h.shape))
-        fd = (hs.residual(t0, f2, 1.0) - hs.residual(t0, f1, 1.0)) \
+        fd = (hs.residual(t0, f2) - hs.residual(t0, f1)) \
             .reshape(-1) / (2 * step)
         jv = jac.matvec(v)
         worst = max(worst, np.max(np.abs(fd - jv)) / np.max(np.abs(jv)))
@@ -180,7 +180,7 @@ def _jacobian_cases(t0):
     # a germ at the simple point; the same germ with noise and Q shifted;
     # a stratified, beta != 0 field on a non-square grid
     grid = pr.PGrid(-1.0, 32)
-    lam_star = sp.find_lambda_star(t0, grid, 1.0)
+    lam_star = sp.find_lambda_star(t0, grid)
     flow = lm.solve_laminar(t0, lam_star, grid)
     mode = sp.shoot_mode(flow, t0, 1)
     germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-2, 16)
@@ -188,16 +188,16 @@ def _jacobian_cases(t0):
     noise[:, 0] = 0.0
     noisy = replace(germ, h=germ.h + noise, Q=germ.Q + 0.05)
     phys, strat = _stratified_field()
-    return [(t0, germ, 1.0), (t0, noisy, 1.0), (phys, strat, 10.0)]
+    return [(t0, germ), (t0, noisy), (phys, strat)]
 
 
 def test_jacobian_matches_loop_reference(t0):
     # the vectorized coefficients round like the loop's up to the last bit
     # of a power; every band entry sums the same terms in the same order
     eps = np.finfo(np.float64).eps
-    for physics, fld, sigma in _jacobian_cases(t0):
-        ref = _jacobian_loop(physics, fld, sigma)
-        jac = hs.jacobian(physics, fld, sigma)
+    for physics, fld in _jacobian_cases(t0):
+        ref = _jacobian_loop(physics, fld, physics.sigma)
+        jac = hs.jacobian(physics, fld)
         assert jac.bandwidth == ref.bandwidth and jac.shape == ref.shape
         for name in ("ab", "u", "q_col"):
             got, want = getattr(jac, name), getattr(ref, name)
@@ -209,7 +209,7 @@ def test_jacobian_matches_loop_reference(t0):
 
 def test_jacobian_matches_finite_differences_stratified():
     phys, fld = _stratified_field()
-    jac = hs.jacobian(phys, fld, 10.0)
+    jac = hs.jacobian(phys, fld)
     assert np.max(np.abs(jac.u)) > 0
     n = jac.shape[0]
     kl = ku = jac.bandwidth
@@ -222,8 +222,8 @@ def test_jacobian_matches_finite_differences_stratified():
     for j in range(n):
         e = np.zeros(fld.h.shape)
         e.flat[j] = step
-        fd = (hs.residual(phys, replace(fld, h=fld.h + e), 10.0)
-              - hs.residual(phys, replace(fld, h=fld.h - e), 10.0)) \
+        fd = (hs.residual(phys, replace(fld, h=fld.h + e))
+              - hs.residual(phys, replace(fld, h=fld.h - e))) \
             .reshape(-1) / (2 * step)
         worst = max(worst, np.max(np.abs(fd - dense[:, j])))
     assert worst < 1e-6 * np.max(np.abs(dense))
@@ -233,10 +233,10 @@ def test_jacobian_q_column(t0):
     grid = pr.PGrid(-1.0, 16)
     flow = lm.solve_laminar(t0, 2.0, grid)
     fld = hs.laminar_field(flow, 16)
-    jac = hs.jacobian(t0, fld, 1.0)
+    jac = hs.jacobian(t0, fld)
     step = 1e-7
     f2 = replace(fld, Q=fld.Q + step)
-    fd = (hs.residual(t0, f2, 1.0) - hs.residual(t0, fld, 1.0)) \
+    fd = (hs.residual(t0, f2) - hs.residual(t0, fld)) \
         .reshape(-1) / step
     assert np.max(np.abs(fd - jac.q_col)) < 1e-6
 
@@ -248,7 +248,7 @@ def test_rank_one_depth_coupling(t0):
     grid = pr.PGrid(-1.0, 16)
     flow = lm.solve_laminar(phys, 5.0, grid)
     fld = hs.laminar_field(flow, 16)
-    jac = hs.jacobian(phys, fld, 1.0)
+    jac = hs.jacobian(phys, fld)
     v = np.zeros(fld.h.size)
     npp = grid.N_p + 1
     for iq in range(17):
@@ -256,7 +256,7 @@ def test_rank_one_depth_coupling(t0):
     step = 1e-7
     f2 = replace(fld, h=fld.h + step * v.reshape(fld.h.shape))
     f1 = replace(fld, h=fld.h - step * v.reshape(fld.h.shape))
-    fd = (hs.residual(phys, f2, 1.0) - hs.residual(phys, f1, 1.0)) \
+    fd = (hs.residual(phys, f2) - hs.residual(phys, f1)) \
         .reshape(-1) / (2 * step)
     assert np.max(np.abs(fd - jac.matvec(v))) < 1e-6
     assert np.max(np.abs(jac.u)) > 0      # coupling present when rho_p != 0
@@ -267,14 +267,14 @@ def test_fourier_block_singular_at_lambda_star(t0, simple_point):
 
     def block_det_sign(lam):
         fl = lm.solve_laminar(t0, lam, grid)
-        return hs.fourier_block_dispersion(t0, fl, 1.0, 1, 64)
+        return hs.fourier_block_dispersion(t0, fl, 1, 64)
 
     assert block_det_sign(lam_star - 0.01) * block_det_sign(lam_star + 0.01) < 0
-    lam_disc = hs.discrete_lambda_star(t0, grid, 1.0, 64)
+    lam_disc = hs.discrete_lambda_star(t0, grid, 64)
     assert abs(lam_disc - lam_star) < 5e-4
     # the block matrix is singular exactly at the discrete root
     fl = lm.solve_laminar(t0, lam_disc, grid)
-    B = hs.fourier_block_matrix(t0, fl, 1.0, 1, 64)
+    B = hs.fourier_block_matrix(t0, fl, 1, 64)
     s = np.linalg.svd(B, compute_uv=False)
     assert s[-1] / s[0] < 1e-10
 
@@ -287,11 +287,11 @@ def test_discrete_lambda_star_flips_jacobian_determinant():
     phys = make_physics(sigma=10.0, rho_coeffs=(1.0, -0.1),
                         beta_coeffs=(0.0, 0.2))
     grid = pr.PGrid(-1.0, 16)
-    lam = hs.discrete_lambda_star(phys, grid, 10.0, 16)
+    lam = hs.discrete_lambda_star(phys, grid, 16)
     signs = []
     for factor in (1.0 - 1e-9, 1.0 + 1e-9):
         flow = lm.solve_laminar(phys, lam * factor, grid)
-        jac = hs.jacobian(phys, hs.laminar_field(flow, 16), 10.0)
+        jac = hs.jacobian(phys, hs.laminar_field(flow, 16))
         dense = np.column_stack([jac.matvec(e) for e in np.eye(jac.shape[0])])
         signs.append(np.linalg.slogdet(dense)[0])
     assert signs[0] * signs[1] < 0
@@ -300,7 +300,7 @@ def test_discrete_lambda_star_flips_jacobian_determinant():
 def test_newton_accepts_root_without_iterating(t0, simple_point):
     grid, lam_star, flow, mode = simple_point
     fld = hs.laminar_field(flow, 64)
-    out, hist = hs.newton(t0, fld, 1.0, frozen="Q", return_history=True)
+    out, hist = hs.newton(t0, fld, frozen="Q", return_history=True)
     assert len(hist) == 1                # zero iterations
     assert np.array_equal(out.h, fld.h)
 
@@ -308,7 +308,7 @@ def test_newton_accepts_root_without_iterating(t0, simple_point):
 def test_newton_converges_from_germ(t0, simple_point):
     grid, lam_star, flow, mode = simple_point
     germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, 64)
-    sol, hist = hs.newton(t0, germ, 1.0, frozen="amplitude",
+    sol, hist = hs.newton(t0, germ, frozen="amplitude",
                           return_history=True)
     assert len(hist) - 1 <= 6
     assert sol.residual_norm < 1e-10
@@ -323,15 +323,15 @@ def test_ellipticity_guard(t0, grid64):
     h = np.tile(-(grid64.nodes + 1.0), (17, 1))     # h_p < 0 everywhere
     fld = hs.HeightField(Q=1.0, N_q=16, pgrid=grid64, h=h)
     with pytest.raises(EllipticityLossError):
-        hs.residual(t0, fld, 1.0)
+        hs.residual(t0, fld)
     with pytest.raises(EllipticityLossError):
-        hs.newton(t0, fld, 1.0)
+        hs.newton(t0, fld)
 
 
 def test_continuation_simple_branch(t0, simple_point):
     grid, lam_star, flow, mode = simple_point
     germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, 64)
-    branch = hs.continue_branch(t0, germ, 1.0,
+    branch = hs.continue_branch(t0, germ,
                                 hs.ContinuationControls(max_steps=8))
     assert branch.termination == "MaxSteps"
     assert len(branch.points) == 8
@@ -350,9 +350,9 @@ def test_step_halving_reproduces_curve(t0, simple_point):
     grid, lam_star, flow, mode = simple_point
     germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, 64)
     coarse = hs.continue_branch(
-        t0, germ, 1.0, hs.ContinuationControls(max_steps=9, ds_max=0.02))
+        t0, germ, hs.ContinuationControls(max_steps=9, ds_max=0.02))
     fine = hs.continue_branch(
-        t0, germ, 1.0, hs.ContinuationControls(max_steps=17, ds_max=0.01))
+        t0, germ, hs.ContinuationControls(max_steps=17, ds_max=0.01))
     from scipy.interpolate import CubicSpline
 
     qc = np.array([p.Q for p in coarse.points])
@@ -369,10 +369,10 @@ def test_corrector_tests_its_last_step(t0, simple_point):
     # steps must reproduce the default run point for point
     grid, lam_star, flow, mode = simple_point
     germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, 64)
-    default = hs.continue_branch(t0, germ, 1.0,
+    default = hs.continue_branch(t0, germ,
                                  hs.ContinuationControls(max_steps=6))
     tight = hs.continue_branch(
-        t0, germ, 1.0, hs.ContinuationControls(max_steps=6, newton_max_iter=2))
+        t0, germ, hs.ContinuationControls(max_steps=6, newton_max_iter=2))
     assert tight.termination == default.termination == "MaxSteps"
     assert ([(p.Q, p.amplitude, p.step) for p in tight.points]
             == [(p.Q, p.amplitude, p.step) for p in default.points])
@@ -382,14 +382,13 @@ def test_termination_thresholds(t0, simple_point):
     grid, lam_star, flow, mode = simple_point
     germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, 64)
     branch = hs.continue_branch(
-        t0, germ, 1.0,
-        hs.ContinuationControls(max_steps=6, delta_stop=1e3))
+        t0, germ, hs.ContinuationControls(max_steps=6, delta_stop=1e3))
     # max h_p ~ 1/sqrt(lam) already exceeds 1/delta_stop = 1e-3: the
     # stagnation monitor fires at the first recorded point
     assert branch.termination == "StagnationApproach"
     assert len(branch.points) == 1
     # with sane thresholds the same run just exhausts its budget
-    ok = hs.continue_branch(t0, germ, 1.0,
+    ok = hs.continue_branch(t0, germ,
                             hs.ContinuationControls(max_steps=3))
     assert ok.termination == "MaxSteps"
 
@@ -397,14 +396,14 @@ def test_termination_thresholds(t0, simple_point):
 def test_nodal_check(t0, simple_point):
     grid, lam_star, flow, mode = simple_point
     fld = hs.laminar_field(flow, 64)
-    assert hs.nodal_check(fld, 1)        # flat profile: degenerate-true
+    assert hs.nodal_check(fld)        # flat profile: degenerate-true
     q = np.linspace(0.0, np.pi, 65)
     bad = fld.h.copy()
     bad[:, -1] += 0.01 * (np.cos(q) + 0.5 * np.cos(2 * q))
-    assert not hs.nodal_check(replace(fld, h=bad), 1)
+    assert not hs.nodal_check(replace(fld, h=bad))
     germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, 64)
-    sol = hs.newton(t0, germ, 1.0, frozen="amplitude")
-    assert hs.nodal_check(sol, 1)
+    sol = hs.newton(t0, germ, frozen="amplitude")
+    assert hs.nodal_check(sol)
 
 
 def test_depth_is_period_mean(t0, simple_point):
@@ -421,12 +420,12 @@ def test_solution_refinement_order(t0):
     tops = {}
     for N in (32, 64, 128):
         grid = pr.PGrid(-1.0, N)
-        lam_star = sp.find_lambda_star(t0, grid, 1.0)
+        lam_star = sp.find_lambda_star(t0, grid)
         flow = lm.solve_laminar(t0, lam_star, grid)
         mode = sp.shoot_mode(flow, t0, 1)
         eps = 0.05 / mode.M[-1]
         germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), eps, N)
-        sol = hs.newton(t0, germ, 1.0, frozen="amplitude",
+        sol = hs.newton(t0, germ, frozen="amplitude",
                         amplitude_target=0.05)
         tops[N] = sol.top[:: N // 32]
     e1 = np.max(np.abs(tops[64] - tops[32]))
@@ -437,13 +436,13 @@ def test_solution_refinement_order(t0):
 def test_dump_load_roundtrip(t0, simple_point):
     grid, lam_star, flow, mode = simple_point
     germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, 64)
-    sol = hs.newton(t0, germ, 1.0, frozen="amplitude")
+    sol = hs.newton(t0, germ, frozen="amplitude")
     text = hs.dump_field(sol)
     back = hs.load_field(text)
     assert back.Q == sol.Q
     assert np.array_equal(back.h, sol.h)
-    r0 = np.max(np.abs(hs.residual(t0, sol, 1.0)))
-    r1 = np.max(np.abs(hs.residual(t0, back, 1.0)))
+    r0 = np.max(np.abs(hs.residual(t0, sol)))
+    r1 = np.max(np.abs(hs.residual(t0, back)))
     assert abs(r0 - r1) < 1e-14
 
 
@@ -471,7 +470,7 @@ def test_field_shape_validation(grid64):
 def test_branch_csv_and_svg(t0, simple_point):
     grid, lam_star, flow, mode = simple_point
     germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, 64)
-    branch = hs.continue_branch(t0, germ, 1.0,
+    branch = hs.continue_branch(t0, germ,
                                 hs.ContinuationControls(max_steps=4))
     csv = hs.branch_csv(branch)
     assert csv.splitlines()[0] == "s,Q,amplitude,M1,M2,M3,M4,M5,M6,residual,step"
@@ -483,7 +482,7 @@ def test_branch_csv_and_svg(t0, simple_point):
 def test_simple_branch_mode1_dominates_near_onset(t0, simple_point):
     grid, lam_star, flow, mode = simple_point
     germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, 64)
-    branch = hs.continue_branch(t0, germ, 1.0,
+    branch = hs.continue_branch(t0, germ,
                                 hs.ContinuationControls(max_steps=5))
     q = np.linspace(0.0, np.pi, 65)
     w = np.full(65, np.pi / 64)

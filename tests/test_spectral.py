@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,7 @@ def test_dispersion_sign_convention(t0, grid128):
     for lam, positive in ((3.0, True), (0.1, False)):
         flow = lm.solve_laminar(t0, lam, grid128)
         mode = sp.shoot_mode(flow, t0, 1)
-        D, _ = sp.dispersion(flow, t0, 2.0, mode)
+        D, _ = sp.dispersion(flow, replace(t0, sigma=2.0), mode)
         assert (D > 0) == positive
 
 
@@ -143,21 +145,21 @@ def test_shoot_matches_loop_reference(rho, beta):
 
 @pytest.mark.parametrize("sigma", [0.05, 0.5, 2.0])
 def test_find_lambda_star_vs_oracle(t0, grid128, sigma):
-    lam = sp.find_lambda_star(t0, grid128, sigma)
+    lam = sp.find_lambda_star(replace(t0, sigma=sigma), grid128)
     oracle = irrotational_lambda_star(1, sigma)
     assert abs(lam / oracle - 1.0) < 1e-8
 
 
 def test_find_lambda_star_pure_capillary(grid128):
     phys = make_physics(g=0.0, sigma=1.0)
-    lam = sp.find_lambda_star(phys, grid128, 1.0)
+    lam = sp.find_lambda_star(phys, grid128)
     oracle = irrotational_lambda_star(1, 1.0, g=0.0)
     assert abs(lam / oracle - 1.0) < 1e-8
 
 
 def test_rayleigh_mu_at_lambda_star(t0, grid128):
     for sigma in (0.5, 2.0):
-        lam = sp.find_lambda_star(t0, grid128, sigma)
+        lam = sp.find_lambda_star(replace(t0, sigma=sigma), grid128)
         flow = lm.solve_laminar(t0, lam, grid128)
         mu = sp.rayleigh_mu(flow, t0, sigma, N=512)
         assert abs(mu + 1.0) < 1e-6
@@ -179,20 +181,20 @@ def test_rayleigh_mu_monotone_and_bounded(t0, grid128):
 
 
 def test_classify_simple(t0, grid128):
-    bp = sp.classify(t0, grid128, 1.0)     # sigma = 1 > sigma_c = 1/3
+    bp = sp.classify(t0, grid128)     # sigma = 1 > sigma_c = 1/3
     assert bp.classification == "Simple"
     assert len(bp.modes) == 1
 
 
 def test_classify_zero_mode(t0, grid128):
     sigma = 1.0 / np.tanh(1.0) - 1.0
-    bp = sp.classify(t0, grid128, sigma)
+    bp = sp.classify(replace(t0, sigma=sigma), grid128)
     assert bp.classification == "ZeroMode"
     assert bp.lambda_star == pytest.approx(1.0, abs=1e-6)
 
 
 def test_classify_double3(double3):
-    t0, grid, sigma_d, bp, flow = double3
+    t0, grid, bp, flow = double3
     assert bp.classification == "Double"
     assert bp.n2 == 3
     assert len(bp.modes) == 2
@@ -232,14 +234,14 @@ def test_lambda_star_increasing_in_sigma(t0, grid64):
 def test_irrotational_dispersion_residual_all_roots(t0, grid128):
     for sigma in (0.05, 0.5):
         for n in (1, 2, 3):
-            lam = sp.find_lambda_star(t0, grid128, sigma, n=n)
+            lam = sp.find_lambda_star(replace(t0, sigma=sigma), grid128, n=n)
             oracle = irrotational_lambda_star(n, sigma)
             assert abs(lam / oracle - 1.0) < 1e-8
 
 
 def test_stratified_lambda_star_and_mu(stratified):
     grid = pr.PGrid(-1.0, 128)
-    lam = sp.find_lambda_star(stratified, grid, stratified.sigma)
+    lam = sp.find_lambda_star(stratified, grid)
     assert lam > lm.lambda_floor(stratified, grid)
     flow = lm.solve_laminar(stratified, lam, grid)
     mu = sp.rayleigh_mu(flow, stratified, stratified.sigma, N=512)
