@@ -328,15 +328,10 @@ def cmd_branch(cfg: RunConfig, args):
     paths = []
     branches = []
     for k, germ in enumerate(canonical_germs(germs)):
-        if bp.classification == "Double":
-            modes = bp.modes
-        else:
-            modes = (bp.modes[0], bp.modes[0])
-        theta = germ.theta
         # mixed branches detach from the trivial family at the resonance
         # splitting scale of the discretization; seed them above it
         eps = 1e-3 if germ.kind == "pure" else 4e-3
-        fld = heightsolver.germ_field(bp.flow, modes, theta, eps, N_q)
+        fld = heightsolver.germ_field(bp.flow, bp.modes, germ.theta, eps, N_q)
         if abs(fld.amplitude()) < 1e-14:
             continue
         if verbose:

@@ -11,8 +11,9 @@ h_p stencil on the free-surface row, and the nonlocal mean depth
 
 The Jacobian splits into a banded stencil part, a rank-one correction from
 the d(h) coupling (resolved by Sherman-Morrison around the banded solve),
-and one extra column for dG/dQ; frozen-amplitude and pseudo-arclength
-corrections append a single border row handled by block elimination.
+and one extra column for dG/dQ; frozen-amplitude, frozen-direction and
+pseudo-arclength corrections append a single border row, eliminated
+through its scalar Schur complement (``JacobianRecord.solve``).
 """
 
 from __future__ import annotations
@@ -175,6 +176,35 @@ class JacobianRecord:
         out += self.u * float(self.v @ vec)
         return out
 
+    def solve(self, rhs, border, c):
+        """Solve J dh = rhs with Q frozen (``border`` None), or the
+        bordered system
+
+            [ J    q_col  ] [dh]   [rhs]
+            [ row  q_coef ] [dQ] = [-c ]
+
+        of one ``_Border``; returns (dh, dQ), dQ = 0 with Q frozen.  One
+        banded solve takes rhs, q_col (bordered only) and u; the rank-one
+        term is removed by Sherman-Morrison and the border by its scalar
+        Schur complement q_coef - row . J^{-1} q_col.
+        """
+        kl = ku = self.bandwidth
+        cols = [rhs] if border is None else [rhs, self.q_col]
+        X = solve_banded((kl, ku), self.ab, np.column_stack(cols + [self.u]))
+        xu = X[:, -1]
+        denom = 1.0 + float(self.v @ xu)
+        if abs(denom) < 1e-300:
+            raise NewtonFailureError("Sherman-Morrison denominator vanished")
+        y = [X[:, k] - xu * (float(self.v @ X[:, k]) / denom)
+             for k in range(len(cols))]
+        if border is None:
+            return y[0], 0.0
+        schur = border.q_coef - float(border.row @ y[1])
+        if schur == 0.0:
+            raise NewtonFailureError("bordered system singular")
+        dQ = (-c - float(border.row @ y[0])) / schur
+        return y[0] - dQ * y[1], dQ
+
 
 def jacobian(physics: Physics, hf: HeightField) -> JacobianRecord:
     """Analytic Jacobian of the residual in band storage.
@@ -282,50 +312,6 @@ def jacobian(physics: Physics, hf: HeightField) -> JacobianRecord:
                           shape=(n, n))
 
 
-def _solve_with_rank_one(jac: JacobianRecord, rhs_list):
-    """Solve (Band + u v^T) x = b for each b by Sherman-Morrison."""
-    kl = ku = jac.bandwidth
-    B = np.column_stack(rhs_list + [jac.u])
-    X = solve_banded((kl, ku), jac.ab, B)
-    xu = X[:, -1]
-    denom = 1.0 + float(jac.v @ xu)
-    if abs(denom) < 1e-300:
-        raise NewtonFailureError("Sherman-Morrison denominator vanished")
-    out = []
-    for k in range(len(rhs_list)):
-        xb = X[:, k]
-        out.append(xb - xu * (float(jac.v @ xb) / denom))
-    return out
-
-
-def _bordered_solve(jac: JacobianRecord, rhs, cols, rows, smat, cons):
-    """Block elimination for the bordered system
-
-        [ J    C ] [dh]   [rhs ]
-        [ R    S ] [dz] = [-cons],
-
-    J applied through the banded/rank-one record, C the extra columns,
-    R the border rows, S their couplings to the extra unknowns.
-    """
-    sols = _solve_with_rank_one(jac, [rhs] + list(cols))
-    y0, csols = sols[0], sols[1:]
-    k = len(rows)
-    M = np.empty((k, k))
-    b = np.empty(k)
-    for i, row in enumerate(rows):
-        for j in range(k):
-            M[i, j] = smat[i][j] - float(row @ csols[j])
-        b[i] = -cons[i] - float(row @ y0)
-    try:
-        dz = np.linalg.solve(M, b)
-    except np.linalg.LinAlgError as exc:
-        raise NewtonFailureError(f"bordered system singular: {exc}")
-    dh = y0.copy()
-    for j in range(k):
-        dh -= dz[j] * csols[j]
-    return dh, dz
-
-
 def _amplitude_row(hf: HeightField):
     N_p = hf.pgrid.N_p
     npp = N_p + 1
@@ -340,17 +326,22 @@ class _Border:
     """One scalar constraint c(field) = 0 that frees Q.
 
     Its linearization is ``row . dh + q_coef dQ = -c``; Newton has
-    converged only once ``|c| < tol`` as well.
+    converged only once ``|c| < tol`` as well, a tolerance relative to
+    ``size``, the scale of the constraint (its target or arclength step).
     """
 
     row: np.ndarray
     q_coef: float
     constraint: Callable[[HeightField], float]
-    tol: float
+    size: float
+
+    @property
+    def tol(self):
+        return CONSTRAINT_TOL * max(1.0, abs(self.size))
 
 
 def _bordered_newton(physics, fld: HeightField, tol, max_iter,
-                     border: _Border | None = None):
+                     border: _Border | None):
     """Damped Newton on G(h, Q) = 0 with Q fixed, or with Q free under
     one border constraint.
 
@@ -359,26 +350,19 @@ def _bordered_newton(physics, fld: HeightField, tol, max_iter,
     constraint is within its tolerance, testing after every step; returns
     the field and the max|r| history (initial residual first).
     """
-    def constraints(f):
-        return [] if border is None else [border.constraint(f)]
+    def constraint(f):
+        return 0.0 if border is None else border.constraint(f)
 
     r = residual(physics, fld)
     rnorm = float(np.max(np.abs(r)))
-    cons = constraints(fld)
+    c = constraint(fld)
     history = [rnorm]
-    while not (rnorm < tol and all(abs(c) < border.tol for c in cons)):
+    while not (rnorm < tol and (border is None or abs(c) < border.tol)):
         if len(history) > max_iter:
             raise NewtonFailureError(
                 f"no convergence in {max_iter} Newton iterations",
                 residual=rnorm, iterations=max_iter)
-        jac = jacobian(physics, fld)
-        if border is None:
-            cols, rows, smat = [], [], []
-        else:
-            cols, rows, smat = [jac.q_col], [border.row], [[border.q_coef]]
-        delta, dz = _bordered_solve(jac, -r.reshape(-1), cols, rows, smat,
-                                    cons)
-        dQ = dz[0] if border is not None else 0.0
+        delta, dQ = jacobian(physics, fld).solve(-r.reshape(-1), border, c)
         scale = 1.0
         for _halving in range(MAX_HALVINGS + 1):
             trial = replace(fld, h=fld.h + scale * delta.reshape(fld.h.shape),
@@ -397,14 +381,13 @@ def _bordered_newton(physics, fld: HeightField, tol, max_iter,
                 "Newton damping exhausted", residual=rnorm,
                 iterations=len(history))
         fld, r, rnorm = trial, r_trial, r_trial_norm
-        cons = constraints(fld)
+        c = constraint(fld)
         history.append(rnorm)
     return replace(fld, residual_norm=rnorm), history
 
 
 def newton(physics: Physics, hf: HeightField, frozen: str = "Q",
            tol: float = NEWTON_TOL,
-           max_iter: int = NEWTON_MAX_ITER,
            amplitude_target: float | None = None,
            direction: np.ndarray | None = None,
            direction_target: float | None = None,
@@ -415,10 +398,10 @@ def newton(physics: Physics, hf: HeightField, frozen: str = "Q",
     crest-trough amplitude is constrained (to its initial value unless
     ``amplitude_target`` is given) and Q joins the unknowns through a
     border row/column.  frozen = "direction": the weighted projection of h
-    onto ``direction`` is constrained instead, which pins the mode mixture
-    when several branches cross (near a double point a single scalar
-    amplitude cannot tell them apart).  Damping by step halving, at most
-    8 halvings.
+    onto ``direction`` is constrained to ``direction_target`` instead,
+    which pins the mode mixture when several branches cross (near a double
+    point a single scalar amplitude cannot tell them apart).  Damping by
+    step halving, at most 8 halvings; at most NEWTON_MAX_ITER steps.
     """
     if frozen == "Q":
         border = None
@@ -426,20 +409,20 @@ def newton(physics: Physics, hf: HeightField, frozen: str = "Q",
         target = (amplitude_target if amplitude_target is not None
                   else hf.amplitude())
         border = _Border(_amplitude_row(hf), 0.0,
-                         lambda f: f.amplitude() - target,
-                         CONSTRAINT_TOL * max(1.0, abs(target)))
+                         lambda f: f.amplitude() - target, target)
     elif frozen == "direction":
-        if direction is None:
-            raise ValueError("frozen='direction' needs a direction array")
+        if direction is None or direction_target is None:
+            raise ValueError("frozen='direction' needs a direction array "
+                             "and a direction_target")
         dir_flat = direction.reshape(-1) / direction.size
-        target = (direction_target if direction_target is not None
-                  else float(dir_flat @ hf.h.reshape(-1)))
         border = _Border(dir_flat, 0.0,
-                         lambda f: float(dir_flat @ f.h.reshape(-1)) - target,
-                         CONSTRAINT_TOL * max(1.0, abs(target)))
+                         lambda f: (float(dir_flat @ f.h.reshape(-1))
+                                    - direction_target),
+                         direction_target)
     else:
         raise ValueError(f"unknown frozen mode {frozen!r}")
-    accepted, history = _bordered_newton(physics, hf, tol, max_iter, border)
+    accepted, history = _bordered_newton(physics, hf, tol, NEWTON_MAX_ITER,
+                                         border)
     return (accepted, history) if return_history else accepted
 
 
@@ -589,7 +572,7 @@ def _corrector(physics, pred: HeightField, t_h, t_Q, x_prev, ds, controls):
     border = _Border(
         t_h.reshape(-1) / t_h.size, t_Q,
         lambda f: _weighted_dot(f.h - x_prev.h, f.Q - x_prev.Q, t_h, t_Q) - ds,
-        CONSTRAINT_TOL * max(1.0, ds))
+        ds)
     fld, history = _bordered_newton(physics, pred, controls.newton_tol,
                                     controls.newton_max_iter, border)
     return fld, len(history)

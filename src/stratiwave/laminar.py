@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (DomainError, IterationFailureError, NoMinimumError,
                      UndefinedQuantityError)
-from .profiles import (PGrid, Physics, b_min, build_B,
+from .profiles import (PGrid, Physics, ProfileFn, b_min, build_B,
                        cumquad_from_left, cumquad_to_zero, quad)
 
 DEFAULT_TOL = 1e-12
@@ -85,20 +85,24 @@ def epsilon0(physics: Physics, grid: PGrid) -> float:
 
 
 @lru_cache(maxsize=256)
-def _given_data(physics: Physics, grid: PGrid):
-    """Per-(physics, grid) immutable precomputation shared by every solve:
-    2B on the nodes, B_min, rho_p and beta(-p) samples, homogeneity."""
-    B = build_B(physics.beta, grid)
+def _given_data(rho: ProfileFn, beta: ProfileFn, grid: PGrid):
+    """Per-(rho, beta, grid) immutable precomputation shared by every
+    solve: 2B on the nodes, B_min, rho_p and beta(-p) samples, and
+    homogeneity (rho_p vanishes on the grid to 1e-13 relative to
+    max |rho|).  Keyed on the profiles only, so any sigma, g or c hits."""
+    B = build_B(beta, grid)
     p = grid.nodes
-    return (2.0 * B.eval(p), b_min(B), physics.rho_p(p),
-            physics.beta_at(p), physics.is_homogeneous(grid))
+    rho_p = rho.deriv(p)
+    scale = max(1.0, float(np.max(np.abs(rho.eval(p)))))
+    homogeneous = float(np.max(np.abs(rho_p))) <= 1e-13 * scale
+    return (2.0 * B.eval(p), b_min(B), rho_p, beta.eval(-p), homogeneous)
 
 
 def _floor_margin(physics: Physics, grid: PGrid) -> float:
     """epsilon_0 for genuinely stratified rho; for rho_p == 0 the full
     epsilon_0 is not needed and a small positive margin is used instead,
     matching the homogeneous search domain lambda > -2 B_min."""
-    if _given_data(physics, grid)[4]:
+    if _given_data(physics.rho, physics.beta, grid)[4]:
         return HOMOGENEOUS_FLOOR
     return epsilon0(physics, grid)
 
@@ -106,12 +110,12 @@ def _floor_margin(physics: Physics, grid: PGrid) -> float:
 def lambda_floor(physics: Physics, grid: PGrid) -> float:
     """Lower end of the admissible lambda range: -2 B_min plus the
     ``_floor_margin``."""
-    return -2.0 * _given_data(physics, grid)[1] + _floor_margin(physics, grid)
+    return existence_floor(physics, grid) + _floor_margin(physics, grid)
 
 
 def existence_floor(physics: Physics, grid: PGrid) -> float:
     """-2 B_min: the laminar family exists for every lambda above this."""
-    return -2.0 * _given_data(physics, grid)[1]
+    return -2.0 * _given_data(physics.rho, physics.beta, grid)[1]
 
 
 def solve_laminar(physics: Physics, lam: float, grid: PGrid,
@@ -131,7 +135,8 @@ def solve_laminar(physics: Physics, lam: float, grid: PGrid,
     if lam <= floor:
         raise DomainError(
             f"lambda={lam} not above the admissible floor {floor}")
-    twoB, _, rho_p, _, homogeneous = _given_data(physics, grid)
+    twoB, _, rho_p, _, homogeneous = _given_data(physics.rho, physics.beta,
+                                                 grid)
     g = physics.g
 
     G = twoB.copy()
@@ -171,7 +176,7 @@ def solve_laminar(physics: Physics, lam: float, grid: PGrid,
 
 
 def _lambda_derivatives(physics, lam, grid, G, homogeneous):
-    _, _, rho_p, _, _ = _given_data(physics, grid)
+    _, _, rho_p, _, _ = _given_data(physics.rho, physics.beta, grid)
     g = physics.g
     base = (lam + G) ** -1.5
     Gdot = np.zeros_like(G)
@@ -258,7 +263,7 @@ def find_lambda_c(physics: Physics, grid: PGrid) -> float:
     if physics.g == 0:
         raise UndefinedQuantityError("lambda_c undefined for g = 0")
     lam0 = find_lambda0(physics, grid)
-    if physics.is_homogeneous(grid):
+    if _given_data(physics.rho, physics.beta, grid)[4]:
         def fvalue(lam):
             flow = solve_laminar(physics, lam, grid, enforce_floor=False)
             return 1.0 / (physics.g * physics.rho0()) - quad(grid, flow.Hp ** 3)
@@ -307,7 +312,7 @@ def check_size_condition(physics: Physics, grid: PGrid):
     (satisfied, margin).  eps0 is the ``_floor_margin`` of the
     admissibility floor.
     """
-    twoB, bmin, rho_p, _, _ = _given_data(physics, grid)
+    twoB, bmin, rho_p, _, _ = _given_data(physics.rho, physics.beta, grid)
     p = grid.nodes
     shifted = twoB - 2.0 * bmin + 2.0 * _floor_margin(physics, grid)
     integrand = (shifted ** 1.5

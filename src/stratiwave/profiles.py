@@ -166,11 +166,6 @@ class Physics:
         """max |rho_p| over the grid nodes (the L^inf norm used in thresholds)."""
         return float(np.max(np.abs(self.rho.deriv(grid.nodes))))
 
-    def is_homogeneous(self, grid: PGrid) -> bool:
-        """rho_p vanishes on the grid to 1e-13 relative to max |rho|."""
-        scale = max(1.0, float(np.max(np.abs(self.rho.eval(grid.nodes)))))
-        return self.rho_p_sup(grid) <= 1e-13 * scale
-
 
 def _shape_error(grid, samples):
     from .errors import ShapeError
@@ -210,14 +205,12 @@ def cumquad_from_left(grid: PGrid, samples):
     #   h/24 * (-f_{i-1} + 13 f_i + 13 f_{i+1} - f_{i+2})
     # End cells use the one-sided cubic:
     #   h/24 * (9 f_0 + 19 f_1 - 5 f_2 + f_3)
+    # (PGrid guarantees N_p >= 8, so every cell has its four nodes)
     inc = np.empty(n)
-    if n >= 3:
-        inc[0] = h / 24.0 * (9*f[0] + 19*f[1] - 5*f[2] + f[3])
-        inc[-1] = h / 24.0 * (f[-4] - 5*f[-3] + 19*f[-2] + 9*f[-1])
-        i = np.arange(1, n - 1)
-        inc[i] = h / 24.0 * (-f[i-1] + 13*f[i] + 13*f[i+1] - f[i+2])
-    else:
-        inc[:] = h * 0.5 * (f[:-1] + f[1:])
+    inc[0] = h / 24.0 * (9*f[0] + 19*f[1] - 5*f[2] + f[3])
+    inc[-1] = h / 24.0 * (f[-4] - 5*f[-3] + 19*f[-2] + 9*f[-1])
+    i = np.arange(1, n - 1)
+    inc[i] = h / 24.0 * (-f[i-1] + 13*f[i] + 13*f[i+1] - f[i+2])
     out = np.zeros(n + 1)
     np.cumsum(inc, out=out[1:])
     return out

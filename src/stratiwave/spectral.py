@@ -468,12 +468,10 @@ def find_double_sigma(physics: Physics, grid: PGrid, n2: int):
     sigma, lam = _irrotational_double_seed(physics, n2)
 
     def F(sigma_, lam_):
-        # the laminar flow and the modes do not depend on sigma: solving
-        # them on the incoming physics keeps the laminar cache warm
-        flow = solve_laminar(physics, lam_, grid)
         at_sigma = replace(physics, sigma=sigma_)
+        flow = solve_laminar(at_sigma, lam_, grid)
         return np.array([_relative(flow, at_sigma,
-                                   shoot_mode(flow, physics, n))
+                                   shoot_mode(flow, at_sigma, n))
                          for n in (1, n2)])
 
     x = np.array([sigma, lam])

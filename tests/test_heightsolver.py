@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_physics
 from stratiwave import heightsolver as hs
 from stratiwave import laminar as lm
 from stratiwave import profiles as pr
 from stratiwave import spectral as sp
-from stratiwave.errors import EllipticityLossError, ShapeError
+from stratiwave.errors import (EllipticityLossError, NewtonFailureError,
+                               ShapeError)
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +265,33 @@ def test_rank_one_depth_coupling(t0):
     assert np.max(np.abs(jac.u)) > 0      # coupling present when rho_p != 0
 
 
+def test_bordered_solve_satisfies_both_equations(stratified):
+    # J dh + dQ q_col = rhs and row . dh + q_coef dQ = -c, with and
+    # without a border, on a stratified field where u, q_col and the
+    # border all act
+    grid = pr.PGrid(-1.0, 16)
+    base = hs.laminar_field(lm.solve_laminar(stratified, 5.0, grid), 16)
+    fld = replace(base, h=base.h + _three_mode_perturbation(grid, 16))
+    jac = hs.jacobian(stratified, fld)
+    rng = np.random.default_rng(5)
+    rhs = rng.standard_normal(fld.h.size)
+    scale = np.max(np.abs(rhs))
+    c = 0.7
+    border = hs._Border(rng.standard_normal(fld.h.size), 0.3,
+                        lambda f: 0.0, 1.0)
+    for bd in (None, border):
+        dh, dQ = jac.solve(rhs, bd, c)
+        assert np.max(np.abs(jac.matvec(dh) + dQ * jac.q_col - rhs)) \
+            < 1e-10 * scale
+        if bd is None:
+            assert dQ == 0.0
+        else:
+            assert abs(bd.row @ dh + bd.q_coef * dQ + c) < 1e-10 * scale
+    with pytest.raises(NewtonFailureError):
+        jac.solve(rhs, replace(border, row=np.zeros(fld.h.size), q_coef=0.0),
+                  c)
+
+
 def test_fourier_block_singular_at_lambda_star(t0, simple_point):
     grid, lam_star, flow, mode = simple_point
 
@@ -444,6 +474,33 @@ def test_dump_load_roundtrip(t0, simple_point):
     r0 = np.max(np.abs(hs.residual(t0, sol)))
     r1 = np.max(np.abs(hs.residual(t0, back)))
     assert abs(r0 - r1) < 1e-14
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def _fields(draw):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    N_q = draw(st.integers(1, 8))
+    N_p = 2 * draw(st.integers(4, 8))
+    p0 = draw(st.floats(max_value=0.0, exclude_max=True,
+                        allow_infinity=False))
+    h = draw(st.lists(finite, min_size=(N_q + 1) * (N_p + 1),
+                      max_size=(N_q + 1) * (N_p + 1)))
+    return hs.HeightField(Q=draw(finite), N_q=N_q, pgrid=pr.PGrid(p0, N_p),
+                          h=np.array(h).reshape(N_q + 1, N_p + 1))
+
+
+@settings(database=None, derandomize=True)
+@given(_fields())
+def test_dump_load_roundtrip_bitwise(hf):
+    back = hs.load_field(hs.dump_field(hf))
+    assert (back.N_q, back.pgrid.N_p) == (hf.N_q, hf.pgrid.N_p)
+    assert _bits(back.pgrid.p0) == _bits(hf.pgrid.p0)
+    assert _bits(back.Q) == _bits(hf.Q)
+    assert np.array_equal(_bits(back.h), _bits(hf.h))
 
 
 # a header without p0 and Q; a body token that is no number; a nan entry

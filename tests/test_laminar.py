@@ -4,6 +4,7 @@ import pytest
 from conftest import make_physics
 from stratiwave import laminar as lm
 from stratiwave import profiles as pr
+from stratiwave import spectral as sp
 from stratiwave.errors import (DomainError, NoMinimumError,
                                UndefinedQuantityError)
 
@@ -181,3 +182,11 @@ def test_flow_csv_shape(t0, grid64):
     assert lines[0] == "p,H,Hp,G,Ydot,Gdot"
     assert len(lines) == grid64.N_p + 2
     assert len(lines[1].split(",")) == 6
+
+
+def test_given_data_cache_ignores_sigma(t0, grid64):
+    # nothing the per-grid data holds reads sigma: a sigma sweep builds
+    # B, B_min and the profile samples once
+    lm._given_data.cache_clear()
+    sp.lambda_star_of_sigma(t0, grid64, (0.5, 1.0, 2.0))
+    assert lm._given_data.cache_info().misses == 1
