@@ -11,9 +11,9 @@ h_p stencil on the free-surface row, and the nonlocal mean depth
 
 The Jacobian splits into a banded stencil part, a rank-one correction from
 the d(h) coupling (resolved by Sherman-Morrison around the banded solve),
-and one extra column for dG/dQ; frozen-amplitude, frozen-direction and
-pseudo-arclength corrections append a single border row, eliminated
-through its scalar Schur complement (``JacobianRecord.solve``).
+and one extra column for dG/dQ; frozen-amplitude, frozen-mixture and
+pseudo-arclength corrections append a single border row (a ``_Border``),
+eliminated through its scalar Schur complement (``JacobianRecord.solve``).
 """
 
 from __future__ import annotations
@@ -312,15 +312,6 @@ def jacobian(physics: Physics, hf: HeightField) -> JacobianRecord:
                           shape=(n, n))
 
 
-def _amplitude_row(hf: HeightField):
-    N_p = hf.pgrid.N_p
-    npp = N_p + 1
-    row = np.zeros((hf.N_q + 1) * npp)
-    row[N_p] = 0.5                      # node (0, N_p)
-    row[hf.N_q * npp + N_p] = -0.5      # node (N_q, N_p)
-    return row
-
-
 @dataclass(frozen=True)
 class _Border:
     """One scalar constraint c(field) = 0 that frees Q.
@@ -338,6 +329,27 @@ class _Border:
     @property
     def tol(self):
         return CONSTRAINT_TOL * max(1.0, abs(self.size))
+
+
+def _amplitude_border(hf: HeightField, target: float) -> _Border:
+    """The crest-trough amplitude held at ``target``."""
+    N_p = hf.pgrid.N_p
+    npp = N_p + 1
+    row = np.zeros((hf.N_q + 1) * npp)
+    row[N_p] = 0.5                      # node (0, N_p)
+    row[hf.N_q * npp + N_p] = -0.5      # node (N_q, N_p)
+    return _Border(row, 0.0, lambda f: f.amplitude() - target, target)
+
+
+def _mixture_border(direction: np.ndarray, target: float) -> _Border:
+    """The weighted projection of h onto ``direction`` held at ``target``.
+
+    It pins the mode mixture where several branches cross: near a double
+    point a single scalar amplitude cannot tell them apart.
+    """
+    row = direction.reshape(-1) / direction.size
+    return _Border(row, 0.0, lambda f: float(row @ f.h.reshape(-1)) - target,
+                   target)
 
 
 def _bordered_newton(physics, fld: HeightField, tol, max_iter,
@@ -387,20 +399,14 @@ def _bordered_newton(physics, fld: HeightField, tol, max_iter,
 
 
 def newton(physics: Physics, hf: HeightField, frozen: str = "Q",
-           tol: float = NEWTON_TOL,
            amplitude_target: float | None = None,
-           direction: np.ndarray | None = None,
-           direction_target: float | None = None,
            return_history: bool = False):
     """Newton's method on the discrete height equation.
 
     frozen = "Q": Q held fixed, h updated.  frozen = "amplitude": the
     crest-trough amplitude is constrained (to its initial value unless
     ``amplitude_target`` is given) and Q joins the unknowns through a
-    border row/column.  frozen = "direction": the weighted projection of h
-    onto ``direction`` is constrained to ``direction_target`` instead,
-    which pins the mode mixture when several branches cross (near a double
-    point a single scalar amplitude cannot tell them apart).  Damping by
+    border row/column.  Converges at max|r| < NEWTON_TOL.  Damping by
     step halving, at most 8 halvings; at most NEWTON_MAX_ITER steps.
     """
     if frozen == "Q":
@@ -408,21 +414,11 @@ def newton(physics: Physics, hf: HeightField, frozen: str = "Q",
     elif frozen == "amplitude":
         target = (amplitude_target if amplitude_target is not None
                   else hf.amplitude())
-        border = _Border(_amplitude_row(hf), 0.0,
-                         lambda f: f.amplitude() - target, target)
-    elif frozen == "direction":
-        if direction is None or direction_target is None:
-            raise ValueError("frozen='direction' needs a direction array "
-                             "and a direction_target")
-        dir_flat = direction.reshape(-1) / direction.size
-        border = _Border(dir_flat, 0.0,
-                         lambda f: (float(dir_flat @ f.h.reshape(-1))
-                                    - direction_target),
-                         direction_target)
+        border = _amplitude_border(hf, target)
     else:
         raise ValueError(f"unknown frozen mode {frozen!r}")
-    accepted, history = _bordered_newton(physics, hf, tol, NEWTON_MAX_ITER,
-                                         border)
+    accepted, history = _bordered_newton(physics, hf, NEWTON_TOL,
+                                         NEWTON_MAX_ITER, border)
     return (accepted, history) if return_history else accepted
 
 
@@ -467,32 +463,26 @@ def fourier_block_matrix(physics: Physics, flow: LaminarFlow, n: int,
 
 def fourier_block_dispersion(physics: Physics, flow: LaminarFlow, n: int,
                              N_q: int) -> float:
-    """Boundary mismatch of the n-th q-Fourier block of the discrete
-    Jacobian at the laminar field.
+    """Determinant of the n-th q-Fourier block of the discrete Jacobian at
+    the laminar field, scaled by max|B|^-(N_p+1).
 
-    At a laminar state the Jacobian decouples over discrete cosine modes;
-    marching the interior rows of the block that ``fourier_block_matrix``
-    reads from the assembled ``jacobian`` up from the bed (discrete
-    shooting with v_0 = 0, v_1 = dp) and applying the Venttsel row gives a
-    scalar whose zeros are the bifurcation points of the DISCRETE operator,
-    the points where that Jacobian turns singular.  They differ from the
-    continuum shooting roots by the O(dp^2, dq^2) discretization error,
-    which matters when two modes must resonate at the same lambda.
+    At a laminar state the Jacobian decouples over discrete cosine modes,
+    so the zeros of det B for the block B that ``fourier_block_matrix``
+    reads from the assembled ``jacobian`` are the bifurcation points of
+    the DISCRETE operator, the points where that Jacobian turns singular.
+    They differ from the continuum shooting roots by the O(dp^2, dq^2)
+    discretization error, which matters when two modes must resonate at
+    the same lambda.  The scaling keeps the determinant in range; it does
+    not move its zeros.
     """
     B = fourier_block_matrix(physics, flow, n, N_q)
-    v = np.zeros(B.shape[0])
-    v[1] = flow.grid.h
-    for k in range(1, B.shape[0] - 1):
-        v[k + 1] = -(B[k, k] * v[k] + B[k, k - 1] * v[k - 1]) / B[k, k + 1]
-        big = abs(v[k + 1])
-        if big > 1e280:
-            v /= big
-    return float(B[-1, -3:] @ v[-3:])
+    sign, logabsdet = np.linalg.slogdet(B / np.max(np.abs(B)))
+    return float(sign * np.exp(logabsdet))
 
 
 def discrete_lambda_star(physics: Physics, grid: PGrid, N_q: int,
                          n: int = 1) -> float:
-    """Smallest zero of the block dispersion for mode n."""
+    """Smallest zero of the block determinant for mode n."""
     def f(lam):
         flow = solve_laminar(physics, lam, grid)
         return fourier_block_dispersion(physics, flow, n, N_q)
@@ -583,6 +573,8 @@ def continue_branch(physics: Physics, germ: HeightField,
                     ) -> Branch:
     """Pseudo-arclength predictor-corrector from a germ field.
 
+    The first two points are solved with the germ's mode mixture frozen
+    (``_mixture_border``), the rest by the arclength ``_corrector``.
     Records the monitor tuple at every accepted point and stops on the
     first triggered alternative (blow-up monitors, closed loop, Newton
     failure with underflowed step, or the step budget).
@@ -596,47 +588,46 @@ def continue_branch(physics: Physics, germ: HeightField,
     # lock the germ's mode mixture, not just its scalar amplitude: near a
     # double point several branches share every small amplitude value
     direction = germ.h - x_lam.h
-    dir_flat = direction.reshape(-1) / direction.size
-    c0 = float(dir_flat @ germ.h.reshape(-1))
-    c_lam = float(dir_flat @ x_lam.h.reshape(-1))
-    fld0 = newton(physics, germ, frozen="direction",
-                  direction=direction, direction_target=c0,
-                  tol=controls.newton_tol)
+    projection = _mixture_border(direction, 0.0).constraint
+    c0, c_lam = projection(germ), projection(x_lam)
+    fld0, _ = _bordered_newton(physics, germ, controls.newton_tol,
+                               NEWTON_MAX_ITER, _mixture_border(direction, c0))
     points = []
 
     def record(fld, s, ds):
+        """Append an accepted point; returns the monitor that ends the
+        branch there, or None."""
         mon = _monitors(physics, fld)
         points.append(BranchPoint(
             s=s, Q=fld.Q, amplitude=fld.amplitude(), monitors=mon,
             residual_norm=fld.residual_norm, step=ds, field=fld))
-        return mon
+        return _check_stops(mon, controls)
 
-    mon = record(fld0, 0.0, 0.0)
-    stop = _check_stops(mon, controls)
+    def ended(termination):
+        return Branch(points=tuple(points), termination=termination)
+
+    stop = record(fld0, 0.0, 0.0)
     if stop is not None:
-        return Branch(points=tuple(points), termination=stop)
+        return ended(stop)
 
     # second point: double the germ deviation at the same frozen mixture
     h1_guess = replace(fld0, h=x_lam.h + 2.0 * (fld0.h - x_lam.h))
     try:
-        fld1 = newton(physics, h1_guess, frozen="direction",
-                      direction=direction,
-                      direction_target=c_lam + 2.0 * (c0 - c_lam),
-                      tol=controls.newton_tol)
+        fld1, _ = _bordered_newton(
+            physics, h1_guess, controls.newton_tol, NEWTON_MAX_ITER,
+            _mixture_border(direction, c_lam + 2.0 * (c0 - c_lam)))
     except (NewtonFailureError, EllipticityLossError):
-        return Branch(points=tuple(points), termination="NewtonFailure")
+        return ended("NewtonFailure")
     ds = float(np.sqrt(max(_weighted_dot(fld1.h - fld0.h, fld1.Q - fld0.Q,
                                          fld1.h - fld0.h, fld1.Q - fld0.Q),
                            1e-300)))
     ds = min(max(ds, controls.ds_min), controls.ds_max)
     s = ds
-    mon = record(fld1, s, ds)
-    stop = _check_stops(mon, controls)
+    stop = record(fld1, s, ds)
     if stop is not None:
-        return Branch(points=tuple(points), termination=stop)
+        return ended(stop)
 
     prev, curr = fld0, fld1
-    termination = "MaxSteps"
     while len(points) < controls.max_steps:
         dh = curr.h - prev.h
         dQ = curr.Q - prev.Q
@@ -651,26 +642,22 @@ def continue_branch(physics: Physics, germ: HeightField,
             except (NewtonFailureError, EllipticityLossError):
                 ds *= 0.5
                 if ds < controls.ds_min:
-                    return Branch(points=tuple(points),
-                                  termination="NewtonFailure")
+                    return ended("NewtonFailure")
         s += ds
-        mon = record(accepted, s, ds)
-        stop = _check_stops(mon, controls)
+        stop = record(accepted, s, ds)
         if stop is not None:
-            termination = stop
-            break
+            return ended(stop)
         # closed-loop detection against the first corrected point
         gap = np.sqrt(_weighted_dot(accepted.h - fld0.h, accepted.Q - fld0.Q,
                                     accepted.h - fld0.h, accepted.Q - fld0.Q))
         if s > controls.s_min and gap < controls.tol_loop:
-            termination = "ClosedLoop"
-            break
+            return ended("ClosedLoop")
         if its <= 3:
             ds = min(2.0 * ds, controls.ds_max)
         elif its >= 7:
             ds = max(0.5 * ds, controls.ds_min)
         prev, curr = curr, accepted
-    return Branch(points=tuple(points), termination=termination)
+    return ended("MaxSteps")
 
 
 def nodal_check(hf: HeightField) -> bool:

@@ -42,9 +42,7 @@ class EigenMode:
 
     normalization is one of "shooting" (M'(p0) = 1) or "sinh"
     (M'(p0) = n / sqrt(lambda), matching the constant-density closed form
-    sinh(n (p - p0) / sqrt(lambda))).  log_rescale records the
-    log of any overflow-guard factor divided out during integration; it
-    cancels in all ratios used downstream.
+    sinh(n (p - p0) / sqrt(lambda))).
     """
 
     n: int
@@ -53,7 +51,6 @@ class EigenMode:
     Mp: np.ndarray
     Mpp: np.ndarray
     normalization: str
-    log_rescale: float = 0.0
 
     def renormalized(self, normalization: str) -> "EigenMode":
         if normalization == self.normalization:
@@ -66,8 +63,7 @@ class EigenMode:
             raise ValueError(f"unknown normalization {normalization!r}")
         return EigenMode(n=self.n, lam=self.lam, M=self.M * factor,
                          Mp=self.Mp * factor, Mpp=self.Mpp * factor,
-                         normalization=normalization,
-                         log_rescale=self.log_rescale)
+                         normalization=normalization)
 
 
 @dataclass(frozen=True)
@@ -172,9 +168,9 @@ def shoot_mode(flow, physics: Physics, n: int,
     """Shooting solution for wavenumber n >= 1."""
     if n < 1:
         raise ValueError("shoot_mode requires n >= 1; use shoot_zero_mode")
-    M, Mp, Mpp, logr = _shoot(flow, physics, n)
+    M, Mp, Mpp, _ = _shoot(flow, physics, n)
     mode = EigenMode(n=n, lam=flow.lam, M=M, Mp=Mp, Mpp=Mpp,
-                     normalization="shooting", log_rescale=logr)
+                     normalization="shooting")
     return mode.renormalized(normalization)
 
 
@@ -467,24 +463,25 @@ def find_double_sigma(physics: Physics, grid: PGrid, n2: int):
         raise ValueError("n2 must be >= 2")
     sigma, lam = _irrotational_double_seed(physics, n2)
 
-    def F(sigma_, lam_):
+    def shots(lam_):
+        # neither the flow nor the modes depend on sigma
+        flow = solve_laminar(physics, lam_, grid)
+        return flow, [shoot_mode(flow, physics, n) for n in (1, n2)]
+
+    def F(sigma_, flow, modes):
         at_sigma = replace(physics, sigma=sigma_)
-        flow = solve_laminar(at_sigma, lam_, grid)
-        return np.array([_relative(flow, at_sigma,
-                                   shoot_mode(flow, at_sigma, n))
-                         for n in (1, n2)])
+        return np.array([_relative(flow, at_sigma, mode) for mode in modes])
 
     x = np.array([sigma, lam])
     for _ in range(40):
-        r = F(*x)
+        at_lam = shots(x[1])
+        r = F(x[0], *at_lam)
         if np.max(np.abs(r)) < 1e-12:
             return float(x[0]), float(x[1])
-        J = np.empty((2, 2))
-        for j in range(2):
-            step = 1e-7 * max(1.0, abs(x[j]))
-            xp = x.copy()
-            xp[j] += step
-            J[:, j] = (F(*xp) - r) / step
+        steps = [1e-7 * max(1.0, abs(v)) for v in x]
+        J = np.column_stack([
+            (F(x[0] + steps[0], *at_lam) - r) / steps[0],
+            (F(x[0], *shots(x[1] + steps[1])) - r) / steps[1]])
         try:
             dx = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:

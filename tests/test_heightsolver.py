@@ -408,6 +408,34 @@ def test_corrector_tests_its_last_step(t0, simple_point):
             == [(p.Q, p.amplitude, p.step) for p in default.points])
 
 
+def test_start_points_lock_the_mixture_at_the_controls_tolerance(
+        t0, simple_point):
+    # the first two points hold the projection of h on the germ's deviation
+    # from its q-mean at c0, then at c_lam + 2 (c0 - c_lam), and converge to
+    # the tolerance of the controls: at the default 1e-10 the first point's
+    # residual is 1.8e-11, so 1e-11 tells the two apart
+    grid, lam_star, flow, mode = simple_point
+    germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 5e-4, 64)
+    newton_tol = 1e-11
+    branch = hs.continue_branch(
+        t0, germ, hs.ContinuationControls(max_steps=2, newton_tol=newton_tol))
+    assert len(branch.points) == 2
+    lam_h = np.tile(hs.mean_weights(64) @ germ.h, (65, 1))
+    row = (germ.h - lam_h).reshape(-1) / germ.h.size
+    c0, c_lam = row @ germ.h.reshape(-1), row @ lam_h.reshape(-1)
+    for pt, target in zip(branch.points, (c0, c_lam + 2.0 * (c0 - c_lam))):
+        assert (abs(row @ pt.field.h.reshape(-1) - target)
+                < hs.CONSTRAINT_TOL * max(1.0, abs(target)))
+        assert pt.residual_norm < newton_tol
+
+
+def test_newton_has_two_modes(t0, simple_point):
+    fld = hs.laminar_field(simple_point[2], 64)
+    for frozen in ("direction", "arclength"):
+        with pytest.raises(ValueError, match="unknown frozen mode"):
+            hs.newton(t0, fld, frozen=frozen)
+
+
 def test_termination_thresholds(t0, simple_point):
     grid, lam_star, flow, mode = simple_point
     germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, 64)

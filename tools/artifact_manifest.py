@@ -9,6 +9,9 @@ checkouts print the same lines when their artifacts agree byte for byte:
 - c64 (sigma = 1, 64^2): ``classify``, ``coeffs``, ``dispersion`` and
   ``predict`` without ``--n2`` and with ``--n2 2/3/4``; ``laminar
   --lambda 4.0``; ``branch --steps 22``;
+- c64tol (c64 with a ``continuation`` block of ``newton_tol`` 1e-9 and
+  ``newton_max_iter`` 8): ``branch --steps 6``, so the tolerance that
+  ``continue_branch`` hands its start solves and correctors shows;
 - s64 (rho = 1 - p/10, sigma = 10, 64^2): ``classify``, ``coeffs``,
   ``dispersion``, ``predict`` and ``branch --steps 12``;
 - c32 (sigma = 1, 32^2): ``branch --n2 3 --steps 3`` and ``branch --n2 2
@@ -54,12 +57,14 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def write_config(name, sigma=1.0, rho=(1.0,), n=64):
+def write_config(name, sigma=1.0, rho=(1.0,), n=64, continuation=None):
     """A config on [p0, 0] = [-1, 0] with g = c = 1 and beta = 0."""
     doc = {"physics": {"g": 1.0, "c": 1.0, "p0": -1.0, "sigma": sigma,
                        "rho": {"type": "poly", "coeffs": list(rho)},
                        "beta": {"type": "poly", "coeffs": [0.0]}},
            "numerics": {"N_p": n, "N_q": n}}
+    if continuation is not None:
+        doc["continuation"] = continuation
     path = os.path.join("configs", f"{name}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
@@ -110,6 +115,8 @@ def branch_set(man):
     s64 = write_config("s64", sigma=10.0, rho=(1.0, -0.1))
     c32 = write_config("c32", n=32)
     c512 = write_config("c512", n=512)
+    c64tol = write_config("c64tol", continuation={"newton_tol": 1e-9,
+                                                  "newton_max_iter": 8})
     analysis(man, "c64", c64, ("classify", "coeffs", "dispersion",
                                "predict"), N2_FLAGS)
     man.run("c64-laminar", ["laminar", "--config", c64, "--lambda", "4.0"],
@@ -118,6 +125,7 @@ def branch_set(man):
                                "predict"), N2_FLAGS[:1])
     analysis(man, "c512", c512, ("classify", "coeffs", "predict"), N2_FLAGS)
     branches = [(c64, (), "22", "c64/branch"),
+                (c64tol, (), "6", "c64tol/branch"),
                 (s64, (), "12", "s64/branch"),
                 (c32, ("--n2", "3"), "3", "c32/branch-n2=3"),
                 (c32, ("--n2", "2"), "3", "c32/branch-n2=2")]
