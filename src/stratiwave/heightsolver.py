@@ -22,7 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .errors import EllipticityLossError, NewtonFailureError, ShapeError
 from .laminar import LAMBDA_CAP, LaminarFlow, lambda_floor, solve_laminar
@@ -149,6 +149,26 @@ def residual(physics: Physics, hf: HeightField):
     return R
 
 
+def solve_banded(ab, k, b):
+    """Solve A x = b for A in LAPACK band storage ``ab`` ((2k + 1, n), k
+    sub- and superdiagonals) by LAPACK ``gbsv``, as
+    ``scipy.linalg.solve_banded((k, k), ab, b)`` does, so bit-equal to it.
+
+    The band goes straight into rows k: of a Fortran-ordered factor array
+    with room for the k rows of fill-in, which ``gbsv`` factors in place;
+    scipy copies the band into a C-ordered array that f2py then copies
+    again.  NewtonFailureError on a non-finite input or a singular band.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise NewtonFailureError("non-finite entry in the banded system")
+    lu = np.empty((3 * k + 1, ab.shape[1]), order="F")
+    lu[k:] = ab
+    _, _, x, info = dgbsv(k, k, lu, b, overwrite_ab=1)
+    if info != 0:
+        raise NewtonFailureError(f"banded LU failed (LAPACK info {info})")
+    return x
+
+
 @dataclass
 class JacobianRecord:
     """Banded core + rank-one depth coupling + Q column.
@@ -188,9 +208,9 @@ class JacobianRecord:
         term is removed by Sherman-Morrison and the border by its scalar
         Schur complement q_coef - row . J^{-1} q_col.
         """
-        kl = ku = self.bandwidth
         cols = [rhs] if border is None else [rhs, self.q_col]
-        X = solve_banded((kl, ku), self.ab, np.column_stack(cols + [self.u]))
+        X = solve_banded(self.ab, self.bandwidth,
+                         np.column_stack(cols + [self.u]))
         xu = X[:, -1]
         denom = 1.0 + float(self.v @ xu)
         if abs(denom) < 1e-300:
@@ -574,10 +594,13 @@ def continue_branch(physics: Physics, germ: HeightField,
     """Pseudo-arclength predictor-corrector from a germ field.
 
     The first two points are solved with the germ's mode mixture frozen
-    (``_mixture_border``), the rest by the arclength ``_corrector``.
-    Records the monitor tuple at every accepted point and stops on the
-    first triggered alternative (blow-up monitors, closed loop, Newton
-    failure with underflowed step, or the step budget).
+    (``_mixture_border``), the rest by the arclength ``_corrector``, all
+    at the controls' ``newton_tol`` and ``newton_max_iter``.  Records the
+    monitor tuple at every accepted point and stops on the first triggered
+    alternative (blow-up monitors, closed loop, Newton failure with
+    underflowed step, or the step budget).  A first start solve that fails
+    raises NewtonFailureError (there is no point to return); a second one
+    ends the branch ``NewtonFailure`` after the first point.
     """
     # reference laminar profile: the q-mean of the germ (cosine modes
     # average to zero over the period)
@@ -591,7 +614,8 @@ def continue_branch(physics: Physics, germ: HeightField,
     projection = _mixture_border(direction, 0.0).constraint
     c0, c_lam = projection(germ), projection(x_lam)
     fld0, _ = _bordered_newton(physics, germ, controls.newton_tol,
-                               NEWTON_MAX_ITER, _mixture_border(direction, c0))
+                               controls.newton_max_iter,
+                               _mixture_border(direction, c0))
     points = []
 
     def record(fld, s, ds):
@@ -614,7 +638,7 @@ def continue_branch(physics: Physics, germ: HeightField,
     h1_guess = replace(fld0, h=x_lam.h + 2.0 * (fld0.h - x_lam.h))
     try:
         fld1, _ = _bordered_newton(
-            physics, h1_guess, controls.newton_tol, NEWTON_MAX_ITER,
+            physics, h1_guess, controls.newton_tol, controls.newton_max_iter,
             _mixture_border(direction, c_lam + 2.0 * (c0 - c_lam)))
     except (NewtonFailureError, EllipticityLossError):
         return ended("NewtonFailure")

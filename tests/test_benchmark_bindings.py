@@ -8,6 +8,7 @@ import inspect
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stratiwave import bifurc as bf
@@ -15,6 +16,7 @@ from stratiwave import cli  # noqa: F401  (the tracer needs every layer loaded)
 from stratiwave import eulerian as eu
 from stratiwave import heightsolver as hs
 from stratiwave import laminar as lm
+from stratiwave import profiles as pr
 from stratiwave import spectral as sp
 
 from test_bifurc import toy_coeffs
@@ -22,12 +24,29 @@ from test_bifurc import toy_coeffs
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_tracer_resolves_every_hook():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", PERFBENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    assert tracer.Tracer().skipped == []
+    return tracer
+
+
+def test_tracer_resolves_every_hook():
+    assert _load_tracer().Tracer().skipped == []
+
+
+def test_linear_solve_hook_counts_each_factorization(t0):
+    # a hooked name that still resolves but that the solve no longer calls
+    # would count nothing
+    flow = lm.solve_laminar(t0, 2.0, pr.PGrid(-1.0, 8))
+    fld = hs.laminar_field(flow, 8)
+    jac = hs.jacobian(t0, fld)
+    tracer = _load_tracer().Tracer()
+    with tracer.active():
+        jac.solve(np.ones(fld.h.size), None, 0.0)
+    calls, _ = tracer.summary()
+    assert calls["heightsolver.linear_solve"] == 1
 
 
 # (function, positional arguments, keyword arguments) as the workloads

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -292,6 +293,34 @@ def test_bordered_solve_satisfies_both_equations(stratified):
                   c)
 
 
+def test_solve_banded_is_bit_equal_to_scipy():
+    # gbsv on the same band is what scipy runs
+    phys, fld = _stratified_field()
+    jac = hs.jacobian(phys, fld)
+    rng = np.random.default_rng(7)
+    for cols in (1, 3):
+        b = rng.standard_normal((fld.h.size, cols))
+        got = hs.solve_banded(jac.ab, jac.bandwidth, b)
+        want = scipy.linalg.solve_banded((jac.bandwidth, jac.bandwidth),
+                                         jac.ab, b)
+        assert np.array_equal(got, want)
+
+
+def test_solve_banded_failures_are_newton_failures():
+    phys, fld = _stratified_field()
+    jac = hs.jacobian(phys, fld)
+    k = jac.bandwidth
+    b = np.ones((fld.h.size, 1))
+    nan_band = jac.ab.copy()
+    nan_band[k, 5] = np.nan
+    nan_rhs = b.copy()
+    nan_rhs[5, 0] = np.nan
+    for ab, rhs in ((nan_band, b), (jac.ab, nan_rhs),
+                    (np.zeros_like(jac.ab), b)):
+        with pytest.raises(NewtonFailureError):
+            hs.solve_banded(ab, k, rhs)
+
+
 def test_fourier_block_singular_at_lambda_star(t0, simple_point):
     grid, lam_star, flow, mode = simple_point
 
@@ -427,6 +456,16 @@ def test_start_points_lock_the_mixture_at_the_controls_tolerance(
         assert (abs(row @ pt.field.h.reshape(-1) - target)
                 < hs.CONSTRAINT_TOL * max(1.0, abs(target)))
         assert pt.residual_norm < newton_tol
+
+
+def test_start_solves_take_the_controls_iteration_cap(t0, simple_point):
+    # each start solve needs two Newton steps from this germ, so a cap of
+    # one step must fail the first of them instead of running to MaxSteps
+    grid, lam_star, flow, mode = simple_point
+    germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, 64)
+    with pytest.raises(NewtonFailureError, match="1 Newton iterations"):
+        hs.continue_branch(
+            t0, germ, hs.ContinuationControls(max_steps=4, newton_max_iter=1))
 
 
 def test_newton_has_two_modes(t0, simple_point):
