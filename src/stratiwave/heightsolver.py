@@ -14,6 +14,8 @@ the d(h) coupling (resolved by Sherman-Morrison around the banded solve),
 and one extra column for dG/dQ; frozen-amplitude, frozen-mixture and
 pseudo-arclength corrections append a single border row (a ``_Border``),
 eliminated through its scalar Schur complement (``JacobianRecord.solve``).
+The record keeps its banded LU, so the continuation solves take chord
+steps on it until the contraction of max|r| stalls (``_bordered_newton``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dgbtrs
 
 from .errors import EllipticityLossError, NewtonFailureError, ShapeError
 from .laminar import LAMBDA_CAP, LaminarFlow, lambda_floor, solve_laminar
@@ -33,6 +35,11 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 40
 MAX_HALVINGS = 8
 CONSTRAINT_TOL = 1e-12     # relative tolerance of a border constraint
+# continuation: a chord step keeps its factor only if it cut max|r| by this
+# ratio, and a corrector whose first step contracts less shrinks ds; one
+# that contracts below CONTRACTION_GROW grows it
+CHORD_CONTRACTION = 0.25
+CONTRACTION_GROW = 2e-3
 
 
 @dataclass(frozen=True)
@@ -152,7 +159,8 @@ def residual(physics: Physics, hf: HeightField):
 def solve_banded(ab, k, b):
     """Solve A x = b for A in LAPACK band storage ``ab`` ((2k + 1, n), k
     sub- and superdiagonals) by LAPACK ``gbsv``, as
-    ``scipy.linalg.solve_banded((k, k), ab, b)`` does, so bit-equal to it.
+    ``scipy.linalg.solve_banded((k, k), ab, b)`` does, so bit-equal to it;
+    returns x and the factor (lu, piv) for later ``dgbtrs`` solves.
 
     The band goes straight into rows k: of a Fortran-ordered factor array
     with room for the k rows of fill-in, which ``gbsv`` factors in place;
@@ -163,10 +171,10 @@ def solve_banded(ab, k, b):
         raise NewtonFailureError("non-finite entry in the banded system")
     lu = np.empty((3 * k + 1, ab.shape[1]), order="F")
     lu[k:] = ab
-    _, _, x, info = dgbsv(k, k, lu, b, overwrite_ab=1)
+    lu, piv, x, info = dgbsv(k, k, lu, b, overwrite_ab=1)
     if info != 0:
         raise NewtonFailureError(f"banded LU failed (LAPACK info {info})")
-    return x
+    return x, lu, piv
 
 
 @dataclass
@@ -182,6 +190,12 @@ class JacobianRecord:
     v: np.ndarray           # rank-one right factor (mean weights, flattened)
     q_col: np.ndarray       # dG/dQ
     shape: tuple
+
+    def __post_init__(self):
+        # kept by the first ``solve``: (lu, piv, J^{-1} u, Sherman-Morrison
+        # denominator), and J^{-1} q_col once a bordered solve formed it
+        self._factor = None
+        self._yq = None
 
     def matvec(self, vec):
         n = self.shape[0]
@@ -203,27 +217,43 @@ class JacobianRecord:
             [ J    q_col  ] [dh]   [rhs]
             [ row  q_coef ] [dQ] = [-c ]
 
-        of one ``_Border``; returns (dh, dQ), dQ = 0 with Q frozen.  One
-        banded solve takes rhs, q_col (bordered only) and u; the rank-one
-        term is removed by Sherman-Morrison and the border by its scalar
-        Schur complement q_coef - row . J^{-1} q_col.
+        of one ``_Border``; returns (dh, dQ), dQ = 0 with Q frozen.  The
+        first solve factors the band once for rhs, q_col (bordered only)
+        and u; the rank-one term is removed by Sherman-Morrison and the
+        border by its scalar Schur complement q_coef - row . J^{-1} q_col.
+        The record keeps the factor, J^{-1} u, the Sherman-Morrison
+        denominator and J^{-1} q_col, so a later solve costs one
+        ``dgbtrs`` column (two if J^{-1} q_col is not known yet).
         """
-        cols = [rhs] if border is None else [rhs, self.q_col]
-        X = solve_banded(self.ab, self.bandwidth,
-                         np.column_stack(cols + [self.u]))
-        xu = X[:, -1]
-        denom = 1.0 + float(self.v @ xu)
-        if abs(denom) < 1e-300:
-            raise NewtonFailureError("Sherman-Morrison denominator vanished")
+        new_yq = border is not None and self._yq is None
+        cols = [rhs, self.q_col] if new_yq else [rhs]
+        if self._factor is None:
+            X, lu, piv = solve_banded(self.ab, self.bandwidth,
+                                      np.column_stack(cols + [self.u]))
+            xu = X[:, -1]
+            denom = 1.0 + float(self.v @ xu)
+            if abs(denom) < 1e-300:
+                raise NewtonFailureError(
+                    "Sherman-Morrison denominator vanished")
+            self._factor = (lu, piv, xu, denom)
+        else:
+            lu, piv, xu, denom = self._factor
+            X, info = dgbtrs(lu, self.bandwidth, self.bandwidth,
+                             np.column_stack(cols), piv)
+            if info != 0:
+                raise NewtonFailureError(
+                    f"banded solve failed (LAPACK info {info})")
         y = [X[:, k] - xu * (float(self.v @ X[:, k]) / denom)
              for k in range(len(cols))]
         if border is None:
             return y[0], 0.0
-        schur = border.q_coef - float(border.row @ y[1])
+        if new_yq:
+            self._yq = y[1]
+        schur = border.q_coef - float(border.row @ self._yq)
         if schur == 0.0:
             raise NewtonFailureError("bordered system singular")
         dQ = (-c - float(border.row @ y[0])) / schur
-        return y[0] - dQ * y[1], dQ
+        return y[0] - dQ * self._yq, dQ
 
 
 def jacobian(physics: Physics, hf: HeightField) -> JacobianRecord:
@@ -373,7 +403,7 @@ def _mixture_border(direction: np.ndarray, target: float) -> _Border:
 
 
 def _bordered_newton(physics, fld: HeightField, tol, max_iter,
-                     border: _Border | None):
+                     border: _Border | None, chord: bool):
     """Damped Newton on G(h, Q) = 0 with Q fixed, or with Q free under
     one border constraint.
 
@@ -381,6 +411,12 @@ def _bordered_newton(physics, fld: HeightField, tol, max_iter,
     most MAX_HALVINGS times.  Converges when max|r| < tol and the border
     constraint is within its tolerance, testing after every step; returns
     the field and the max|r| history (initial residual first).
+
+    With ``chord`` the next step reuses the factored Jacobian of this one
+    (a chord step) as long as the last step was undamped and cut max|r| by
+    CHORD_CONTRACTION at least; otherwise the Jacobian is rebuilt at the
+    current iterate.  A step on a reused Jacobian whose halvings run out
+    is retried on a fresh one before the solve fails.
     """
     def constraint(f):
         return 0.0 if border is None else border.constraint(f)
@@ -389,12 +425,15 @@ def _bordered_newton(physics, fld: HeightField, tol, max_iter,
     rnorm = float(np.max(np.abs(r)))
     c = constraint(fld)
     history = [rnorm]
+    jac, stale = None, False
     while not (rnorm < tol and (border is None or abs(c) < border.tol)):
         if len(history) > max_iter:
             raise NewtonFailureError(
                 f"no convergence in {max_iter} Newton iterations",
                 residual=rnorm, iterations=max_iter)
-        delta, dQ = jacobian(physics, fld).solve(-r.reshape(-1), border, c)
+        if jac is None:
+            jac, stale = jacobian(physics, fld), False
+        delta, dQ = jac.solve(-r.reshape(-1), border, c)
         scale = 1.0
         for _halving in range(MAX_HALVINGS + 1):
             trial = replace(fld, h=fld.h + scale * delta.reshape(fld.h.shape),
@@ -409,12 +448,19 @@ def _bordered_newton(physics, fld: HeightField, tol, max_iter,
                 break
             scale *= 0.5
         else:
+            if stale:
+                jac = None
+                continue
             raise NewtonFailureError(
                 "Newton damping exhausted", residual=rnorm,
                 iterations=len(history))
+        if not (chord and scale == 1.0
+                and r_trial_norm <= CHORD_CONTRACTION * rnorm):
+            jac = None      # released before the next one is built
         fld, r, rnorm = trial, r_trial, r_trial_norm
         c = constraint(fld)
         history.append(rnorm)
+        stale = True
     return replace(fld, residual_norm=rnorm), history
 
 
@@ -438,7 +484,7 @@ def newton(physics: Physics, hf: HeightField, frozen: str = "Q",
     else:
         raise ValueError(f"unknown frozen mode {frozen!r}")
     accepted, history = _bordered_newton(physics, hf, NEWTON_TOL,
-                                         NEWTON_MAX_ITER, border)
+                                         NEWTON_MAX_ITER, border, chord=False)
     return (accepted, history) if return_history else accepted
 
 
@@ -577,15 +623,18 @@ def _weighted_dot(dh, dQ, eh, eQ):
 
 
 def _corrector(physics, pred: HeightField, t_h, t_Q, x_prev, ds, controls):
-    """Newton on (G(h, Q), arclength constraint) from the predictor;
-    returns the corrected field and its Newton step count plus one."""
+    """Chord Newton on (G(h, Q), arclength constraint) from the predictor;
+    returns the corrected field and theta0 = r1/r0, the max|r| contraction
+    of its first step, which runs on a fresh Jacobian (0 when the
+    predictor has converged already)."""
     border = _Border(
         t_h.reshape(-1) / t_h.size, t_Q,
         lambda f: _weighted_dot(f.h - x_prev.h, f.Q - x_prev.Q, t_h, t_Q) - ds,
         ds)
     fld, history = _bordered_newton(physics, pred, controls.newton_tol,
-                                    controls.newton_max_iter, border)
-    return fld, len(history)
+                                    controls.newton_max_iter, border,
+                                    chord=True)
+    return fld, (history[1] / history[0] if len(history) > 1 else 0.0)
 
 
 def continue_branch(physics: Physics, germ: HeightField,
@@ -595,12 +644,13 @@ def continue_branch(physics: Physics, germ: HeightField,
 
     The first two points are solved with the germ's mode mixture frozen
     (``_mixture_border``), the rest by the arclength ``_corrector``, all
-    at the controls' ``newton_tol`` and ``newton_max_iter``.  Records the
-    monitor tuple at every accepted point and stops on the first triggered
-    alternative (blow-up monitors, closed loop, Newton failure with
-    underflowed step, or the step budget).  A first start solve that fails
-    raises NewtonFailureError (there is no point to return); a second one
-    ends the branch ``NewtonFailure`` after the first point.
+    at the controls' ``newton_tol`` and ``newton_max_iter``, with chord
+    steps (``_bordered_newton``).  The step ds doubles after a corrector
+    whose first step contracts max|r| below CONTRACTION_GROW and halves
+    after one above CHORD_CONTRACTION.  Records the monitor tuple at every
+    accepted point and stops on the first triggered alternative (blow-up
+    monitors, closed loop, Newton failure with underflowed step, or the
+    step budget).  A start solve that fails raises NewtonFailureError.
     """
     # reference laminar profile: the q-mean of the germ (cosine modes
     # average to zero over the period)
@@ -615,7 +665,7 @@ def continue_branch(physics: Physics, germ: HeightField,
     c0, c_lam = projection(germ), projection(x_lam)
     fld0, _ = _bordered_newton(physics, germ, controls.newton_tol,
                                controls.newton_max_iter,
-                               _mixture_border(direction, c0))
+                               _mixture_border(direction, c0), chord=True)
     points = []
 
     def record(fld, s, ds):
@@ -636,12 +686,9 @@ def continue_branch(physics: Physics, germ: HeightField,
 
     # second point: double the germ deviation at the same frozen mixture
     h1_guess = replace(fld0, h=x_lam.h + 2.0 * (fld0.h - x_lam.h))
-    try:
-        fld1, _ = _bordered_newton(
-            physics, h1_guess, controls.newton_tol, controls.newton_max_iter,
-            _mixture_border(direction, c_lam + 2.0 * (c0 - c_lam)))
-    except (NewtonFailureError, EllipticityLossError):
-        return ended("NewtonFailure")
+    fld1, _ = _bordered_newton(
+        physics, h1_guess, controls.newton_tol, controls.newton_max_iter,
+        _mixture_border(direction, c_lam + 2.0 * (c0 - c_lam)), chord=True)
     ds = float(np.sqrt(max(_weighted_dot(fld1.h - fld0.h, fld1.Q - fld0.Q,
                                          fld1.h - fld0.h, fld1.Q - fld0.Q),
                            1e-300)))
@@ -661,8 +708,8 @@ def continue_branch(physics: Physics, germ: HeightField,
         while accepted is None:
             pred = replace(curr, h=curr.h + ds * t_h, Q=curr.Q + ds * t_Q)
             try:
-                accepted, its = _corrector(physics, pred, t_h, t_Q, curr, ds,
-                                           controls)
+                accepted, theta0 = _corrector(physics, pred, t_h, t_Q,
+                                              curr, ds, controls)
             except (NewtonFailureError, EllipticityLossError):
                 ds *= 0.5
                 if ds < controls.ds_min:
@@ -676,9 +723,9 @@ def continue_branch(physics: Physics, germ: HeightField,
                                     accepted.h - fld0.h, accepted.Q - fld0.Q))
         if s > controls.s_min and gap < controls.tol_loop:
             return ended("ClosedLoop")
-        if its <= 3:
+        if theta0 < CONTRACTION_GROW:
             ds = min(2.0 * ds, controls.ds_max)
-        elif its >= 7:
+        elif theta0 > CHORD_CONTRACTION:
             ds = max(0.5 * ds, controls.ds_min)
         prev, curr = curr, accepted
     return ended("MaxSteps")

@@ -49,6 +49,19 @@ def test_linear_solve_hook_counts_each_factorization(t0):
     assert calls["heightsolver.linear_solve"] == 1
 
 
+def test_linear_solve_hook_counts_one_factorization_per_record(t0):
+    # a second solve on a record runs on its stored factor
+    flow = lm.solve_laminar(t0, 2.0, pr.PGrid(-1.0, 8))
+    fld = hs.laminar_field(flow, 8)
+    jac = hs.jacobian(t0, fld)
+    tracer = _load_tracer().Tracer()
+    with tracer.active():
+        jac.solve(np.ones(fld.h.size), None, 0.0)
+        jac.solve(np.arange(fld.h.size, dtype=float), None, 0.0)
+    calls, _ = tracer.summary()
+    assert calls["heightsolver.linear_solve"] == 1
+
+
 # (function, positional arguments, keyword arguments) as the workloads
 # call them; placeholders stand in for the values
 WORKLOAD_CALLS = [

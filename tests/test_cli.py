@@ -292,6 +292,26 @@ def test_branch_subcommand_simple_point(tmp_path, capsys):
     assert abs(recomputed - recorded) < 1e-14
 
 
+def test_branch_subcommand_double_point(tmp_path, capsys):
+    # the n2 = 3 double point at 32^2: two pure and two mixed germs, each
+    # continued to a converged branch
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["numerics"] = {"N_p": 32, "N_q": 32}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = cli.main(["branch", "--config", str(path), "--out", str(out),
+                     "--n2", "3", "--steps", "3"])
+    capsys.readouterr()
+    assert code == 0
+    assert sorted(p.name for p in out.glob("branch_*.csv")) == [
+        f"branch_{k}.csv" for k in range(4)]
+    for k in range(4):
+        rows = (out / f"branch_{k}.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 3
+        assert max(float(row.split(",")[9]) for row in rows) < 1e-10
+
+
 @pytest.mark.parametrize("argv", [
     ["laminar", "--lambda", "nan"], ["laminar", "--lambda", "inf"],
     ["classify", "--sigma", "nan"], ["classify", "--sigma", "inf"],

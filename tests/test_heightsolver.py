@@ -300,10 +300,30 @@ def test_solve_banded_is_bit_equal_to_scipy():
     rng = np.random.default_rng(7)
     for cols in (1, 3):
         b = rng.standard_normal((fld.h.size, cols))
-        got = hs.solve_banded(jac.ab, jac.bandwidth, b)
+        got, _, _ = hs.solve_banded(jac.ab, jac.bandwidth, b)
         want = scipy.linalg.solve_banded((jac.bandwidth, jac.bandwidth),
                                          jac.ab, b)
         assert np.array_equal(got, want)
+
+
+def test_reused_factor_solves_like_a_fresh_one():
+    # a later solve on a record runs on its stored factor and Sherman-
+    # Morrison pieces, J^{-1} q_col included when the first solve had no
+    # border; it must agree with the first solve of a fresh record
+    phys, fld = _stratified_field()
+    rng = np.random.default_rng(11)
+    first, second = (rng.standard_normal(fld.h.size) for _ in range(2))
+    border = hs._amplitude_border(fld, fld.amplitude())
+    for first_border in (None, border):
+        for solve_border in (None, border):
+            jac = hs.jacobian(phys, fld)
+            jac.solve(first, first_border, 0.3)
+            dh, dQ = jac.solve(second, solve_border, 0.3)
+            want_dh, want_dQ = hs.jacobian(phys, fld).solve(
+                second, solve_border, 0.3)
+            scale = np.max(np.abs(want_dh))
+            assert np.max(np.abs(dh - want_dh)) < 1e-12 * scale
+            assert abs(dQ - want_dQ) <= 1e-12 * max(1.0, abs(want_dQ))
 
 
 def test_solve_banded_failures_are_newton_failures():
@@ -423,18 +443,105 @@ def test_step_halving_reproduces_curve(t0, simple_point):
     assert np.max(np.abs(interp - qc[sel])) < 1e-6
 
 
-def test_corrector_tests_its_last_step(t0, simple_point):
-    # every corrector here converges in two Newton steps, so a budget of two
-    # steps must reproduce the default run point for point
+def _counting_solves(monkeypatch):
+    """Wrap ``_bordered_newton``; returns the list of step counts of the
+    solves that converge."""
+    steps = []
+    inner = hs._bordered_newton
+
+    def counted(*args, **kwargs):
+        fld, history = inner(*args, **kwargs)
+        steps.append(len(history) - 1)
+        return fld, history
+
+    monkeypatch.setattr(hs, "_bordered_newton", counted)
+    return steps
+
+
+def test_corrector_tests_its_last_step(t0, simple_point, monkeypatch):
+    # with m the most Newton steps any solve of the default run takes
+    # (chord steps included), a budget of m steps must reproduce that run
+    # point for point, so the m-th step is tested for convergence; a budget
+    # of m - 1 must change the run or fail it, so the budget binds
     grid, lam_star, flow, mode = simple_point
     germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, 64)
+    steps = _counting_solves(monkeypatch)
     default = hs.continue_branch(t0, germ,
                                  hs.ContinuationControls(max_steps=6))
-    tight = hs.continue_branch(
-        t0, germ, hs.ContinuationControls(max_steps=6, newton_max_iter=2))
+    monkeypatch.undo()
+    m = max(steps)
+    assert m >= 2
+
+    def run(cap):
+        controls = hs.ContinuationControls(max_steps=6, newton_max_iter=cap)
+        return hs.continue_branch(t0, germ, controls)
+
+    def curve(branch):
+        return [(p.Q, p.amplitude, p.step) for p in branch.points]
+
+    tight = run(m)
     assert tight.termination == default.termination == "MaxSteps"
-    assert ([(p.Q, p.amplitude, p.step) for p in tight.points]
-            == [(p.Q, p.amplitude, p.step) for p in default.points])
+    assert curve(tight) == curve(default)
+    try:
+        short = curve(run(m - 1))
+    except NewtonFailureError:      # a start solve needs all m steps
+        short = None
+    assert short != curve(default)
+
+
+def test_continuation_factors_once_per_point(t0, simple_point, monkeypatch):
+    # chord steps reuse each corrector's first Jacobian and its banded LU
+    grid, lam_star, flow, mode = simple_point
+    germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, 64)
+    builds = []
+    inner = hs.jacobian
+    monkeypatch.setattr(hs, "jacobian",
+                        lambda *args: builds.append(1) or inner(*args))
+    branch = hs.continue_branch(t0, germ,
+                                hs.ContinuationControls(max_steps=10))
+    assert len(branch.points) == 10
+    assert len(builds) == 10
+
+
+def test_failed_chord_step_retries_on_a_fresh_jacobian(t0, simple_point,
+                                                      monkeypatch):
+    # a chord step that points uphill exhausts its halvings on the reused
+    # factor; the solve must rebuild the Jacobian there, not fail
+    grid, lam_star, flow, mode = simple_point
+    germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, 64)
+    builds = []
+    inner_jac, inner_dgbtrs = hs.jacobian, hs.dgbtrs
+    monkeypatch.setattr(hs, "jacobian",
+                        lambda *args: builds.append(1) or inner_jac(*args))
+
+    def uphill(*args, **kwargs):
+        x, info = inner_dgbtrs(*args, **kwargs)
+        return -x, info
+
+    monkeypatch.setattr(hs, "dgbtrs", uphill)
+    border = hs._amplitude_border(germ, germ.amplitude())
+    fld, history = hs._bordered_newton(t0, germ, hs.NEWTON_TOL,
+                                       hs.NEWTON_MAX_ITER, border, chord=True)
+    assert fld.residual_norm < hs.NEWTON_TOL
+    assert len(builds) == len(history) - 1 > 1
+
+
+def test_failed_second_start_solve_raises(t0, simple_point, monkeypatch):
+    # both start solves fail the same way: there is no branch to return
+    grid, lam_star, flow, mode = simple_point
+    germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, 64)
+    calls = []
+    inner = hs._bordered_newton
+
+    def second_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NewtonFailureError("second start solve")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(hs, "_bordered_newton", second_fails)
+    with pytest.raises(NewtonFailureError, match="second start solve"):
+        hs.continue_branch(t0, germ, hs.ContinuationControls(max_steps=4))
 
 
 def test_start_points_lock_the_mixture_at_the_controls_tolerance(
