@@ -29,7 +29,7 @@ from scipy.linalg.lapack import dgbsv, dgbtrs
 from .errors import EllipticityLossError, NewtonFailureError, ShapeError
 from .laminar import LAMBDA_CAP, LaminarFlow, lambda_floor, solve_laminar
 from .profiles import PGrid, Physics
-from .spectral import _smallest_root
+from .spectral import _Memo, _smallest_root
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 40
@@ -549,11 +549,12 @@ def fourier_block_dispersion(physics: Physics, flow: LaminarFlow, n: int,
 def discrete_lambda_star(physics: Physics, grid: PGrid, N_q: int,
                          n: int = 1) -> float:
     """Smallest zero of the block determinant for mode n."""
-    def f(lam):
+    def evaluate(lam):
         flow = solve_laminar(physics, lam, grid)
-        return fourier_block_dispersion(physics, flow, n, N_q)
+        return (fourier_block_dispersion(physics, flow, n, N_q),)
 
-    root = _smallest_root(f, lambda_floor(physics, grid), LAMBDA_CAP)
+    root = _smallest_root(_Memo(evaluate), lambda_floor(physics, grid),
+                          LAMBDA_CAP)
     if root is None:
         raise NewtonFailureError("no discrete dispersion sign change")
     return float(root)

@@ -96,43 +96,74 @@ def _coefficient_interpolants(flow):
     return a_of, ap_of
 
 
-def _shoot(flow, physics, n, forcing=0.0, M0p=1.0):
+@dataclass(frozen=True)
+class ShotCoefficients:
+    """The coefficient samples of every shot on one flow, independent of n.
+
+    a and rho_p at the nodes and half-step stations, a^-3 at both (also
+    as Python floats, for the march), and a' at the nodes, with a and a'
+    from ``_coefficient_interpolants``.  Build them with
+    ``shot_coefficients`` once per flow and pass them to each
+    ``shoot_mode`` on it, as ``classify`` does for all its shots.
+    """
+
+    h: float
+    N_p: int
+    g: float
+    a_nodes: np.ndarray
+    a_half: np.ndarray
+    ap_nodes: np.ndarray
+    rp_nodes: np.ndarray
+    rp_half: np.ndarray
+    inv_a3_nodes: np.ndarray
+    ia3_n: list
+    ia3_h: list
+
+
+def shot_coefficients(flow, physics: Physics) -> ShotCoefficients:
+    """Sample the shooting coefficients of ``flow`` once."""
+    grid = flow.grid
+    p = grid.nodes
+    h = float(grid.h)
+    a_of, ap_of = _coefficient_interpolants(flow)
+    half = p[:-1] + 0.5 * h
+    a_nodes = a_of(p)
+    a_half = a_of(half)
+    inv_a3_nodes = a_nodes ** -3.0
+    return ShotCoefficients(
+        h=h, N_p=grid.N_p, g=physics.g, a_nodes=a_nodes, a_half=a_half,
+        ap_nodes=ap_of(p), rp_nodes=physics.rho_p(p),
+        rp_half=physics.rho_p(half), inv_a3_nodes=inv_a3_nodes,
+        ia3_n=inv_a3_nodes.tolist(), ia3_h=(a_half ** -3.0).tolist())
+
+
+def _shoot(coef, n, forcing=0.0, M0p=1.0):
     """RK4 on (M, w = a^3 M'), w' = (n^2 a + g rho_p) M + forcing.
 
-    Coefficient samples at the nodes and half-step stations are evaluated
-    in one batch up front (the stage values of a linear system only need
+    The coefficient samples at the nodes and half-step stations come from
+    ``shot_coefficients`` (the stage values of a linear system only need
     those), so the marching loop is pure scalar arithmetic, done on Python
     floats: the same IEEE double operations in the same order as on numpy
     scalars, without their per-operation dispatch.  Returns node samples
     of M, M', M'' and the accumulated log rescale applied to keep the
     state finite for large n.
     """
-    grid = flow.grid
-    p = grid.nodes
-    h = float(grid.h)
-    a_of, ap_of = _coefficient_interpolants(flow)
-    g = physics.g
-    half = p[:-1] + 0.5 * h
-    a_nodes = a_of(p)
-    a_half = a_of(half)
-    rp_nodes = physics.rho_p(p)
-    rp_half = physics.rho_p(half)
-    inv_a3_nodes = a_nodes ** -3.0
-    inv_a3_half = a_half ** -3.0
+    h, g = coef.h, coef.g
+    a_nodes, rp_nodes = coef.a_nodes, coef.rp_nodes
     c_nodes = n * n * a_nodes + g * rp_nodes
-    c_half = n * n * a_half + g * rp_half
+    c_half = n * n * coef.a_half + g * coef.rp_half
     f_nodes = forcing * rp_nodes
-    f_half = forcing * rp_half
+    f_half = forcing * coef.rp_half
 
     m, w = 0.0, float(a_nodes[0] ** 3 * M0p)
     log_rescale = 0.0
     corr = 1.0
     M, Mp = [m], [float(M0p)]
     hh, h6 = 0.5 * h, h / 6.0
-    ia3_n, ia3_h = inv_a3_nodes.tolist(), inv_a3_half.tolist()
+    ia3_n, ia3_h = coef.ia3_n, coef.ia3_h
     c_n, c_h = c_nodes.tolist(), c_half.tolist()
     f_n, f_h = f_nodes.tolist(), f_half.tolist()
-    for k in range(grid.N_p):
+    for k in range(coef.N_p):
         dm1 = w * ia3_n[k]
         dw1 = c_n[k] * m + f_n[k] * corr
         m2, w2 = m + hh * dm1, w + hh * dw1
@@ -157,18 +188,21 @@ def _shoot(flow, physics, n, forcing=0.0, M0p=1.0):
         M.append(m)
         Mp.append(w * ia3_n[k + 1])
     M, Mp = np.array(M), np.array(Mp)
-    ap_nodes = ap_of(p)
     Mpp = ((n * n * a_nodes + g * rp_nodes) * M + forcing * rp_nodes * corr
-           - 3.0 * a_nodes ** 2 * ap_nodes * Mp) * inv_a3_nodes
+           - 3.0 * a_nodes ** 2 * coef.ap_nodes * Mp) * coef.inv_a3_nodes
     return M, Mp, Mpp, log_rescale
 
 
 def shoot_mode(flow, physics: Physics, n: int,
-               normalization: str = "shooting") -> EigenMode:
-    """Shooting solution for wavenumber n >= 1."""
+               normalization: str = "shooting",
+               coefficients: ShotCoefficients | None = None) -> EigenMode:
+    """Shooting solution for wavenumber n >= 1, on the flow's
+    ``shot_coefficients`` (sampled here unless given)."""
     if n < 1:
         raise ValueError("shoot_mode requires n >= 1; use shoot_zero_mode")
-    M, Mp, Mpp, _ = _shoot(flow, physics, n)
+    if coefficients is None:
+        coefficients = shot_coefficients(flow, physics)
+    M, Mp, Mpp, _ = _shoot(coefficients, n)
     mode = EigenMode(n=n, lam=flow.lam, M=M, Mp=Mp, Mpp=Mpp,
                      normalization="shooting")
     return mode.renormalized(normalization)
@@ -188,16 +222,20 @@ def dispersion(flow, physics: Physics, mode: EigenMode):
     return float(top - bottom), float(abs(top) + abs(bottom))
 
 
-def shoot_zero_mode(flow, physics: Physics):
+def shoot_zero_mode(flow, physics: Physics,
+                    coefficients: ShotCoefficients | None = None):
     """The n = 0 mode with its nonlocal forcing, via superposition.
 
     u1 solves (a^3 u')' - g rho_p u = 0 with u(p0) = 0, u'(p0) = 1;
     u2 solves (a^3 u')' - g rho_p u = -g rho_p with zero initial data.
     Then M = u1 + m0 u2 with m0 = u1(0) / (1 - u2(0)), and
-    D0 = lambda^{3/2} M'(0) - g rho(0) M(0).
+    D0 = lambda^{3/2} M'(0) - g rho(0) M(0).  Both shots run on one
+    ``shot_coefficients`` (sampled here unless given).
     """
-    M1, M1p, M1pp, _ = _shoot(flow, physics, 0, forcing=0.0, M0p=1.0)
-    M2, M2p, M2pp, _ = _shoot(flow, physics, 0, forcing=-physics.g, M0p=0.0)
+    if coefficients is None:
+        coefficients = shot_coefficients(flow, physics)
+    M1, M1p, M1pp, _ = _shoot(coefficients, 0, forcing=0.0, M0p=1.0)
+    M2, M2p, M2pp, _ = _shoot(coefficients, 0, forcing=-physics.g, M0p=0.0)
     denom = 1.0 - M2[-1]
     if abs(denom) < 1e-12:
         raise SuperpositionDegenerateError(
@@ -217,12 +255,32 @@ def _relative(flow, physics, mode) -> float:
     return D / scale
 
 
-def _relative_D(physics, grid, n):
-    """lambda -> D / scale for the given n, as a smooth scalar function."""
-    def f(lam):
+class _Memo:
+    """One root search's evaluations, each lambda computed once.
+
+    ``evaluate(lam)`` returns a tuple whose first entry is the value the
+    search reads; ``seen`` keeps every tuple, so the caller takes what was
+    computed at the root (the flow, the mode) from there.  A memo lives
+    for the one search that made it: nothing is kept across calls.
+    """
+
+    def __init__(self, evaluate):
+        self.evaluate = evaluate
+        self.seen = {}
+
+    def __call__(self, lam):
+        if lam not in self.seen:
+            self.seen[lam] = self.evaluate(lam)
+        return self.seen[lam][0]
+
+
+def _dispersion_memo(physics, grid, n):
+    """lambda -> D / scale for mode n, remembering each (flow, mode)."""
+    def evaluate(lam):
         flow = solve_laminar(physics, lam, grid)
-        return _relative(flow, physics, shoot_mode(flow, physics, n))
-    return f
+        mode = shoot_mode(flow, physics, n)
+        return _relative(flow, physics, mode), flow, mode
+    return _Memo(evaluate)
 
 
 def _first_admissible(floor: float) -> float:
@@ -230,35 +288,70 @@ def _first_admissible(floor: float) -> float:
     return floor + 1e-8 * max(1.0, abs(floor))
 
 
+def _scan_samples(floor: float, cap: float) -> list:
+    """The root scan's fixed lambda samples, up to ``cap``: the first
+    admissible lambda, then each next one at twice the distance above the
+    floor, or at twice the value when that is larger."""
+    xs = [_first_admissible(floor)]
+    while True:
+        x = max(xs[-1] * 2.0, floor + 2.0 * (xs[-1] - floor))
+        if x > cap:
+            return xs
+        xs.append(x)
+
+
 def _smallest_root(f, floor: float, cap: float) -> float | None:
     """Smallest sign change of f(lambda) above the laminar floor.
 
-    Geometric bracket scan from just above the floor, then Brent; None
-    when f keeps its sign up to ``cap``.
+    f is read at ``_scan_samples`` only until the first sample whose sign
+    differs from f's at the first one is known: gallop over the sample
+    index from the first sample at floor + 1 or above, up or down, then
+    bisect.  Brent refines [that sample's predecessor, that sample].  The
+    search rests on f changing sign once on the samples, as D / scale
+    does (see ``dispersion``); then its bracket is the one a walk up every
+    sample would find.  Returns the first sample when f vanishes there,
+    and None when f keeps its sign up to ``cap``.
     """
-    lo = _first_admissible(floor)
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    hi = lo
-    fhi = flo
-    while np.sign(fhi) == np.sign(flo):
-        lo, flo = hi, fhi
-        hi = max(hi * 2.0, floor + 2.0 * (hi - floor))
-        if hi > cap:
-            return None
-        fhi = f(hi)
-    return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    xs = _scan_samples(floor, cap)
+    f0 = f(xs[0])
+    if f0 == 0.0:
+        return xs[0]
+    last = len(xs) - 1
+    if last == 0:
+        return None
+
+    def flipped(k):
+        return np.sign(f(xs[k])) != np.sign(f0)
+
+    start = max(1, next((k for k, x in enumerate(xs) if x >= floor + 1.0),
+                        last))
+    # lo is a sample index known unflipped, hi one known flipped
+    step = 1
+    if flipped(start):
+        lo, hi = start - 1, start
+        while lo > 0 and flipped(lo):
+            hi, step = lo, 2 * step
+            lo = max(hi - step, 0)
+    else:
+        lo, hi = start, min(start + 1, last)
+        while not flipped(hi):
+            if hi == last:
+                return None
+            lo, step = hi, 2 * step
+            hi = min(lo + step, last)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if flipped(mid):
+            hi = mid
+        else:
+            lo = mid
+    return brentq(f, xs[lo], xs[hi], xtol=1e-14, rtol=8.9e-16, maxiter=200)
 
 
-def find_lambda_star(physics: Physics, grid: PGrid, n: int = 1) -> float:
-    """Smallest dispersion root for mode n (default n = 1).
-
-    Geometric bracket scan above the floor followed by Brent, with the
-    |D| <= 1e-10 * scale stopping rule.  Raises LBViolatedError when no
-    sign change exists below the cap.
-    """
-    f = _relative_D(physics, grid, n)
+def _lambda_star(physics, grid, n):
+    """(lambda_*, flow, mode) of ``find_lambda_star``: the root with the
+    laminar flow and the mode-n shot its search computed there."""
+    f = _dispersion_memo(physics, grid, n)
     root = _smallest_root(f, lambda_floor(physics, grid), LAMBDA_CAP)
     if root is None:
         raise LBViolatedError(
@@ -266,7 +359,22 @@ def find_lambda_star(physics: Physics, grid: PGrid, n: int = 1) -> float:
     if abs(f(root)) > DISPERSION_RTOL:
         raise RootNotFoundError(
             f"dispersion root for n={n} not resolved to tolerance")
-    return float(root)
+    _, flow, mode = f.seen[root]
+    # brentq's wrapper of f sits in a reference cycle until the next
+    # garbage collection; drop the other flows and modes now
+    f.seen.clear()
+    return float(root), flow, mode
+
+
+def find_lambda_star(physics: Physics, grid: PGrid, n: int = 1) -> float:
+    """Smallest dispersion root for mode n (default n = 1).
+
+    Sign-change search over the fixed samples above the floor followed by
+    Brent (``_smallest_root``), with the |D| <= 1e-10 * scale stopping
+    rule.  Raises LBViolatedError when no sign change exists below the
+    cap.
+    """
+    return _lambda_star(physics, grid, n)[0]
 
 
 def rayleigh_mu(flow, physics: Physics, sigma: float, N: int = 512) -> float:
@@ -363,14 +471,12 @@ def classify(physics: Physics, grid: PGrid, n_max: int = 64,
     Early exit once the dispersion gap has been growing (mode bifurcation
     values safely above lambda_*) for 3 consecutive n.
     """
-    lam_star = find_lambda_star(physics, grid)
-    flow = solve_laminar(physics, lam_star, grid)
-
-    mode1 = shoot_mode(flow, physics, 1)
+    lam_star, flow, mode1 = _lambda_star(physics, grid, 1)
+    coefficients = shot_coefficients(flow, physics)
     residuals = {1: abs(_relative(flow, physics, mode1))}
     modes = [mode1]
 
-    zmode, _ = shoot_zero_mode(flow, physics)
+    zmode, _ = shoot_zero_mode(flow, physics, coefficients)
     residuals[0] = abs(_relative(flow, physics, zmode))
     zero_resonant = residuals[0] < resonance_rtol
 
@@ -378,7 +484,7 @@ def classify(physics: Physics, grid: PGrid, n_max: int = 64,
     grow_streak = 0
     prev_gap = None
     for n in range(2, n_max + 1):
-        mode = shoot_mode(flow, physics, n)
+        mode = shoot_mode(flow, physics, n, coefficients=coefficients)
         rel = _relative(flow, physics, mode)
         residuals[n] = abs(rel)
         if abs(rel) < resonance_rtol:
@@ -466,7 +572,9 @@ def find_double_sigma(physics: Physics, grid: PGrid, n2: int):
     def shots(lam_):
         # neither the flow nor the modes depend on sigma
         flow = solve_laminar(physics, lam_, grid)
-        return flow, [shoot_mode(flow, physics, n) for n in (1, n2)]
+        coefficients = shot_coefficients(flow, physics)
+        return flow, [shoot_mode(flow, physics, n, coefficients=coefficients)
+                      for n in (1, n2)]
 
     def F(sigma_, flow, modes):
         at_sigma = replace(physics, sigma=sigma_)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_physics
+from test_spectral import _smallest_root_scan
 from stratiwave import heightsolver as hs
 from stratiwave import laminar as lm
 from stratiwave import profiles as pr
@@ -374,6 +375,26 @@ def test_discrete_lambda_star_flips_jacobian_determinant():
         dense = np.column_stack([jac.matvec(e) for e in np.eye(jac.shape[0])])
         signs.append(np.linalg.slogdet(dense)[0])
     assert signs[0] * signs[1] < 0
+
+
+@pytest.mark.parametrize("kwargs, n_p, n_q", [
+    ({}, 64, 64),
+    ({"sigma": 10.0, "rho_coeffs": (1.0, -0.1), "beta_coeffs": (0.0, 0.2)},
+     16, 16),
+    ({"sigma": 10.0, "rho_coeffs": (1.0, -0.1), "beta_coeffs": (0.0, 0.2)},
+     20, 12),
+], ids=["c64", "strat-beta16", "strat-beta20x12"])
+def test_discrete_lambda_star_matches_linear_scan(kwargs, n_p, n_q):
+    # the configs of the two tests above and of _stratified_field
+    phys = make_physics(**kwargs)
+    grid = pr.PGrid(-1.0, n_p)
+
+    def f(lam):
+        flow = lm.solve_laminar(phys, lam, grid)
+        return hs.fourier_block_dispersion(phys, flow, 1, n_q)
+
+    ref = _smallest_root_scan(f, lm.lambda_floor(phys, grid), lm.LAMBDA_CAP)
+    assert hs.discrete_lambda_star(phys, grid, n_q) == ref
 
 
 def test_newton_accepts_root_without_iterating(t0, simple_point):

@@ -2,12 +2,53 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from conftest import irrotational_lambda_star, make_physics, sigma_for_root
 from stratiwave import laminar as lm
 from stratiwave import profiles as pr
 from stratiwave import spectral as sp
-from stratiwave.errors import UndefinedQuantityError
+from stratiwave.errors import LBViolatedError, UndefinedQuantityError
+
+
+def _smallest_root_scan(f, floor, cap):
+    """``spectral._smallest_root`` as a walk up every scan sample, as it
+    stood before the search; the reference for bit-identical roots."""
+    lo = sp._first_admissible(floor)
+    flo = f(lo)
+    if flo == 0.0:
+        return lo
+    hi = lo
+    fhi = flo
+    while np.sign(fhi) == np.sign(flo):
+        lo, flo = hi, fhi
+        hi = max(hi * 2.0, floor + 2.0 * (hi - floor))
+        if hi > cap:
+            return None
+        fhi = f(hi)
+    return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+
+
+def _relative_D(physics, grid, n):
+    """lambda -> D / scale of mode n, with nothing remembered."""
+    def f(lam):
+        flow = lm.solve_laminar(physics, lam, grid)
+        return sp._relative(flow, physics, sp.shoot_mode(flow, physics, n))
+    return f
+
+
+def _count_laminar_solves(monkeypatch):
+    """Count the laminar solves spectral makes from here on."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return lm.solve_laminar(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "solve_laminar", counted)
+    return calls
 
 
 def _shoot_loop(flow, physics, n, forcing=0.0, M0p=1.0):
@@ -114,7 +155,8 @@ def test_zero_mode_constant_density(t0, grid128):
 
 def test_zero_mode_forcing_vanishes_for_constant_rho(t0, grid128):
     flow = lm.solve_laminar(t0, 2.0, grid128)
-    M2, M2p, _, _ = sp._shoot(flow, t0, 0, forcing=-t0.g, M0p=0.0)
+    coef = sp.shot_coefficients(flow, t0)
+    M2, M2p, _, _ = sp._shoot(coef, 0, forcing=-t0.g, M0p=0.0)
     assert np.max(np.abs(M2)) == 0.0
 
 
@@ -132,10 +174,11 @@ def test_shoot_matches_loop_reference(rho, beta):
     phys = make_physics(sigma=10.0, rho_coeffs=rho, beta_coeffs=beta)
     grid = pr.PGrid(-1.0, 512)
     flow = lm.solve_laminar(phys, 5.0, grid)
+    coef = sp.shot_coefficients(flow, phys)
     cases = [(0, 0.0, 1.0), (0, -phys.g, 0.0), (1, 0.0, 1.0),
              (1000, -phys.g, 1.0), (1000, 0.0, 1.0)]
     for n, forcing, M0p in cases:
-        got = sp._shoot(flow, phys, n, forcing=forcing, M0p=M0p)
+        got = sp._shoot(coef, n, forcing=forcing, M0p=M0p)
         ref = _shoot_loop(flow, phys, n, forcing=forcing, M0p=M0p)
         for a, b in zip(got[:3], ref[:3]):
             assert np.array_equal(a, b), (n, forcing)
@@ -259,3 +302,96 @@ def test_rayleigh_undefined_guard():
     from stratiwave.errors import IndefiniteFormError
     with pytest.raises(IndefiniteFormError):
         sp.rayleigh_mu(flow, phys, 1.0, N=64)
+
+
+# the golden-manifest configs c64, s64 and c512, and beta(s) = 0.2 s
+LAMBDA_STAR_CASES = {
+    "c64": ({}, 64),
+    "s64": ({"sigma": 10.0, "rho_coeffs": (1.0, -0.1)}, 64),
+    "c512": ({}, 512),
+    "beta-0.2s": ({"beta_coeffs": (0.0, 0.2)}, 64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAMBDA_STAR_CASES))
+def test_find_lambda_star_matches_linear_scan(case):
+    kwargs, n_p = LAMBDA_STAR_CASES[case]
+    phys = make_physics(**kwargs)
+    grid = pr.PGrid(-1.0, n_p)
+    floor = lm.lambda_floor(phys, grid)
+    for n in range(1, 7):
+        ref = _smallest_root_scan(_relative_D(phys, grid, n), floor,
+                                  lm.LAMBDA_CAP)
+        assert sp.find_lambda_star(phys, grid, n) == ref, n
+
+
+def _one_sign_change(root, sign, shape):
+    shapes = {"linear": lambda d: d, "cbrt": np.cbrt, "tanh": np.tanh}
+    return lambda x: sign * float(shapes[shape](x - root))
+
+
+@settings(database=None, derandomize=True, max_examples=300)
+@given(floor=st.sampled_from([-2.0, 1e-6, 0.2, 4.0]),
+       offset=st.one_of(st.floats(0.0, lm.LAMBDA_CAP),
+                        st.floats(-10.0, 6.1).map(lambda t: 10.0 ** t)),
+       sign=st.sampled_from([-1.0, 1.0]),
+       shape=st.sampled_from(["linear", "cbrt", "tanh"]))
+def test_smallest_root_matches_linear_scan(floor, offset, sign, shape):
+    # the root anywhere from the floor up to the cap, and past it
+    f = _one_sign_change(floor + offset, sign, shape)
+    got = sp._smallest_root(f, floor, lm.LAMBDA_CAP)
+    assert got == _smallest_root_scan(f, floor, lm.LAMBDA_CAP)
+
+
+def test_smallest_root_without_sign_change_is_none():
+    for floor in (-2.0, 1e-6, 4.0):
+        for value in (-1.0, 1.0):
+            assert sp._smallest_root(lambda x: value, floor,
+                                     lm.LAMBDA_CAP) is None
+    # a flip past the cap is no flip
+    assert sp._smallest_root(lambda x: x - 2.0, 0.2, 1.0) is None
+
+
+def test_smallest_root_zero_at_the_first_sample():
+    for floor in (-2.0, 1e-6, 4.0):
+        x0 = sp._first_admissible(floor)
+        assert sp._smallest_root(lambda x: x - x0, floor,
+                                 lm.LAMBDA_CAP) == x0
+
+
+def test_find_lambda_star_without_sign_change_raises(grid64):
+    # g = sigma = 0: D = lambda^{3/2} M'(0) > 0 at every lambda
+    with pytest.raises(LBViolatedError):
+        sp.find_lambda_star(make_physics(g=0.0, sigma=0.0), grid64)
+
+
+def test_lambda_star_search_evaluates_each_lambda_once(t0, monkeypatch):
+    # c512 simple point: a walk up every sample took 31 laminar solves
+    # and classify 2 more at lambda_*
+    grid = pr.PGrid(-1.0, 512)
+    calls = _count_laminar_solves(monkeypatch)
+    sp.find_lambda_star(t0, grid)
+    assert len(calls) <= 12
+    assert len(set(calls)) == len(calls)
+    searched = len(calls)
+    del calls[:]
+    sp.classify(t0, grid)
+    assert len(calls) == searched
+
+
+def test_classify_takes_flow_and_mode_from_the_search(stratified):
+    grid = pr.PGrid(-1.0, 64)
+    bp = sp.classify(stratified, grid)
+    flow = lm.solve_laminar(stratified, bp.lambda_star, grid)
+    for name in ("H", "Hp", "G", "Ydot", "Gdot"):
+        assert np.array_equal(getattr(bp.flow, name), getattr(flow, name))
+    mode = sp.shoot_mode(flow, stratified, 1)
+    for name in ("M", "Mp", "Mpp"):
+        assert np.array_equal(getattr(bp.modes[0], name),
+                              getattr(mode, name))
+    # the shared coefficient samples give every mode bit-equal
+    coef = sp.shot_coefficients(flow, stratified)
+    for n in (2, 5):
+        shared = sp.shoot_mode(flow, stratified, n, coefficients=coef)
+        alone = sp.shoot_mode(flow, stratified, n)
+        assert np.array_equal(shared.Mpp, alone.Mpp)

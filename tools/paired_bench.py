@@ -8,11 +8,19 @@ the ``run_seconds`` of ``BENCHMARK.json`` on one seed (``--seed``,
 ``--seed + 1``, ...), one run at a time; the parent runs first in even pairs
 (0, 2, ...) and the change first in odd ones, so a drift of the host does
 not favour one side.  The result goes to ``BENCH_<workload>.json`` in the
-root of this checkout: every run of both sides, and for each end-to-end
-metric of ``BENCHMARK.json`` both sides' medians and quartiles, the
-parent's interquartile range and the pairs the change won.  A run that
-exits non-zero or prints no result is kept with its error and leaves its
-pair out of the counts.  Needs only the standard library.
+root of this checkout: both checkouts' ``git rev-parse HEAD``, every run
+of both sides, and for each end-to-end metric of ``BENCHMARK.json`` both
+sides' medians and quartiles, the parent's interquartile range and the
+pairs the change won.  A run that exits non-zero or prints no result is
+kept with its error and leaves its pair out of the counts.
+
+When that file already exists, the new pairs are appended to its pairs
+and the summary is recomputed over all of them.  That needs the same two
+commits, the same run length and no seed run before; otherwise nothing
+runs and the exit code is 2 (move the file aside to start afresh).  A
+checkout with uncommitted edits is recorded as its HEAD marked
+``-dirty``, which does not tell one set of edits from another: keep one
+working tree per file.  Needs only the standard library.
 """
 
 import argparse
@@ -39,6 +47,34 @@ def run_once(checkout, workload, seed, seconds):
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {name: m["value"]
                         for name, m in result["metrics"].items()}}
+
+
+def head(checkout):
+    """``git rev-parse HEAD`` of a checkout, with ``-dirty`` appended when
+    its tracked files differ from that commit; None outside git."""
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        return None
+    dirty = subprocess.run(["git", "diff", "--quiet", "HEAD"],
+                           cwd=checkout).returncode != 0
+    return proc.stdout.strip() + ("-dirty" if dirty else "")
+
+
+def merge_refusal(stored, report):
+    """Why the pairs of ``report`` may not join those of ``stored``, or
+    None when they may."""
+    commits = report["commits"]
+    if None in commits.values() or stored.get("commits") != commits:
+        return (f"stored commits {stored.get('commits')} are not "
+                f"{commits}")
+    if stored.get("seconds") != report["seconds"]:
+        return (f"stored runs last {stored.get('seconds')} s, not "
+                f"{report['seconds']} s")
+    repeated = sorted(set(stored["seeds"]) & set(report["seeds"]))
+    if repeated:
+        return f"seeds {repeated} were run before"
+    return None
 
 
 def quartiles(values):
@@ -83,8 +119,22 @@ def main(argv=None):
     if not (parent / "perfbench" / "run.py").is_file():
         parser.error(f"no perfbench/run.py under {parent}")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = bench["run_seconds"]
+    report = {
+        "workload": args.workload, "seconds": bench["run_seconds"],
+        "commits": {"parent": head(parent), "change": head(ROOT)},
+        "seeds": [args.seed + k for k in range(args.pairs)],
+        "parent": [], "change": []}
+    path = ROOT / f"BENCH_{args.workload}.json"
+    stored = json.loads(path.read_text()) if path.is_file() else None
+    if stored is not None:
+        refusal = merge_refusal(stored, report)
+        if refusal:
+            print(f"not appending to {path}: {refusal}", file=sys.stderr)
+            return 2
+        for key in ("seeds", "parent", "change"):
+            report[key] = stored[key] + report[key]
 
+    seconds = report["seconds"]
     pairs = []
     for k in range(args.pairs):
         seed = args.seed + k
@@ -100,14 +150,11 @@ def main(argv=None):
         sides["change"]["first"] = order[0] == "change"
         pairs.append((sides["parent"], sides["change"]))
 
-    report = {
-        "workload": args.workload, "seconds": seconds,
-        "seeds": [args.seed + k for k in range(args.pairs)],
-        "parent": [p for p, _ in pairs],
-        "change": [c for _, c in pairs],
-        "summary": summarize(pairs, bench["end_to_end"]),
-    }
-    path = ROOT / f"BENCH_{args.workload}.json"
+    report["parent"] += [p for p, _ in pairs]
+    report["change"] += [c for _, c in pairs]
+    report["summary"] = summarize(list(zip(report["parent"],
+                                           report["change"])),
+                                  bench["end_to_end"])
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     for name, s in report["summary"].items():
         print(f"{name}: {s['parent']['median']:.6g} -> "
