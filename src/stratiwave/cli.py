@@ -436,7 +436,7 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser():
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="stratiwave",
         description="Steady stratified capillary-gravity wave toolkit")
@@ -451,10 +451,13 @@ def build_parser():
     return parser
 
 
+# built once per process: each parse_args call fills a fresh Namespace
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -43,14 +43,18 @@ class EulerianWave:
     p0: float
 
 
+def _mirror(n_q):
+    """Half-period column of each full-period column ix = 0..2 N_q: the
+    even extension maps ix to 2 N_q - ix."""
+    return np.concatenate([np.arange(n_q + 1), np.arange(n_q - 1, -1, -1)])
+
+
 def reconstruct(physics: Physics, hf: HeightField) -> EulerianWave:
     """Even-extend the half-period field and change variables."""
     hq_h, hp_h, _, _, _ = derivatives(hf)
     if np.any(hp_h <= 0):
         raise EllipticityLossError("h_p <= 0: reconstruction undefined")
-    # even extension: index ix = 0..2Nq, mirror ix -> 2Nq - ix
-    mirror = np.concatenate([np.arange(hf.N_q + 1),
-                             np.arange(hf.N_q - 1, -1, -1)])
+    mirror = _mirror(hf.N_q)
     h = hf.h[mirror, :]
     hp = hp_h[mirror, :]
     hq = hq_h[mirror, :]
@@ -78,16 +82,16 @@ def reconstruct(physics: Physics, hf: HeightField) -> EulerianWave:
 def _locate(knots, points):
     """Interval index i with knots[r, i] <= points[r, j] < knots[r, i + 1].
 
-    Rows of both arrays are increasing; points outside a row's knots take
+    Rows of ``knots`` are increasing; points outside a row's knots take
     its first or last interval, and a point on the last knot the last one.
-    A stable sort of each row's knots followed by its points puts every
-    point after the knots at or below it and after the points before it.
+    The index is the number of the row's knots at or below the point,
+    minus one.
     """
-    nk, npt = knots.shape[1], points.shape[1]
-    order = np.argsort(np.concatenate([knots, points], axis=1), axis=1,
-                       kind="stable")
-    rank = np.nonzero(order >= nk)[1].reshape(points.shape)
-    return np.clip(rank - np.arange(npt) - 1, 0, nk - 2)
+    nk = knots.shape[1]
+    rank = np.empty(points.shape, dtype=np.intp)
+    for r in range(knots.shape[0]):
+        rank[r] = np.searchsorted(knots[r], points[r], side="right")
+    return np.clip(rank - 1, 0, nk - 2)
 
 
 def _hermite(x, y, slopes):
@@ -193,10 +197,14 @@ def flux_all_columns(wave: EulerianWave):
 
     Each column's integrand is resampled onto a uniform y-grid in
     [-d, eta(x)] with four points per streamline cell by monotone cubic
-    (PCHIP) interpolation and integrated with Simpson's rule.
+    (PCHIP) interpolation and integrated with Simpson's rule.  The wave is
+    even in x, so column 2 N_q - ix holds the same numbers as column ix:
+    the integrals are taken on the half period and mirrored.  Every column
+    is still checked for a fold.
     """
-    y = _increasing_columns(wave.y)
-    f = np.sqrt(wave.rho) * (wave.u - wave.c)
+    n_q = (wave.x.size - 1) // 2
+    y = _increasing_columns(wave.y)[:n_q + 1]
+    f = np.sqrt(wave.rho[:n_q + 1]) * (wave.u[:n_q + 1] - wave.c)
     n = 4 * (y.shape[1] - 1)
     yy = np.linspace(y[:, 0], y[:, -1], n + 1, axis=1)
     ff = _evaluate(y, _hermite(y, f, _pchip_slopes(y, f)), yy)
@@ -204,7 +212,7 @@ def flux_all_columns(wave: EulerianWave):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     hstep = (y[:, -1] - y[:, 0]) / n
-    return (hstep / 3.0) * (ff @ w)
+    return ((hstep / 3.0) * (ff @ w))[_mirror(n_q)]
 
 
 def surface_bernoulli_residual(wave: EulerianWave, physics: Physics) -> float:
@@ -221,20 +229,21 @@ def surface_bernoulli_residual(wave: EulerianWave, physics: Physics) -> float:
     shrinks at second order under grid refinement.
     """
     x = wave.x
-    eta = wave.eta
     dx = x[1] - x[0]
     # periodic C^2 splines keep full accuracy at the crest and trough,
-    # where shape-preserving interpolants flatten and lose the curvature
-    eta_i = CubicSpline(x, eta, bc_type="periodic")
-    u_i = CubicSpline(x, wave.u[:, -1], bc_type="periodic")
-    v_i = CubicSpline(x, wave.v[:, -1], bc_type="periodic")
+    # where shape-preserving interpolants flatten and lose the curvature;
+    # one spline carries the columns eta, u and v of the surface
+    surface = CubicSpline(
+        x, np.stack([wave.eta, wave.u[:, -1], wave.v[:, -1]], axis=1),
+        bc_type="periodic")
     mid = 0.5 * (x[:-1] + x[1:])
-    e = eta_i(mid)
-    ex = (eta_i(mid + dx) - eta_i(mid - dx)) / (2.0 * dx)
-    exx = (eta_i(mid + dx) - 2.0 * e + eta_i(mid - dx)) / dx ** 2
+    e, us, vs = surface(mid).T
+    e_east = surface(mid + dx)[:, 0]
+    e_west = surface(mid - dx)[:, 0]
+    ex = (e_east - e_west) / (2.0 * dx)
+    exx = (e_east - 2.0 * e + e_west) / dx ** 2
     kappa = -exx / (1.0 + ex ** 2) ** 1.5
     rho_s = physics.rho0()
-    us, vs = u_i(mid), v_i(mid)
     resid = (rho_s * ((us - wave.c) ** 2 + vs ** 2)
              + 2.0 * physics.g * rho_s * (e + wave.d)
              + 2.0 * physics.sigma * kappa - wave.Q)
@@ -249,8 +258,15 @@ def yih_residual(wave: EulerianWave, physics: Physics) -> float:
     after resampling psi = -p onto a uniform Cartesian grid in the fluid
     (as many rows as streamline cells), 5-point Laplacian, and restriction
     to points at least two cells from every boundary.
+
+    The wave is even in x, so psi is resampled on the half-period columns
+    0..N_q only, and the neighbours across x = 0 and x = pi are reflected
+    ones.  A mirrored column 2 N_q - ix swaps the east and west neighbours
+    of column ix, so the x-difference is summed in both orders: the maximum
+    runs over the same residuals as on the full period.
     """
     nx = wave.x.size - 1
+    n_q = nx // 2
     dx = wave.x[1] - wave.x[0]
     n_y = wave.p.size - 1
     y_lo = -wave.d
@@ -261,39 +277,40 @@ def yih_residual(wave: EulerianWave, physics: Physics) -> float:
     # strictly monotone, so a C^2 spline inverts it without the order loss
     # a shape-limited interpolant shows under the Laplacian's second
     # differences
-    ycol = _increasing_columns(wave.y[:nx])
+    ycol = _increasing_columns(wave.y[:nx])[:n_q + 1]
     p = np.broadcast_to(wave.p, ycol.shape)
-    points = np.broadcast_to(yy, (nx, n_y + 1))
+    points = np.broadcast_to(yy, (n_q + 1, n_y + 1))
     depth_ok = (yy >= ycol[:, :1]) & (yy <= ycol[:, -1:])
     spline = _hermite(ycol, p, _spline_slopes(ycol, p))
     psi = np.where(depth_ok, -_evaluate(ycol, spline, points), np.nan)
     # rows iy = 2 .. n_y - 2: interior points with full stencils, two cells
     # clear of the bed and of the local surface
     mid, below, above = slice(2, n_y - 1), slice(1, n_y - 2), slice(3, n_y)
-    east = np.roll(psi, -1, axis=0)
-    west = np.roll(psi, 1, axis=0)
+    east = np.append(np.arange(1, n_q + 1), n_q - 1)
+    west = np.append(1, np.arange(n_q))
     ok = (depth_ok[:, mid] & depth_ok[:, below] & depth_ok[:, above]
-          & np.roll(depth_ok, -1, axis=0)[:, mid]
-          & np.roll(depth_ok, 1, axis=0)[:, mid]
+          & depth_ok[east, mid] & depth_ok[west, mid]
           & depth_ok[:, 4:n_y + 1] & (yy[mid] >= y_lo + 2 * dy)
           & (yy[mid] <= ycol[:, -1:] - 2 * dy))
     centre = psi[:, mid]
-    lap = ((east[:, mid] - 2.0 * centre + west[:, mid]) / dx ** 2
-           + (psi[:, above] - 2.0 * centre + psi[:, below]) / dy ** 2)
+    e, w = psi[east, mid], psi[west, mid]
+    vertical = (psi[:, above] - 2.0 * centre + psi[:, below]) / dy ** 2
     rp = physics.rho.deriv(np.clip(-centre, wave.p0, 0.0))
     bt = physics.beta.eval(np.clip(centre, 0.0, abs(wave.p0)))
-    resid = lap - physics.g * yy[mid] * rp + bt
-    return float(np.max(np.abs(resid[ok]), initial=0.0))
+    across = np.stack([e - 2.0 * centre + w, w - 2.0 * centre + e])
+    resid = across / dx ** 2 + vertical - physics.g * yy[mid] * rp + bt
+    return float(np.max(np.abs(resid[:, ok]), initial=0.0))
 
 
 def wave_csv(wave: EulerianWave) -> str:
     """Node dump: x, y, u, v, rho, psi."""
+    nx, n_p = wave.y.shape
+    nodes = np.column_stack([
+        np.repeat(wave.x, n_p), wave.y.ravel(), wave.u.ravel(),
+        wave.v.ravel(), wave.rho.ravel(), np.tile(-wave.p, nx)])
+    row = ",".join(["%.16e"] * 6)
     lines = ["x,y,u,v,rho,psi"]
-    for ix in range(wave.x.size):
-        for ip in range(wave.p.size):
-            vals = (wave.x[ix], wave.y[ix, ip], wave.u[ix, ip],
-                    wave.v[ix, ip], wave.rho[ix, ip], -wave.p[ip])
-            lines.append(",".join(f"{v:.16e}" for v in vals))
+    lines += [row % tuple(values) for values in nodes.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -307,7 +324,7 @@ def surface_csv(wave: EulerianWave) -> str:
     ex = (wave.eta[ipl] - wave.eta[imn]) / (2.0 * dx)
     exx = (wave.eta[ipl] - 2.0 * wave.eta + wave.eta[imn]) / dx ** 2
     kappa = -exx / (1.0 + ex ** 2) ** 1.5
-    for ix in range(n + 1):
-        lines.append(",".join(f"{v:.16e}" for v in
-                              (wave.x[ix], wave.eta[ix], kappa[ix])))
+    row = ",".join(["%.16e"] * 3)
+    lines += [row % tuple(values) for values in
+              np.column_stack([wave.x, wave.eta, kappa]).tolist()]
     return "\n".join(lines) + "\n"

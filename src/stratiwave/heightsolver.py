@@ -753,8 +753,8 @@ def dump_field(hf: HeightField) -> str:
     """Text grid format: header then row-major h values, 17 digits."""
     lines = [f"heightfield v1 {hf.N_q} {hf.pgrid.N_p} "
              f"{hf.pgrid.p0:.16e} {hf.Q:.16e}"]
-    for iq in range(hf.N_q + 1):
-        lines.append(" ".join(f"{v:.16e}" for v in hf.h[iq]))
+    row = " ".join(["%.16e"] * hf.h.shape[1])
+    lines += [row % tuple(values) for values in hf.h.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -782,10 +782,10 @@ def load_field(text: str) -> HeightField:
 
 def branch_csv(branch: Branch) -> str:
     lines = ["s,Q,amplitude,M1,M2,M3,M4,M5,M6,residual,step"]
+    row = ",".join(["%.16e"] * 11)
     for pt in branch.points:
-        vals = (pt.s, pt.Q, pt.amplitude) + pt.monitors + (pt.residual_norm,
-                                                           pt.step)
-        lines.append(",".join(f"{v:.16e}" for v in vals))
+        lines.append(row % ((pt.s, pt.Q, pt.amplitude) + pt.monitors
+                            + (pt.residual_norm, pt.step)))
     return "\n".join(lines) + "\n"
 
 

@@ -325,8 +325,9 @@ def check_size_condition(physics: Physics, grid: PGrid):
 
 def flow_to_csv(flow: LaminarFlow) -> str:
     """CSV emission: p, H, Hp, G, Ydot, Gdot at 17 significant digits."""
+    row = ",".join(["%.16e"] * 6)
+    columns = (flow.grid.nodes, flow.H, flow.Hp, flow.G, flow.Ydot, flow.Gdot)
     lines = ["p,H,Hp,G,Ydot,Gdot"]
-    for k, p in enumerate(flow.grid.nodes):
-        row = (p, flow.H[k], flow.Hp[k], flow.G[k], flow.Ydot[k], flow.Gdot[k])
-        lines.append(",".join(f"{v:.16e}" for v in row))
+    lines += [row % tuple(values)
+              for values in np.column_stack(columns).tolist()]
     return "\n".join(lines) + "\n"

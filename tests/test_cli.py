@@ -343,3 +343,18 @@ def test_laminar_iteration_budget(stratified, grid64, config_path, tmp_path,
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("iteration-failure: ")
+
+
+def test_parser_keeps_no_flags_between_calls(config_path, monkeypatch):
+    # one parser serves every main call: the flags of one call must not
+    # reach the next
+    seen = []
+    monkeypatch.setitem(cli._SUBCOMMANDS, "branch",
+                        lambda cfg, args: seen.append(vars(args).copy()) or 0)
+    path = config_path()
+    assert cli.main(["branch", "--config", path, "--n2", "3",
+                     "--steps", "2", "--out", "first"]) == 0
+    assert cli.main(["branch", "--config", path]) == 0
+    assert (seen[0]["n2"], seen[0]["steps"], seen[0]["out"]) == (3, 2, "first")
+    assert (seen[1]["n2"], seen[1]["steps"]) == (None, None)
+    assert seen[1]["out"] == cli.load_config(path).output_dir

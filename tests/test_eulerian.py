@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from conftest import make_physics
@@ -91,6 +93,54 @@ def _yih_reference(wave, physics):
         cand = float(np.max(np.abs(resid[ok])))
         worst = max(worst, cand)
     return worst
+
+
+def _flux_full_reference(wave):
+    """``eu.flux_all_columns`` on every column of the even extension, as it
+    was before it took the half period and mirrored."""
+    y = eu._increasing_columns(wave.y)
+    f = np.sqrt(wave.rho) * (wave.u - wave.c)
+    n = 4 * (y.shape[1] - 1)
+    yy = np.linspace(y[:, 0], y[:, -1], n + 1, axis=1)
+    ff = eu._evaluate(y, eu._hermite(y, f, eu._pchip_slopes(y, f)), yy)
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    hstep = (y[:, -1] - y[:, 0]) / n
+    return (hstep / 3.0) * (ff @ w)
+
+
+def _locate_by_sort(knots, points):
+    """``eu._locate`` as a stable sort of each row's knots followed by its
+    increasing points: every point lands after the knots at or below it
+    and after the points before it."""
+    nk, npt = knots.shape[1], points.shape[1]
+    order = np.argsort(np.concatenate([knots, points], axis=1), axis=1,
+                       kind="stable")
+    rank = np.nonzero(order >= nk)[1].reshape(points.shape)
+    return np.clip(rank - np.arange(npt) - 1, 0, nk - 2)
+
+
+def _bernoulli_three_splines(wave, physics):
+    """``eu.surface_bernoulli_residual`` with one periodic spline each for
+    eta, u and v on the surface."""
+    x = wave.x
+    eta = wave.eta
+    dx = x[1] - x[0]
+    eta_i = CubicSpline(x, eta, bc_type="periodic")
+    u_i = CubicSpline(x, wave.u[:, -1], bc_type="periodic")
+    v_i = CubicSpline(x, wave.v[:, -1], bc_type="periodic")
+    mid = 0.5 * (x[:-1] + x[1:])
+    e = eta_i(mid)
+    ex = (eta_i(mid + dx) - eta_i(mid - dx)) / (2.0 * dx)
+    exx = (eta_i(mid + dx) - 2.0 * e + eta_i(mid - dx)) / dx ** 2
+    kappa = -exx / (1.0 + ex ** 2) ** 1.5
+    rho_s = physics.rho0()
+    us, vs = u_i(mid), v_i(mid)
+    resid = (rho_s * ((us - wave.c) ** 2 + vs ** 2)
+             + 2.0 * physics.g * rho_s * (e + wave.d)
+             + 2.0 * physics.sigma * kappa - wave.Q)
+    return float(np.max(np.abs(resid)))
 
 
 def _solved_field(phys, N):
@@ -201,6 +251,73 @@ def test_oracles_reject_folded_column(t0, small_wave):
         eu.flux_all_columns(replace(wave, y=y))
     with pytest.raises(EllipticityLossError):
         eu.yih_residual(replace(wave, y=y), t0)
+
+
+def test_oracles_reject_folded_mirrored_column(t0, small_wave):
+    # column 2 N_q - 3 lies in the mirrored half, which the oracles check
+    # for folds but do not resample
+    wave = eu.reconstruct(t0, small_wave)
+    y = wave.y.copy()
+    ix = wave.x.size - 4
+    y[ix, 10], y[ix, 11] = y[ix, 11], y[ix, 10]
+    with pytest.raises(EllipticityLossError):
+        eu.flux_all_columns(replace(wave, y=y))
+    with pytest.raises(EllipticityLossError):
+        eu.yih_residual(replace(wave, y=y), t0)
+
+
+def test_half_period_oracles_match_full_extension(solved_waves):
+    # the mirrored integrals, one stacked surface spline and the sort-free
+    # interval search reproduce the full-period numbers bit for bit
+    for phys, wave in solved_waves:
+        full = _flux_full_reference(wave)
+        assert np.array_equal(full, full[::-1])
+        assert np.array_equal(eu.flux_all_columns(wave), full)
+        assert eu.surface_bernoulli_residual(wave, phys) \
+            == _bernoulli_three_splines(wave, phys)
+        y = wave.y
+        yy = np.linspace(y[:, 0], y[:, -1], 4 * y.shape[1] - 3, axis=1)
+        assert np.array_equal(eu._locate(y, yy), _locate_by_sort(y, yy))
+
+
+def test_yih_sums_mirrored_neighbours_both_ways():
+    # on this noisy field the largest residual sits on a mirrored column,
+    # where e - 2c + w and w - 2c + e round apart in the last bit
+    strat = make_physics(sigma=10.0, rho_coeffs=(1.0, -0.1))
+    sol = _solved_field(strat, 16)
+    noise = np.zeros(sol.h.shape)
+    noise[:, 1:-1] = 1e-3 * np.random.default_rng(27).standard_normal(
+        (sol.h.shape[0], sol.h.shape[1] - 2))
+    wave = eu.reconstruct(strat, replace(sol, h=sol.h + noise))
+    assert eu.yih_residual(wave, strat) == _yih_reference(wave, strat)
+
+
+@st.composite
+def _knots_and_points(draw):
+    rows = draw(st.integers(1, 4))
+    nk = draw(st.integers(2, 9))
+    npt = draw(st.integers(1, 12))
+    steps = st.floats(1e-3, 10.0)
+    knots, points = [], []
+    for _ in range(rows):
+        row = np.cumsum([draw(st.floats(-5.0, 5.0))]
+                        + draw(st.lists(steps, min_size=nk - 1,
+                                        max_size=nk - 1)))
+        # points below the first knot, on knots and above the last
+        pool = st.one_of(st.sampled_from(row.tolist()),
+                         st.floats(row[0] - 5.0, row[-1] + 5.0))
+        knots.append(row)
+        points.append(np.sort(draw(st.lists(pool, min_size=npt,
+                                            max_size=npt))))
+    return np.array(knots), np.array(points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_knots_and_points())
+def test_locate_matches_sort(data):
+    knots, points = data
+    assert np.array_equal(eu._locate(knots, points),
+                          _locate_by_sort(knots, points))
 
 
 def test_surface_bernoulli_laminar_zero(t0, grid64):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_physics
 from test_spectral import _smallest_root_scan
+from stratiwave import eulerian as eu
 from stratiwave import heightsolver as hs
 from stratiwave import laminar as lm
 from stratiwave import profiles as pr
@@ -744,3 +745,49 @@ def test_simple_branch_mode1_dominates_near_onset(t0, simple_point):
         coefs = np.array([2 / np.pi * np.sum(w * pt.field.top * np.cos(n * q))
                           for n in range(1, 9)])
         assert abs(coefs[0]) >= 10.0 * np.max(np.abs(coefs[1:]))
+
+
+def _per_value(rows, sep):
+    """Rows of numbers formatted one value at a time, as the writers did."""
+    return [sep.join(f"{v:.16e}" for v in row) for row in rows]
+
+
+def test_writers_match_per_value_format():
+    # signed zero, the smallest subnormal, the extremes and negatives
+    special = [-0.0, 5e-324, 1e308, -1e308, -1.5, 0.1, -2.5e-300, 3.0,
+               -7.0e-17]
+    vals = np.resize(special, (3, 17))
+    grid = pr.PGrid(-1.0, 16)
+    hf = hs.HeightField(Q=-0.0, N_q=2, pgrid=grid, h=vals)
+    assert hs.dump_field(hf).splitlines()[1:] == _per_value(vals, " ")
+
+    points = tuple(hs.BranchPoint(
+        s=row[0], Q=row[1], amplitude=row[2], monitors=tuple(row[3:9]),
+        residual_norm=row[9], step=row[10], field=None)
+        for row in np.resize(special, (3, 11)))
+    rows = [(pt.s, pt.Q, pt.amplitude) + pt.monitors
+            + (pt.residual_norm, pt.step) for pt in points]
+    text = hs.branch_csv(hs.Branch(points=points, termination="max-steps"))
+    assert text.splitlines()[1:] == _per_value(rows, ",")
+
+    flow = lm.LaminarFlow(lam=1.0, grid=grid, H=vals[0], Hp=vals[1],
+                          G=vals[2], Q=1.0, Ydot=vals[0][::-1],
+                          Gdot=vals[1][::-1], Qdot=0.0, iterations=1,
+                          converged=True)
+    rows = zip(grid.nodes, flow.H, flow.Hp, flow.G, flow.Ydot, flow.Gdot)
+    assert lm.flow_to_csv(flow).splitlines()[1:] == _per_value(rows, ",")
+
+    x = np.linspace(0.0, 2.0 * np.pi, 5)
+    field = np.resize(special, (5, 17))
+    wave = eu.EulerianWave(x=x, p=grid.nodes, y=field, u=-field,
+                           v=field[::-1], rho=field[:, ::-1],
+                           eta=np.array([-0.0, 5e-324, -1.5, 0.25, -0.0]),
+                           d=0.5, Q=1.0, c=1.0, p0=-1.0)
+    rows = [(wave.x[ix], wave.y[ix, ip], wave.u[ix, ip], wave.v[ix, ip],
+             wave.rho[ix, ip], -wave.p[ip])
+            for ix in range(5) for ip in range(17)]
+    assert eu.wave_csv(wave).splitlines()[1:] == _per_value(rows, ",")
+    # 17 significant digits round-trip, so kappa can be read back
+    surface = eu.surface_csv(wave).splitlines()[1:]
+    kappa = [float(line.split(",")[2]) for line in surface]
+    assert surface == _per_value(zip(x, wave.eta, kappa), ",")
