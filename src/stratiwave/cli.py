@@ -171,10 +171,13 @@ def load_config(path: str) -> RunConfig:
 
     numerics = _parse_numerics(raw.get("numerics", {}))
     controls = _parse_continuation(raw.get("continuation", {}))
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigError("output_dir must be a non-empty string")
     return RunConfig(physics=physics, numerics=numerics,
                      continuation=controls,
                      lambdas=_numbers(raw.get("lambdas", []), "lambdas"),
-                     output_dir=str(raw.get("output_dir", "out")))
+                     output_dir=output_dir)
 
 
 def _check_flags(args):
@@ -220,12 +223,15 @@ def cmd_laminar(cfg: RunConfig, args):
     lambdas = [args.lam] if args.lam is not None else cfg.lambdas
     if not lambdas:
         raise ConfigError("laminar needs --lambda or a 'lambdas' list")
+    names = [f"laminar_{lam:.6g}.csv" for lam in lambdas]
+    if len(set(names)) < len(names):
+        raise ConfigError("lambdas must differ in their first 6 significant "
+                          "digits, which name their files")
     grid = cfg.grid
     paths = []
-    for lam in lambdas:
+    for lam, name in zip(lambdas, names):
         flow = laminar.solve_laminar(cfg.physics, lam, grid)
-        paths.append(_write(args.out, f"laminar_{lam:.6g}.csv",
-                            laminar.flow_to_csv(flow)))
+        paths.append(_write(args.out, name, laminar.flow_to_csv(flow)))
     print("\n".join(paths))
     return 0
 

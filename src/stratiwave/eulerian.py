@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
-from .errors import EllipticityLossError
+from .errors import EllipticityLossError, SingularSystemError
 from .heightsolver import HeightField, derivatives
 from .profiles import Physics
 
@@ -143,22 +144,20 @@ def _pchip_slopes(x, y):
 def _spline_slopes(x, y):
     """Node slopes of the C^2 not-a-knot cubic spline through each row.
 
-    The tridiagonal systems of all rows are eliminated together without
-    row exchanges; each interior pivot is at least the sum of two adjacent
-    cell widths.
-    LAPACK's gtsv, which scipy's CubicSpline calls, exchanges rows only
-    where a cell is wider than the two below it together, so elsewhere
-    both do the same arithmetic.
+    The rows' tridiagonal systems are stacked end to end with zero
+    couplings between rows and solved by one LAPACK ``gtsv`` call.  A zero
+    coupling leaves the next row's elimination as it is, so every row gets
+    the slopes of scipy's CubicSpline, which solves its system by gtsv too.
     """
     dx = np.diff(x, axis=1)
     secant = np.diff(y, axis=1) / dx
-    lower = np.empty_like(dx)                # row k + 1, column k
+    lower = np.zeros_like(x)                 # row k + 1, column k; 0 at k = -1
     diag = np.empty_like(x)
-    upper = np.empty_like(dx)                # row k, column k + 1
+    upper = np.zeros_like(x)                 # row k, column k + 1; 0 at k = -1
     rhs = np.empty_like(x)
     diag[:, 1:-1] = 2 * (dx[:, :-1] + dx[:, 1:])
-    upper[:, 1:] = dx[:, :-1]
-    lower[:, :-1] = dx[:, 1:]
+    upper[:, 1:-1] = dx[:, :-1]
+    lower[:, :-2] = dx[:, 1:]
     rhs[:, 1:-1] = 3 * (dx[:, 1:] * secant[:, :-1]
                         + dx[:, :-1] * secant[:, 1:])
     # not-a-knot: the third derivative is continuous at the second and the
@@ -170,19 +169,14 @@ def _spline_slopes(x, y):
                  + dx[:, 0] ** 2 * secant[:, 1]) / d
     d = x[:, -1] - x[:, -3]
     diag[:, -1] = dx[:, -2]
-    lower[:, -1] = d
+    lower[:, -2] = d
     rhs[:, -1] = (dx[:, -1] ** 2 * secant[:, -2]
                   + (2 * d + dx[:, -1]) * dx[:, -2] * secant[:, -1]) / d
-    for k in range(x.shape[1] - 1):
-        fact = lower[:, k] / diag[:, k]
-        diag[:, k + 1] -= fact * upper[:, k]
-        rhs[:, k + 1] -= fact * rhs[:, k]
-    slopes = np.empty_like(x)
-    slopes[:, -1] = rhs[:, -1] / diag[:, -1]
-    for k in range(x.shape[1] - 2, -1, -1):
-        slopes[:, k] = (rhs[:, k] - upper[:, k] * slopes[:, k + 1]) \
-            / diag[:, k]
-    return slopes
+    *_, slopes, info = dgtsv(lower.ravel()[:-1], diag.ravel(),
+                             upper.ravel()[:-1], rhs.ravel())
+    if info != 0:
+        raise SingularSystemError(f"spline system singular (info {info})")
+    return slopes.reshape(x.shape)
 
 
 def _increasing_columns(y):

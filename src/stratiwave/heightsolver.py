@@ -256,27 +256,20 @@ class JacobianRecord:
         return y[0] - dQ * self._yq, dQ
 
 
-def jacobian(physics: Physics, hf: HeightField) -> JacobianRecord:
-    """Analytic Jacobian of the residual in band storage.
+def _stencil(physics: Physics, hf: HeightField):
+    """The linearized height operator as terms over all q-columns.
 
-    Each stencil term is one whole-grid coefficient array scattered into
-    the band with a single fancy-index update.  Within one update every
-    row appears once, so no index repeats; the entries that ghost
-    reflection folds together (q = 0 and q = pi) sum their terms in
-    stencil order, one update after another.
+    Returns (families, u, q_col).  ``families`` holds (ip, terms) for the
+    bed rows (the identity), the interior rows and the Venttsel top rows.
+    A term (side, shift, coef) couples row (iq, ip) to node
+    (iq', ip + shift) with coefficient coef[iq], iq' being iq's left
+    neighbour under reflection (side -1), iq (0) or its right neighbour
+    (+1); terms on one entry sum in list order.  ``u`` is the rank-one
+    depth factor and ``q_col`` is dG/dQ, both as node arrays.
     """
     hq, hp, hqq, hpp, hpq = derivatives(hf)
-    N_q, N_p = hf.N_q, hf.pgrid.N_p
-    npp = N_p + 1
-    n = (N_q + 1) * npp
+    N_p = hf.pgrid.N_p
     dq, dp = hf.dq, hf.pgrid.h
-    kl = ku = npp + 1
-    ab = np.zeros((2 * kl + 1, n))
-    left, right = _q_indices(N_q)
-
-    def add(i, j, val):
-        ab[ku + i - j, j] += val
-
     p = hf.pgrid.nodes
     rho_p = physics.rho_p(p)
     beta = physics.beta_at(p)
@@ -285,15 +278,8 @@ def jacobian(physics: Physics, hf: HeightField) -> JacobianRecord:
     sigma = physics.sigma
     d = hf.depth()
 
-    # flat node index iq * npp + ip: the q offsets of each node and of its
-    # left/right neighbours under reflection, as (N_q + 1, 1) columns
-    off = np.arange(N_q + 1)[:, None] * npp
-    off_l, off_r = left[:, None] * npp, right[:, None] * npp
-
     # interior rows, ip = 1 .. N_p - 1
-    ip = np.arange(1, N_p)
     inner = slice(1, N_p)
-    i = off + ip
     hq_i, hp_i, hqq_i = hq[:, inner], hp[:, inner], hqq[:, inner]
     hpp_i, hpq_i = hpp[:, inner], hpq[:, inner]
     rho_p_i, beta_i = rho_p[inner], beta[inner]
@@ -306,58 +292,68 @@ def jacobian(physics: Physics, hf: HeightField) -> JacobianRecord:
            + 3.0 * hp_i ** 2 * beta_i)
     c_pq = -2.0 * hq_i * hp_i
     c_0 = -g * rho_p_i * hp_i ** 3
-    # p-second difference
-    add(i, off + ip - 1, c_pp / dp ** 2)
-    add(i, i, -2.0 * c_pp / dp ** 2)
-    add(i, off + ip + 1, c_pp / dp ** 2)
-    # q-second difference (reflection doubles the mirrored node)
-    add(i, off_l + ip, c_qq / dq ** 2)
-    add(i, i, -2.0 * c_qq / dq ** 2)
-    add(i, off_r + ip, c_qq / dq ** 2)
-    # q-first difference
-    add(i, off_r + ip, c_q / (2.0 * dq))
-    add(i, off_l + ip, -c_q / (2.0 * dq))
-    # p-first difference
-    add(i, off + ip + 1, c_p / (2.0 * dp))
-    add(i, off + ip - 1, -c_p / (2.0 * dp))
-    # mixed: central q of central p
-    add(i, off_r + ip + 1, c_pq / (4.0 * dq * dp))
-    add(i, off_r + ip - 1, -c_pq / (4.0 * dq * dp))
-    add(i, off_l + ip + 1, -c_pq / (4.0 * dq * dp))
-    add(i, off_l + ip - 1, c_pq / (4.0 * dq * dp))
-    # local h
-    add(i, i, c_0)
+    pp, qq = c_pp / dp ** 2, c_qq / dq ** 2
+    q1, p1 = c_q / (2.0 * dq), c_p / (2.0 * dp)
+    pq = c_pq / (4.0 * dq * dp)
+    interior = [(0, -1, pp), (0, 0, -2.0 * pp), (0, 1, pp),    # p-second
+                # q-second difference (reflection doubles the mirrored node)
+                (-1, 0, qq), (0, 0, -2.0 * qq), (1, 0, qq),
+                (1, 0, q1), (-1, 0, -q1),                       # q-first
+                (0, 1, p1), (0, -1, -p1),                       # p-first
+                # mixed: central q of central p
+                (1, 1, pq), (1, -1, -pq), (-1, 1, -pq), (-1, -1, pq),
+                (0, 0, c_0)]                                    # local h
 
-    # bottom Dirichlet rows
-    ab[ku, off[:, 0]] = 1.0
-
-    # Venttsel top rows
-    it = off[:, 0] + N_p
-    hq_t, hqq_t, hp_t = hq[:, -1], hqq[:, -1], hp[:, -1]
-    slope, kappa = _surface(hq, hqq)
+    # Venttsel top rows, coefficients as (N_q + 1, 1) columns
+    hq_t, hqq_t, hp_t = hq[:, -1:], hqq[:, -1:], hp[:, -1:]
+    slope, kappa = (a[:, None] for a in _surface(hq, hqq))
     c_q = (2.0 * hq_t
            + hp_t ** 2 * 2.0 * sigma * 3.0 * hqq_t * hq_t / slope ** 2.5)
     c_qq = -hp_t ** 2 * 2.0 * sigma / slope ** 1.5
-    c_p = 2.0 * hp_t * (2.0 * sigma * kappa + 2.0 * g_rho0 * hf.h[:, -1]
+    c_p = 2.0 * hp_t * (2.0 * sigma * kappa + 2.0 * g_rho0 * hf.h[:, -1:]
                         - hf.Q)
     c_0 = hp_t ** 2 * 2.0 * g_rho0
-    add(it, off_r[:, 0] + N_p, c_q / (2.0 * dq) + c_qq / dq ** 2)
-    add(it, off_l[:, 0] + N_p, -c_q / (2.0 * dq) + c_qq / dq ** 2)
-    add(it, it, -2.0 * c_qq / dq ** 2)
-    add(it, it, c_p * 3.0 / (2.0 * dp) + c_0)
-    add(it, it - 1, -c_p * 4.0 / (2.0 * dp))
-    add(it, it - 2, c_p * 1.0 / (2.0 * dp))
+    q1, qq = c_q / (2.0 * dq), c_qq / dq ** 2
+    top = [(1, 0, q1 + qq), (-1, 0, -q1 + qq), (0, 0, -2.0 * qq),
+           (0, 0, c_p * 3.0 / (2.0 * dp) + c_0),
+           (0, -1, -c_p * 4.0 / (2.0 * dp)), (0, -2, c_p * 1.0 / (2.0 * dp))]
 
+    families = [(np.array([0]), [(0, 0, np.ones_like(hp_t))]),
+                (np.arange(1, N_p), interior), (np.array([N_p]), top)]
     # rank-one depth coupling: interior rows react to d(h) = w . h_top
-    u = np.zeros((N_q + 1, npp))
+    u = np.zeros_like(hf.h)
     u[:, inner] = g * rho_p_i * hp_i ** 3
+    q_col = np.zeros_like(hf.h)
+    q_col[:, -1:] = -hp_t ** 2
+    return families, u, q_col
+
+
+def jacobian(physics: Physics, hf: HeightField) -> JacobianRecord:
+    """Analytic Jacobian of the residual in band storage.
+
+    Each ``_stencil`` term is one whole-grid coefficient array scattered
+    into the band with a single fancy-index update.  Within one update
+    every row appears once, so no index repeats; the entries that ghost
+    reflection folds together (q = 0 and q = pi) sum their terms in
+    stencil order, one update after another.
+    """
+    families, u, q_col = _stencil(physics, hf)
+    N_q, npp = hf.N_q, hf.pgrid.N_p + 1
+    n = (N_q + 1) * npp
+    k = npp + 1
+    ab = np.zeros((2 * k + 1, n))
+    # flat node index iq * npp + ip: the q offsets of the left neighbour, of
+    # the node itself and of the right neighbour, indexed by side + 1
+    left, right = _q_indices(N_q)
+    offsets = [iq[:, None] * npp for iq in (left, np.arange(N_q + 1), right)]
+    for ip, terms in families:
+        rows = offsets[1] + ip
+        for side, shift, coef in terms:
+            cols = offsets[side + 1] + ip + shift
+            ab[k + rows - cols, cols] += coef
     v = np.zeros((N_q + 1, npp))
-    v[:, N_p] = mean_weights(N_q)
-
-    q_col = np.zeros((N_q + 1, npp))
-    q_col[:, N_p] = -hp_t ** 2
-
-    return JacobianRecord(ab=ab, bandwidth=kl, u=u.reshape(-1),
+    v[:, -1] = mean_weights(N_q)
+    return JacobianRecord(ab=ab, bandwidth=k, u=u.reshape(-1),
                           v=v.reshape(-1), q_col=q_col.reshape(-1),
                           shape=(n, n))
 
@@ -512,19 +508,20 @@ def fourier_block_matrix(physics: Physics, flow: LaminarFlow, n: int,
     field, as a dense (N_p+1)^2 matrix (bed row, interior rows, Venttsel
     row), for 1 <= n < 2 N_q.
 
-    Read off the assembled ``jacobian``: at a laminar field every q-column
-    carries the same stencil, so the rows of column 0 against column 0
-    (A00) and against column 1, which is both of its neighbours under
-    reflection (A01), give the block A00 + cos(n dq) A01.  The rank-one
-    depth term drops out because sum_j w_j cos(n q_j) = 0 for these n.
+    At a laminar field every q-column carries the same ``_stencil``, so
+    column 0's terms give the block A00 + cos(n dq) A01: A00 sums the terms
+    on column 0 itself, A01 those on column 1, which is both of its
+    neighbours under reflection, in stencil order as ``jacobian`` sums
+    them.  The rank-one depth term drops out because
+    sum_j w_j cos(n q_j) = 0 for these n.
     """
-    jac = jacobian(physics, laminar_field(flow, N_q))
+    families, _, _ = _stencil(physics, laminar_field(flow, N_q))
     m = flow.grid.N_p + 1
-    rows = np.arange(m)[:, None]
-    cols = np.arange(2 * m)[None, :]
-    diag = jac.bandwidth + rows - cols      # band row of entry (row, col)
-    A = np.where(diag >= 0, jac.ab[np.maximum(diag, 0), cols], 0.0)
-    return A[:, :m] + np.cos(n * np.pi / N_q) * A[:, m:]
+    A = np.zeros((2, m, m))                 # A00 and A01
+    for ip, terms in families:
+        for side, shift, coef in terms:
+            A[abs(side), ip, ip + shift] += coef[0]
+    return A[0] + np.cos(n * np.pi / N_q) * A[1]
 
 
 def fourier_block_dispersion(physics: Physics, flow: LaminarFlow, n: int,
@@ -534,7 +531,7 @@ def fourier_block_dispersion(physics: Physics, flow: LaminarFlow, n: int,
 
     At a laminar state the Jacobian decouples over discrete cosine modes,
     so the zeros of det B for the block B that ``fourier_block_matrix``
-    reads from the assembled ``jacobian`` are the bifurcation points of
+    builds from ``jacobian``'s own stencil are the bifurcation points of
     the DISCRETE operator, the points where that Jacobian turns singular.
     They differ from the continuum shooting roots by the O(dp^2, dq^2)
     discretization error, which matters when two modes must resonate at

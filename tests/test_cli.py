@@ -122,6 +122,27 @@ def test_laminar_subcommand(config_path, tmp_path, capsys):
     assert csv.splitlines()[0] == "p,H,Hp,G,Ydot,Gdot"
 
 
+def test_laminar_lambdas_sharing_a_file_name_rejected(config_path, tmp_path,
+                                                      capsys):
+    # both lambdas print as laminar_2.csv: exit 2 before anything is written
+    out = tmp_path / "out"
+    path = config_path(extra={"lambdas": [2.0000001, 2.0000002]})
+    assert cli.main(["laminar", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config-error")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [["a", 1], 5, None, ""])
+def test_output_dir_must_be_a_string(config_path, tmp_path, monkeypatch,
+                                     capsys, value):
+    # no directory named after a non-string value, no exit 0
+    path = config_path(extra={"output_dir": value})
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["laminar", "--config", path, "--lambda", "4.0"]) == 2
+    capsys.readouterr()
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_classify_subcommand_and_determinism(config_path, tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["classify", "--config", config_path(),

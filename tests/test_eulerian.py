@@ -320,6 +320,21 @@ def test_locate_matches_sort(data):
                           _locate_by_sort(knots, points))
 
 
+def test_spline_slopes_match_cubic_spline():
+    # one interior cell 3-30x wider than the rest makes gtsv exchange rows
+    # there; each row's slopes must still be CubicSpline's to the bit
+    rng = np.random.default_rng(0)
+    widths = rng.uniform(0.1, 1.0, (200, 11))
+    widths[np.arange(200), rng.integers(1, 10, 200)] *= rng.uniform(3, 30, 200)
+    x = np.concatenate([np.zeros((200, 1)), np.cumsum(widths, axis=1)], axis=1)
+    y = rng.standard_normal(x.shape)
+    slopes = eu._spline_slopes(x, y)
+    mismatched = [r for r in range(200)
+                  if not np.array_equal(slopes[r, :-1],
+                                        CubicSpline(x[r], y[r]).c[2])]
+    assert mismatched == []
+
+
 def test_surface_bernoulli_laminar_zero(t0, grid64):
     flow = lm.solve_laminar(t0, 4.0, grid64)
     wave = eu.reconstruct(t0, hs.laminar_field(flow, 64))

@@ -378,15 +378,18 @@ def test_discrete_lambda_star_flips_jacobian_determinant():
     assert signs[0] * signs[1] < 0
 
 
-@pytest.mark.parametrize("kwargs, n_p, n_q", [
+# the configs of the two tests above and of _stratified_field
+_BLOCK_CONFIGS = pytest.mark.parametrize("kwargs, n_p, n_q", [
     ({}, 64, 64),
     ({"sigma": 10.0, "rho_coeffs": (1.0, -0.1), "beta_coeffs": (0.0, 0.2)},
      16, 16),
     ({"sigma": 10.0, "rho_coeffs": (1.0, -0.1), "beta_coeffs": (0.0, 0.2)},
      20, 12),
 ], ids=["c64", "strat-beta16", "strat-beta20x12"])
+
+
+@_BLOCK_CONFIGS
 def test_discrete_lambda_star_matches_linear_scan(kwargs, n_p, n_q):
-    # the configs of the two tests above and of _stratified_field
     phys = make_physics(**kwargs)
     grid = pr.PGrid(-1.0, n_p)
 
@@ -396,6 +399,32 @@ def test_discrete_lambda_star_matches_linear_scan(kwargs, n_p, n_q):
 
     ref = _smallest_root_scan(f, lm.lambda_floor(phys, grid), lm.LAMBDA_CAP)
     assert hs.discrete_lambda_star(phys, grid, n_q) == ref
+
+
+def _block_from_band(physics, flow, n, N_q):
+    """The n-th Fourier block read off the band of the Jacobian assembled
+    at the laminar field: the rows of q-column 0 against column 0 (A00)
+    and against column 1 (A01)."""
+    jac = hs.jacobian(physics, hs.laminar_field(flow, N_q))
+    m = flow.grid.N_p + 1
+    rows = np.arange(m)[:, None]
+    cols = np.arange(2 * m)[None, :]
+    diag = jac.bandwidth + rows - cols      # band row of entry (row, col)
+    A = np.where(diag >= 0, jac.ab[np.maximum(diag, 0), cols], 0.0)
+    return A[:, :m] + np.cos(n * np.pi / N_q) * A[:, m:]
+
+
+@_BLOCK_CONFIGS
+def test_fourier_block_matches_band_read(kwargs, n_p, n_q):
+    # column 0's stencil terms sum in the order the band sums them
+    phys = make_physics(**kwargs)
+    grid = pr.PGrid(-1.0, n_p)
+    lam = hs.discrete_lambda_star(phys, grid, n_q)
+    for flow in (lm.solve_laminar(phys, lam, grid),
+                 lm.solve_laminar(phys, 1.5 * lam, grid)):
+        for n in range(1, 2 * n_q):
+            assert np.array_equal(hs.fourier_block_matrix(phys, flow, n, n_q),
+                                  _block_from_band(phys, flow, n, n_q)), n
 
 
 def test_newton_accepts_root_without_iterating(t0, simple_point):
