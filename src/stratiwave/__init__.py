@@ -1,6 +1,7 @@
 """stratiwave: steady periodic stratified capillary-gravity water waves.
 
 Subpackages mirror the pipeline: profiles (given data and quadrature),
+piecewise (row-wise piecewise cubics, rounding as scipy's),
 laminar (the trivial solution family), spectral (linearized eigenproblem
 and dispersion), bifurc (reduced bifurcation equation and germs),
 heightsolver (full nonlinear solve and pseudo-arclength continuation),
@@ -8,8 +9,9 @@ eulerian (reconstruction to physical variables and residual oracles),
 cli (configuration, subcommands, artifacts).
 """
 
-from . import bifurc, errors, eulerian, heightsolver, laminar, profiles, spectral
+from . import (bifurc, errors, eulerian, heightsolver, laminar, piecewise,
+               profiles, spectral)
 
 __all__ = ["bifurc", "errors", "eulerian", "heightsolver", "laminar",
-           "profiles", "spectral"]
+           "piecewise", "profiles", "spectral"]
 __version__ = "0.1.0"

@@ -75,6 +75,13 @@ def _count(val, where) -> int:
     return val
 
 
+def _out_dir(val, where) -> str:
+    """An output directory: a non-empty string."""
+    if not isinstance(val, str) or not val:
+        raise ConfigError(f"{where} must be a non-empty string")
+    return val
+
+
 def _numbers(vals, where) -> list:
     if not isinstance(vals, list):
         raise ConfigError(f"{where} must be a list of numbers")
@@ -171,9 +178,7 @@ def load_config(path: str) -> RunConfig:
 
     numerics = _parse_numerics(raw.get("numerics", {}))
     controls = _parse_continuation(raw.get("continuation", {}))
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("output_dir must be a non-empty string")
+    output_dir = _out_dir(raw.get("output_dir", "out"), "output_dir")
     return RunConfig(physics=physics, numerics=numerics,
                      continuation=controls,
                      lambdas=_numbers(raw.get("lambdas", []), "lambdas"),
@@ -181,9 +186,11 @@ def load_config(path: str) -> RunConfig:
 
 
 def _check_flags(args):
-    """The numeric flags pass the checks of the config values they stand
-    in for: --lambda and --sigma finite (sigma >= 0), --steps a count,
-    --n2 at least 2."""
+    """The flags pass the checks of the config values they stand in for:
+    --lambda and --sigma finite (sigma >= 0), --steps a count, --n2 at
+    least 2, --out a non-empty string."""
+    if args.out is not None:
+        _out_dir(args.out, "--out")
     if args.lam is not None:
         _number(args.lam, "--lambda")
     if args.sigma is not None and _number(args.sigma, "--sigma") < 0:
@@ -249,8 +256,7 @@ def cmd_dispersion(cfg: RunConfig, args):
         roots.append(f"{n},{lam_n:.16e}")
         for lam in np.linspace(max(0.5 * lam_n, lam_lo), 1.5 * lam_n, 11):
             flow = laminar.solve_laminar(physics, lam, grid)
-            mode = spectral.shoot_mode(flow, physics, n)
-            D, sc = spectral.dispersion(flow, physics, mode)
+            D, sc = spectral._dispersion_at(flow, physics, n)
             rows.append(f"{n},{lam:.16e},{D:.16e},{sc:.16e}")
     p1 = _write(args.out, "dispersion.csv", "\n".join(rows) + "\n")
     p2 = _write(args.out, "dispersion_roots.csv", "\n".join(roots) + "\n")

@@ -27,7 +27,8 @@ import numpy as np
 from scipy.linalg.lapack import dgbsv, dgbtrs
 
 from .errors import EllipticityLossError, NewtonFailureError, ShapeError
-from .laminar import LAMBDA_CAP, LaminarFlow, lambda_floor, solve_laminar
+from .laminar import (LAMBDA_CAP, LaminarFlow, _given_data, lambda_floor,
+                      solve_laminar)
 from .profiles import PGrid, Physics
 from .spectral import _Memo, _smallest_root
 
@@ -137,9 +138,9 @@ def residual(physics: Physics, hf: HeightField):
     hq, hp, hqq, hpp, hpq = derivatives(hf)
     if np.any(hp <= 0):
         raise EllipticityLossError("h_p <= 0 on the grid")
-    p = hf.pgrid.nodes
-    rho_p = physics.rho_p(p)[None, :]
-    beta = physics.beta_at(p)[None, :]
+    given = _given_data(physics.rho, physics.beta, hf.pgrid)
+    rho_p = given.rho_p[None, :]
+    beta = given.beta[None, :]
     g = physics.g
     d = hf.depth()
     R = np.empty_like(hf.h)
@@ -270,9 +271,8 @@ def _stencil(physics: Physics, hf: HeightField):
     hq, hp, hqq, hpp, hpq = derivatives(hf)
     N_p = hf.pgrid.N_p
     dq, dp = hf.dq, hf.pgrid.h
-    p = hf.pgrid.nodes
-    rho_p = physics.rho_p(p)
-    beta = physics.beta_at(p)
+    given = _given_data(physics.rho, physics.beta, hf.pgrid)
+    rho_p, beta = given.rho_p, given.beta
     g = physics.g
     g_rho0 = g * physics.rho0()
     sigma = physics.sigma

@@ -9,15 +9,17 @@ on the implicit pair
 valid for lambda above the admissibility floor.  For constant rho the
 coupling term vanishes and a single pass is exact (G = 2B).  The module
 also computes the lambda-derivatives (Ydot, Gdot, Qdot) by their own
-integral fixed point, the energy parameter Q(lambda), and the threshold
+integral fixed point, on a flow's first read of one, the energy
+parameter Q(lambda), and the threshold
 quantities epsilon_0, lambda_0, lambda_c, sigma_c together with the
 explicit sufficient size condition for local bifurcation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,9 +36,34 @@ LAMBDA_CAP = 1e6
 HOMOGENEOUS_FLOOR = 1e-6
 
 
+class _OnFirstRead:
+    """A ``LaminarFlow`` field that, when not given, is computed on its
+    first read: the lambda-derivatives run a fixed point of their own,
+    which only a flow whose Ydot, Gdot or Qdot is read needs."""
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, flow, owner=None):
+        if flow is None:
+            return None                 # the dataclass default
+        if flow.__dict__[self.key] is None:
+            flow._derive()
+        return flow.__dict__[self.key]
+
+    def __set__(self, flow, value):
+        flow.__dict__[self.key] = value
+
+
 @dataclass(frozen=True)
 class LaminarFlow:
-    """A converged laminar flow and its lambda-derivatives on a p-grid."""
+    """A converged laminar flow and its lambda-derivatives on a p-grid.
+
+    ``solve_laminar`` leaves Ydot, Gdot and Qdot to their first read, which
+    computes all three from the stored G with the flow's ``physics``; a
+    flow that a root search evaluates and discards never runs their fixed
+    point.
+    """
 
     lam: float
     grid: PGrid
@@ -44,11 +71,21 @@ class LaminarFlow:
     Hp: np.ndarray         # H_p = (lam + G)^(-1/2)
     G: np.ndarray
     Q: float               # Q = lam + 2 g rho(0) H(0)
-    Ydot: np.ndarray
-    Gdot: np.ndarray
-    Qdot: float
     iterations: int
     converged: bool
+    Ydot: np.ndarray = _OnFirstRead()
+    Gdot: np.ndarray = _OnFirstRead()
+    Qdot: float = _OnFirstRead()
+    physics: Physics | None = field(default=None, repr=False, compare=False)
+
+    def _derive(self):
+        physics = self.physics
+        homogeneous = _given_data(physics.rho, physics.beta,
+                                  self.grid).homogeneous
+        derived = _lambda_derivatives(physics, self.lam, self.grid, self.G,
+                                      homogeneous)
+        for name, value in zip(("_Ydot", "_Gdot", "_Qdot"), derived):
+            self.__dict__[name] = value
 
     @property
     def a(self):
@@ -84,25 +121,41 @@ def epsilon0(physics: Physics, grid: PGrid) -> float:
     return float(max(entries) ** (2.0 / 3.0))
 
 
+class _Given(NamedTuple):
+    twoB: np.ndarray             # 2B at the nodes
+    b_min: float
+    rho_p: np.ndarray            # at the nodes
+    rho_p_half: np.ndarray       # at the grid's half_nodes
+    beta: np.ndarray             # beta(-p) at the nodes
+    homogeneous: bool
+
+
 @lru_cache(maxsize=256)
-def _given_data(rho: ProfileFn, beta: ProfileFn, grid: PGrid):
+def _given_data(rho: ProfileFn, beta: ProfileFn, grid: PGrid) -> _Given:
     """Per-(rho, beta, grid) immutable precomputation shared by every
-    solve: 2B on the nodes, B_min, rho_p and beta(-p) samples, and
-    homogeneity (rho_p vanishes on the grid to 1e-13 relative to
-    max |rho|).  Keyed on the profiles only, so any sigma, g or c hits."""
+    solve, shot and height residual: 2B on the nodes, B_min, rho_p at the
+    nodes and at the shooting march's half-step stations, beta(-p) at the
+    nodes, and homogeneity (rho_p vanishes on the grid to 1e-13 relative
+    to max |rho|).  Keyed on the profiles only, so any sigma, g or c
+    hits."""
     B = build_B(beta, grid)
     p = grid.nodes
     rho_p = rho.deriv(p)
     scale = max(1.0, float(np.max(np.abs(rho.eval(p)))))
     homogeneous = float(np.max(np.abs(rho_p))) <= 1e-13 * scale
-    return (2.0 * B.eval(p), b_min(B), rho_p, beta.eval(-p), homogeneous)
+    given = _Given(twoB=2.0 * B.eval(p), b_min=b_min(B), rho_p=rho_p,
+                   rho_p_half=rho.deriv(grid.half_nodes), beta=beta.eval(-p),
+                   homogeneous=homogeneous)
+    for samples in (given.twoB, given.rho_p, given.rho_p_half, given.beta):
+        samples.flags.writeable = False     # every caller shares them
+    return given
 
 
 def _floor_margin(physics: Physics, grid: PGrid) -> float:
     """epsilon_0 for genuinely stratified rho; for rho_p == 0 the full
     epsilon_0 is not needed and a small positive margin is used instead,
     matching the homogeneous search domain lambda > -2 B_min."""
-    if _given_data(physics.rho, physics.beta, grid)[4]:
+    if _given_data(physics.rho, physics.beta, grid).homogeneous:
         return HOMOGENEOUS_FLOOR
     return epsilon0(physics, grid)
 
@@ -115,7 +168,7 @@ def lambda_floor(physics: Physics, grid: PGrid) -> float:
 
 def existence_floor(physics: Physics, grid: PGrid) -> float:
     """-2 B_min: the laminar family exists for every lambda above this."""
-    return -2.0 * _given_data(physics.rho, physics.beta, grid)[1]
+    return -2.0 * _given_data(physics.rho, physics.beta, grid).b_min
 
 
 def solve_laminar(physics: Physics, lam: float, grid: PGrid,
@@ -135,8 +188,8 @@ def solve_laminar(physics: Physics, lam: float, grid: PGrid,
     if lam <= floor:
         raise DomainError(
             f"lambda={lam} not above the admissible floor {floor}")
-    twoB, _, rho_p, _, homogeneous = _given_data(physics.rho, physics.beta,
-                                                 grid)
+    given = _given_data(physics.rho, physics.beta, grid)
+    twoB, rho_p, homogeneous = given.twoB, given.rho_p, given.homogeneous
     g = physics.g
 
     G = twoB.copy()
@@ -169,14 +222,15 @@ def solve_laminar(physics: Physics, lam: float, grid: PGrid,
     Hp = (lam + G) ** -0.5
     H = cumquad_from_left(grid, Hp)
     Q = lam + 2.0 * g * physics.rho0() * H[-1]
-    Ydot, Gdot, Qdot = _lambda_derivatives(physics, lam, grid, G, homogeneous)
     return LaminarFlow(lam=lam, grid=grid, H=H, Hp=Hp, G=G, Q=Q,
-                       Ydot=Ydot, Gdot=Gdot, Qdot=Qdot,
-                       iterations=iterations, converged=True)
+                       iterations=iterations, converged=True,
+                       physics=physics)
 
 
 def _lambda_derivatives(physics, lam, grid, G, homogeneous):
-    _, _, rho_p, _, _ = _given_data(physics.rho, physics.beta, grid)
+    """(Ydot, Gdot, Qdot) of the flow with this G, by their integral
+    fixed point; ``LaminarFlow`` runs it on the first read of one."""
+    rho_p = _given_data(physics.rho, physics.beta, grid).rho_p
     g = physics.g
     base = (lam + G) ** -1.5
     Gdot = np.zeros_like(G)
@@ -263,7 +317,7 @@ def find_lambda_c(physics: Physics, grid: PGrid) -> float:
     if physics.g == 0:
         raise UndefinedQuantityError("lambda_c undefined for g = 0")
     lam0 = find_lambda0(physics, grid)
-    if _given_data(physics.rho, physics.beta, grid)[4]:
+    if _given_data(physics.rho, physics.beta, grid).homogeneous:
         def fvalue(lam):
             flow = solve_laminar(physics, lam, grid, enforce_floor=False)
             return 1.0 / (physics.g * physics.rho0()) - quad(grid, flow.Hp ** 3)
@@ -312,7 +366,8 @@ def check_size_condition(physics: Physics, grid: PGrid):
     (satisfied, margin).  eps0 is the ``_floor_margin`` of the
     admissibility floor.
     """
-    twoB, bmin, rho_p, _, _ = _given_data(physics.rho, physics.beta, grid)
+    given = _given_data(physics.rho, physics.beta, grid)
+    twoB, bmin, rho_p = given.twoB, given.b_min, given.rho_p
     p = grid.nodes
     shifted = twoB - 2.0 * bmin + 2.0 * _floor_margin(physics, grid)
     integrand = (shifted ** 1.5

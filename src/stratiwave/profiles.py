@@ -120,6 +120,12 @@ class PGrid:
     def h(self):
         return abs(self.p0) / self.N_p
 
+    @property
+    def half_nodes(self):
+        """The half-step stations p_k + h/2, k = 0..N_p - 1, of the
+        shooting march."""
+        return self.nodes[:-1] + 0.5 * self.h
+
 
 @dataclass(frozen=True)
 class Physics:

@@ -28,7 +28,9 @@ from scipy.optimize import brentq
 from .errors import (IndefiniteFormError, LBViolatedError,
                      MultiplicityExceededError, RootNotFoundError,
                      SuperpositionDegenerateError)
-from .laminar import LAMBDA_CAP, LaminarFlow, lambda_floor, solve_laminar
+from .laminar import (LAMBDA_CAP, LaminarFlow, _given_data, lambda_floor,
+                      solve_laminar)
+from .piecewise import _evaluate, _hermite, _pchip_slopes
 from .profiles import PGrid, Physics
 
 RESONANCE_RTOL = 1e-6
@@ -102,9 +104,9 @@ class ShotCoefficients:
 
     a and rho_p at the nodes and half-step stations, a^-3 at both (also
     as Python floats, for the march), and a' at the nodes, with a and a'
-    from ``_coefficient_interpolants``.  Build them with
-    ``shot_coefficients`` once per flow and pass them to each
-    ``shoot_mode`` on it, as ``classify`` does for all its shots.
+    bit-equal to those of ``_coefficient_interpolants``.  Build them with
+    ``shot_coefficients`` once per flow and pass them to each shot on it,
+    as ``classify`` does for all its shots.
     """
 
     h: float
@@ -121,20 +123,28 @@ class ShotCoefficients:
 
 
 def shot_coefficients(flow, physics: Physics) -> ShotCoefficients:
-    """Sample the shooting coefficients of ``flow`` once."""
+    """Sample the shooting coefficients of ``flow`` once.
+
+    a = sqrt(lambda + G) and a' = G' / (2 a) come from the PCHIP of G,
+    evaluated by ``piecewise`` on one row as scipy's PchipInterpolator
+    and its derivative would; rho_p from the grid's cached samples.
+    """
     grid = flow.grid
-    p = grid.nodes
-    h = float(grid.h)
-    a_of, ap_of = _coefficient_interpolants(flow)
-    half = p[:-1] + 0.5 * h
-    a_nodes = a_of(p)
-    a_half = a_of(half)
-    inv_a3_nodes = a_nodes ** -3.0
+    nodes = grid.N_p + 1
+    p = grid.nodes[None, :]
+    G = flow.G[None, :]
+    pchip = _hermite(p, G, _pchip_slopes(p, G))
+    stations = np.concatenate([p, grid.half_nodes[None, :]], axis=1)
+    a = np.sqrt(flow.lam + _evaluate(p, pchip, stations)[0])
+    a_nodes = a[:nodes]
+    ap_nodes = _evaluate(p, pchip, p, derivative=True)[0] / (2.0 * a_nodes)
+    inv_a3 = a ** -3.0
+    given = _given_data(physics.rho, physics.beta, grid)
     return ShotCoefficients(
-        h=h, N_p=grid.N_p, g=physics.g, a_nodes=a_nodes, a_half=a_half,
-        ap_nodes=ap_of(p), rp_nodes=physics.rho_p(p),
-        rp_half=physics.rho_p(half), inv_a3_nodes=inv_a3_nodes,
-        ia3_n=inv_a3_nodes.tolist(), ia3_h=(a_half ** -3.0).tolist())
+        h=float(grid.h), N_p=grid.N_p, g=physics.g, a_nodes=a_nodes,
+        a_half=a[nodes:], ap_nodes=ap_nodes, rp_nodes=given.rho_p,
+        rp_half=given.rho_p_half, inv_a3_nodes=inv_a3[:nodes],
+        ia3_n=inv_a3[:nodes].tolist(), ia3_h=inv_a3[nodes:].tolist())
 
 
 def _shoot(coef, n, forcing=0.0, M0p=1.0):
@@ -160,25 +170,27 @@ def _shoot(coef, n, forcing=0.0, M0p=1.0):
     corr = 1.0
     M, Mp = [m], [float(M0p)]
     hh, h6 = 0.5 * h, h / 6.0
-    ia3_n, ia3_h = coef.ia3_n, coef.ia3_h
-    c_n, c_h = c_nodes.tolist(), c_half.tolist()
-    f_n, f_h = f_nodes.tolist(), f_half.tolist()
-    for k in range(coef.N_p):
-        dm1 = w * ia3_n[k]
-        dw1 = c_n[k] * m + f_n[k] * corr
+    lim, nlim = _RESCALE_LIMIT, -_RESCALE_LIMIT
+    ia3_n = coef.ia3_n
+    c_n, f_n = c_nodes.tolist(), f_nodes.tolist()
+    for ia_k, ia_h, ia_k1, c_k, c_hk, c_k1, f_k, f_hk, f_k1 in zip(
+            ia3_n, coef.ia3_h, ia3_n[1:], c_n, c_half.tolist(), c_n[1:],
+            f_n, f_half.tolist(), f_n[1:]):
+        dm1 = w * ia_k
+        dw1 = c_k * m + f_k * corr
         m2, w2 = m + hh * dm1, w + hh * dw1
-        dm2 = w2 * ia3_h[k]
-        dw2 = c_h[k] * m2 + f_h[k] * corr
+        dm2 = w2 * ia_h
+        dw2 = c_hk * m2 + f_hk * corr
         m3, w3 = m + hh * dm2, w + hh * dw2
-        dm3 = w3 * ia3_h[k]
-        dw3 = c_h[k] * m3 + f_h[k] * corr
+        dm3 = w3 * ia_h
+        dw3 = c_hk * m3 + f_hk * corr
         m4, w4 = m + h * dm3, w + h * dw3
-        dm4 = w4 * ia3_n[k + 1]
-        dw4 = c_n[k + 1] * m4 + f_n[k + 1] * corr
+        dm4 = w4 * ia_k1
+        dw4 = c_k1 * m4 + f_k1 * corr
         m += h6 * (dm1 + 2.0 * dm2 + 2.0 * dm3 + dm4)
         w += h6 * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
-        big = max(abs(m), abs(w))
-        if big > _RESCALE_LIMIT:
+        if m > lim or m < nlim or w > lim or w < nlim:
+            big = max(abs(m), abs(w))
             m /= big
             w /= big
             M = [x / big for x in M]
@@ -186,11 +198,49 @@ def _shoot(coef, n, forcing=0.0, M0p=1.0):
             log_rescale += np.log(big)
             corr = float(np.exp(-log_rescale))
         M.append(m)
-        Mp.append(w * ia3_n[k + 1])
+        Mp.append(w * ia_k1)
     M, Mp = np.array(M), np.array(Mp)
     Mpp = ((n * n * a_nodes + g * rp_nodes) * M + forcing * rp_nodes * corr
            - 3.0 * a_nodes ** 2 * coef.ap_nodes * Mp) * coef.inv_a3_nodes
     return M, Mp, Mpp, log_rescale
+
+
+def _shoot_end(coef, n):
+    """(M(0), M'(0)) of ``_shoot(coef, n)``, bit for bit, from a march that
+    records no nodes.
+
+    It runs ``_shoot``'s stages in ``_shoot``'s order, from M'(p0) = 1,
+    and rescales the state at the same steps by the same factor.  It
+    drops the forcing terms: unforced, ``_shoot`` adds 0.0 * rho_p *
+    corr = +-0.0 to each w-stage, which changes no value.
+    """
+    h = coef.h
+    c_n = (n * n * coef.a_nodes + coef.g * coef.rp_nodes).tolist()
+    c_half = (n * n * coef.a_half + coef.g * coef.rp_half).tolist()
+    m, w = 0.0, float(coef.a_nodes[0] ** 3)
+    hh, h6 = 0.5 * h, h / 6.0
+    lim, nlim = _RESCALE_LIMIT, -_RESCALE_LIMIT
+    ia3_n = coef.ia3_n
+    for ia_k, ia_h, ia_k1, c_k, c_hk, c_k1 in zip(
+            ia3_n, coef.ia3_h, ia3_n[1:], c_n, c_half, c_n[1:]):
+        dm1 = w * ia_k
+        dw1 = c_k * m
+        m2, w2 = m + hh * dm1, w + hh * dw1
+        dm2 = w2 * ia_h
+        dw2 = c_hk * m2
+        m3, w3 = m + hh * dm2, w + hh * dw2
+        dm3 = w3 * ia_h
+        dw3 = c_hk * m3
+        m4, w4 = m + h * dm3, w + h * dw3
+        dm4 = w4 * ia_k1
+        dw4 = c_k1 * m4
+        m += h6 * (dm1 + 2.0 * dm2 + 2.0 * dm3 + dm4)
+        w += h6 * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
+        if m > lim or m < nlim or w > lim or w < nlim:
+            big = max(abs(m), abs(w))
+            m /= big
+            w /= big
+    return m, w * ia3_n[-1]
 
 
 def shoot_mode(flow, physics: Physics, n: int,
@@ -216,10 +266,25 @@ def dispersion(flow, physics: Physics, mode: EigenMode):
     D is positive exactly when lambda exceeds the mode-n bifurcation value;
     n = 0 gives the nonlocal mode's D0 = lambda^{3/2} M'(0) - g rho(0) M(0).
     """
-    top = flow.lam ** 1.5 * mode.Mp[-1]
-    bottom = ((mode.n ** 2 * physics.sigma + physics.g * physics.rho0())
-              * mode.M[-1])
+    return _mismatch(flow.lam, physics, mode.n, (mode.M[-1], mode.Mp[-1]))
+
+
+def _mismatch(lam, physics, n, end):
+    """``dispersion``'s (D, scale) from the mode's end point
+    end = (M(0), M'(0))."""
+    top = lam ** 1.5 * end[1]
+    bottom = (n ** 2 * physics.sigma + physics.g * physics.rho0()) * end[0]
     return float(top - bottom), float(abs(top) + abs(bottom))
+
+
+def _dispersion_at(flow, physics: Physics, n: int,
+                   coefficients: ShotCoefficients | None = None):
+    """``dispersion``'s (D, scale) of the mode-n shot on ``flow`` (n >= 1),
+    from ``_shoot_end``: no mode is recorded.  The coefficients are
+    sampled here unless given."""
+    if coefficients is None:
+        coefficients = shot_coefficients(flow, physics)
+    return _mismatch(flow.lam, physics, n, _shoot_end(coefficients, n))
 
 
 def shoot_zero_mode(flow, physics: Physics,
@@ -275,11 +340,13 @@ class _Memo:
 
 
 def _dispersion_memo(physics, grid, n):
-    """lambda -> D / scale for mode n, remembering each (flow, mode)."""
+    """lambda -> D / scale for mode n, remembering each flow with its shot
+    coefficients."""
     def evaluate(lam):
         flow = solve_laminar(physics, lam, grid)
-        mode = shoot_mode(flow, physics, n)
-        return _relative(flow, physics, mode), flow, mode
+        coefficients = shot_coefficients(flow, physics)
+        D, scale = _dispersion_at(flow, physics, n, coefficients)
+        return D / scale, flow, coefficients
     return _Memo(evaluate)
 
 
@@ -349,8 +416,9 @@ def _smallest_root(f, floor: float, cap: float) -> float | None:
 
 
 def _lambda_star(physics, grid, n):
-    """(lambda_*, flow, mode) of ``find_lambda_star``: the root with the
-    laminar flow and the mode-n shot its search computed there."""
+    """(lambda_*, flow, coefficients) of ``find_lambda_star``: the root
+    with the laminar flow and the shot coefficients its search computed
+    there."""
     f = _dispersion_memo(physics, grid, n)
     root = _smallest_root(f, lambda_floor(physics, grid), LAMBDA_CAP)
     if root is None:
@@ -359,11 +427,11 @@ def _lambda_star(physics, grid, n):
     if abs(f(root)) > DISPERSION_RTOL:
         raise RootNotFoundError(
             f"dispersion root for n={n} not resolved to tolerance")
-    _, flow, mode = f.seen[root]
+    _, flow, coefficients = f.seen[root]
     # brentq's wrapper of f sits in a reference cycle until the next
-    # garbage collection; drop the other flows and modes now
+    # garbage collection; drop the other flows and samples now
     f.seen.clear()
-    return float(root), flow, mode
+    return float(root), flow, coefficients
 
 
 def find_lambda_star(physics: Physics, grid: PGrid, n: int = 1) -> float:
@@ -471,8 +539,8 @@ def classify(physics: Physics, grid: PGrid, n_max: int = 64,
     Early exit once the dispersion gap has been growing (mode bifurcation
     values safely above lambda_*) for 3 consecutive n.
     """
-    lam_star, flow, mode1 = _lambda_star(physics, grid, 1)
-    coefficients = shot_coefficients(flow, physics)
+    lam_star, flow, coefficients = _lambda_star(physics, grid, 1)
+    mode1 = shoot_mode(flow, physics, 1, coefficients=coefficients)
     residuals = {1: abs(_relative(flow, physics, mode1))}
     modes = [mode1]
 
@@ -484,11 +552,11 @@ def classify(physics: Physics, grid: PGrid, n_max: int = 64,
     grow_streak = 0
     prev_gap = None
     for n in range(2, n_max + 1):
-        mode = shoot_mode(flow, physics, n, coefficients=coefficients)
-        rel = _relative(flow, physics, mode)
+        D, scale = _dispersion_at(flow, physics, n, coefficients)
+        rel = D / scale
         residuals[n] = abs(rel)
         if abs(rel) < resonance_rtol:
-            resonant.append((n, mode))
+            resonant.append(n)
         # D < 0 means the mode-n bifurcation value sits above lambda_*;
         # once that gap grows with n, higher resonances are impossible.
         gap = -rel
@@ -502,16 +570,16 @@ def classify(physics: Physics, grid: PGrid, n_max: int = 64,
 
     if len(resonant) >= 2:
         raise MultiplicityExceededError(
-            f"resonant wavenumbers {[n for n, _ in resonant]} at lambda_*="
+            f"resonant wavenumbers {resonant} at lambda_*="
             f"{lam_star}: null space would exceed dimension two")
 
     if zero_resonant:
         classification, n2 = "ZeroMode", 0
         modes.append(zmode)
     elif resonant:
-        n2, mode2 = resonant[0]
+        n2 = resonant[0]
         classification = "Double"
-        modes.append(mode2)
+        modes.append(shoot_mode(flow, physics, n2, coefficients=coefficients))
     else:
         classification, n2 = "Simple", None
 
@@ -570,15 +638,19 @@ def find_double_sigma(physics: Physics, grid: PGrid, n2: int):
     sigma, lam = _irrotational_double_seed(physics, n2)
 
     def shots(lam_):
-        # neither the flow nor the modes depend on sigma
+        # neither the flow nor the end points depend on sigma
         flow = solve_laminar(physics, lam_, grid)
         coefficients = shot_coefficients(flow, physics)
-        return flow, [shoot_mode(flow, physics, n, coefficients=coefficients)
-                      for n in (1, n2)]
+        return flow, [_shoot_end(coefficients, n) for n in (1, n2)]
 
-    def F(sigma_, flow, modes):
+    def F(sigma_, flow, ends):
+        # _dispersion_at, its march shared by every sigma at one lambda
         at_sigma = replace(physics, sigma=sigma_)
-        return np.array([_relative(flow, at_sigma, mode) for mode in modes])
+        rel = []
+        for n, end in zip((1, n2), ends):
+            D, scale = _mismatch(flow.lam, at_sigma, n, end)
+            rel.append(D / scale)
+        return np.array(rel)
 
     x = np.array([sigma, lam])
     for _ in range(40):

@@ -143,6 +143,16 @@ def test_output_dir_must_be_a_string(config_path, tmp_path, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+def test_empty_out_flag_rejected(config_path, tmp_path, monkeypatch, capsys):
+    # --out holds to output_dir's rule: exit 2 before anything is written
+    path = config_path()
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["laminar", "--config", path, "--out", "",
+                     "--lambda", "4.0"]) == 2
+    assert capsys.readouterr().err.startswith("config-error: --out")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_classify_subcommand_and_determinism(config_path, tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["classify", "--config", config_path(),

@@ -10,6 +10,7 @@ from conftest import make_physics
 from stratiwave import eulerian as eu
 from stratiwave import heightsolver as hs
 from stratiwave import laminar as lm
+from stratiwave import piecewise as pw
 from stratiwave import profiles as pr
 from stratiwave import spectral as sp
 from stratiwave.errors import EllipticityLossError
@@ -102,7 +103,7 @@ def _flux_full_reference(wave):
     f = np.sqrt(wave.rho) * (wave.u - wave.c)
     n = 4 * (y.shape[1] - 1)
     yy = np.linspace(y[:, 0], y[:, -1], n + 1, axis=1)
-    ff = eu._evaluate(y, eu._hermite(y, f, eu._pchip_slopes(y, f)), yy)
+    ff = pw._evaluate(y, pw._hermite(y, f, pw._pchip_slopes(y, f)), yy)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -111,7 +112,7 @@ def _flux_full_reference(wave):
 
 
 def _locate_by_sort(knots, points):
-    """``eu._locate`` as a stable sort of each row's knots followed by its
+    """``pw._locate`` as a stable sort of each row's knots followed by its
     increasing points: every point lands after the knots at or below it
     and after the points before it."""
     nk, npt = knots.shape[1], points.shape[1]
@@ -277,7 +278,7 @@ def test_half_period_oracles_match_full_extension(solved_waves):
             == _bernoulli_three_splines(wave, phys)
         y = wave.y
         yy = np.linspace(y[:, 0], y[:, -1], 4 * y.shape[1] - 3, axis=1)
-        assert np.array_equal(eu._locate(y, yy), _locate_by_sort(y, yy))
+        assert np.array_equal(pw._locate(y, yy), _locate_by_sort(y, yy))
 
 
 def test_yih_sums_mirrored_neighbours_both_ways():
@@ -316,7 +317,7 @@ def _knots_and_points(draw):
 @given(_knots_and_points())
 def test_locate_matches_sort(data):
     knots, points = data
-    assert np.array_equal(eu._locate(knots, points),
+    assert np.array_equal(pw._locate(knots, points),
                           _locate_by_sort(knots, points))
 
 
@@ -328,7 +329,7 @@ def test_spline_slopes_match_cubic_spline():
     widths[np.arange(200), rng.integers(1, 10, 200)] *= rng.uniform(3, 30, 200)
     x = np.concatenate([np.zeros((200, 1)), np.cumsum(widths, axis=1)], axis=1)
     y = rng.standard_normal(x.shape)
-    slopes = eu._spline_slopes(x, y)
+    slopes = pw._spline_slopes(x, y)
     mismatched = [r for r in range(200)
                   if not np.array_equal(slopes[r, :-1],
                                         CubicSpline(x[r], y[r]).c[2])]

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from conftest import irrotational_lambda_star, make_physics, sigma_for_root
+from stratiwave import bifurc
 from stratiwave import laminar as lm
 from stratiwave import profiles as pr
 from stratiwave import spectral as sp
@@ -160,12 +162,14 @@ def test_zero_mode_forcing_vanishes_for_constant_rho(t0, grid128):
     assert np.max(np.abs(M2)) == 0.0
 
 
-@pytest.mark.parametrize("rho, beta", [((1.0,), (0.0,)),
-                                       ((1.0, -0.1), (0.0,)),
-                                       ((1.0, -0.1), (0.0, 0.2)),
-                                       ((1.0, -0.1, -0.04), (0.0,))],
-                         ids=["constant", "linear-rho", "linear-rho-beta",
-                              "quadratic-rho"])
+# the coefficient profiles of the march tests (see the first one)
+_SHOOT_CONFIGS = pytest.mark.parametrize(
+    "rho, beta", [((1.0,), (0.0,)), ((1.0, -0.1), (0.0,)),
+                  ((1.0, -0.1), (0.0, 0.2)), ((1.0, -0.1, -0.04), (0.0,))],
+    ids=["constant", "linear-rho", "linear-rho-beta", "quadratic-rho"])
+
+
+@_SHOOT_CONFIGS
 def test_shoot_matches_loop_reference(rho, beta):
     # constant rho; rho = 1 - p/10 (rho_p != 0, so the n = 0 forcing acts);
     # the same with beta = 0.2 s; a rho_p that varies between the nodes
@@ -184,6 +188,19 @@ def test_shoot_matches_loop_reference(rho, beta):
             assert np.array_equal(a, b), (n, forcing)
         assert got[3] == ref[3]
     assert ref[3] > 0.0                     # the n = 1000 march rescaled
+
+
+@_SHOOT_CONFIGS
+def test_shoot_end_matches_shoot(rho, beta):
+    # the end-point march drops the forcing terms, which add +-0.0 to an
+    # unforced march, and keeps its rescales
+    phys = make_physics(sigma=10.0, rho_coeffs=rho, beta_coeffs=beta)
+    grid = pr.PGrid(-1.0, 512)
+    coef = sp.shot_coefficients(lm.solve_laminar(phys, 5.0, grid), phys)
+    for n in (0, 1, 1000):
+        M, Mp, _, log_rescale = sp._shoot(coef, n)
+        assert sp._shoot_end(coef, n) == (M[-1], Mp[-1]), n
+    assert log_rescale > 0.0                # the n = 1000 march rescaled
 
 
 @pytest.mark.parametrize("sigma", [0.05, 0.5, 2.0])
@@ -395,3 +412,82 @@ def test_classify_takes_flow_and_mode_from_the_search(stratified):
         shared = sp.shoot_mode(flow, stratified, n, coefficients=coef)
         alone = sp.shoot_mode(flow, stratified, n)
         assert np.array_equal(shared.Mpp, alone.Mpp)
+
+
+def _shot_coefficients_scipy(flow, physics):
+    """``sp.shot_coefficients`` as it stood before the row helpers and the
+    cached profile samples: scipy's PCHIP of G and its derivative object,
+    rho_p sampled through the profile; the reference for bit-equality."""
+    p = flow.grid.nodes
+    h = float(flow.grid.h)
+    G_interp = PchipInterpolator(p, flow.G, extrapolate=True)
+    half = p[:-1] + 0.5 * h
+    a_nodes = np.sqrt(flow.lam + G_interp(p))
+    a_half = np.sqrt(flow.lam + G_interp(half))
+    inv_a3_nodes = a_nodes ** -3.0
+    return {"a_nodes": a_nodes, "a_half": a_half,
+            "ap_nodes": G_interp.derivative()(p) / (2.0 * a_nodes),
+            "rp_nodes": physics.rho_p(p), "rp_half": physics.rho_p(half),
+            "inv_a3_nodes": inv_a3_nodes, "ia3_n": inv_a3_nodes.tolist(),
+            "ia3_h": (a_half ** -3.0).tolist()}
+
+
+def _table_rho_physics():
+    rho = pr.ProfileFn.table([-1.0, -0.5, 0.0], [1.15, 1.06, 1.0])
+    return pr.Physics(g=1.0, c=1.0, p0=-1.0, sigma=10.0, rho=rho,
+                      beta=pr.ProfileFn.poly((0.0,), 0.0, 1.0))
+
+
+COEFFICIENT_CASES = {
+    "constant": lambda: make_physics(),
+    "linear-rho": lambda: make_physics(sigma=10.0, rho_coeffs=(1.0, -0.1)),
+    "quadratic-rho": lambda: make_physics(sigma=10.0,
+                                          rho_coeffs=(1.0, -0.1, -0.04)),
+    "table-rho": _table_rho_physics,
+    "beta-0.2s": lambda: make_physics(beta_coeffs=(0.0, 0.2)),
+}
+
+
+@pytest.mark.parametrize("n_p", [64, 512])
+@pytest.mark.parametrize("case", sorted(COEFFICIENT_CASES))
+def test_shot_coefficients_match_scipy_route(case, n_p, monkeypatch):
+    phys = COEFFICIENT_CASES[case]()
+    grid = pr.PGrid(-1.0, n_p)
+    lam_star = sp.find_lambda_star(phys, grid)
+    for lam in (lam_star, 3.0 * lam_star):
+        flow = lm.solve_laminar(phys, lam, grid)
+        ref = _shot_coefficients_scipy(flow, phys)
+        with monkeypatch.context() as patch:
+            # no scipy interpolant, no profile sampled: the grid's cache
+            def forbidden(*args, **kwargs):
+                raise AssertionError("shot_coefficients sampled anew")
+            patch.setattr(sp, "PchipInterpolator", forbidden)
+            patch.setattr(pr.ProfileFn, "deriv", forbidden)
+            coef = sp.shot_coefficients(flow, phys)
+        for name, value in ref.items():
+            assert np.array_equal(getattr(coef, name), value), (name, lam)
+
+
+@pytest.mark.parametrize("physics, n_p", [("t0", 512), ("stratified", 64)])
+def test_lambda_derivatives_only_for_the_returned_flow(physics, n_p, request,
+                                                       monkeypatch):
+    # a c512 search evaluates 10-12 flows; each ran the derivative fixed
+    # point when it was solved
+    phys = request.getfixturevalue(physics)
+    grid = pr.PGrid(-1.0, n_p)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return derivatives(*args)
+
+    derivatives = lm._lambda_derivatives
+    monkeypatch.setattr(lm, "_lambda_derivatives", counted)
+    sp.find_lambda_star(phys, grid)
+    assert calls == []
+    bp = sp.classify(phys, grid)
+    bifurc.coefficient_set(bp.flow, phys, *bp.modes[:1])
+    assert calls == [bp.lambda_star]
+    fresh = lm.solve_laminar(phys, bp.lambda_star, grid)
+    for name in ("Ydot", "Gdot", "Qdot"):
+        assert np.array_equal(getattr(bp.flow, name), getattr(fresh, name))
