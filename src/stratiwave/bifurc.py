@@ -26,12 +26,13 @@ with a = H_p^{-1} frozen at lambda_*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
 from .errors import ShapeError, SingularSystemError
-from .laminar import LaminarFlow
+from .laminar import LaminarFlow, _given_data
 from .profiles import Physics, quad, simpson_weights
 from .spectral import EigenMode
 
@@ -86,11 +87,14 @@ class BranchGerm:
 
 # --- exact integrals of trigonometric products over a period ------------
 
-def _trig_product_integral(factors) -> float:
+@lru_cache(maxsize=1024)
+def _trig_product_integral(factors: tuple) -> float:
     """int_0^{2pi} prod_k trig_k(n_k q) dq, trig in {"c","s"}, exactly.
 
     Products of cosines/sines expand into complex exponentials; only the
-    zero-wavenumber coefficient survives the integral.
+    zero-wavenumber coefficient survives the integral.  ``factors`` is a
+    tuple of (kind, n) pairs; a coefficient set asks for few distinct
+    ones, many times each, so each is expanded once.
     """
     coeffs = {0: 1.0 + 0.0j}
     for kind, n in factors:
@@ -133,8 +137,8 @@ class _FormAssembler:
 
     def __init__(self, flow: LaminarFlow):
         self.flow = flow
-        self.interior = []      # (p-array, [trig factors])
-        self.top = []           # (scalar at p=0, [trig factors])
+        self.interior = []      # (p-array, (trig factors))
+        self.top = []           # (scalar at p=0, (trig factors))
 
     def add_interior(self, coef, *parts):
         arrs, trigs = [], []
@@ -143,7 +147,7 @@ class _FormAssembler:
             arrs.append(arr)
             trigs.append(trig)
         prof = coef * np.prod(arrs, axis=0)
-        self.interior.append((prof, trigs))
+        self.interior.append((prof, tuple(trigs)))
 
     def add_top(self, coef, *parts):
         val = coef
@@ -152,20 +156,21 @@ class _FormAssembler:
             arr, trig = _mode_field(mode, deriv)
             val = val * arr[-1]
             trigs.append(trig)
-        self.top.append((val, trigs))
+        self.top.append((val, tuple(trigs)))
 
     def pair_with(self, test: EigenMode) -> float:
         flow = self.flow
         a = flow.a
         w = simpson_weights(flow.grid.N_p, flow.grid.h)
+        weight = a ** 3 * test.M
         total = 0.0
         for prof, trigs in self.interior:
-            qint = _trig_product_integral([("c", test.n)] + trigs)
+            qint = _trig_product_integral((("c", test.n),) + trigs)
             if qint != 0.0:
-                total += qint * float(w @ (a ** 3 * test.M * prof))
+                total += qint * float(w @ (weight * prof))
         a_top = a[-1]
         for val, trigs in self.top:
-            qint = _trig_product_integral([("c", test.n)] + trigs)
+            qint = _trig_product_integral((("c", test.n),) + trigs)
             if qint != 0.0:
                 total += 0.5 * qint * a_top ** 2 * test.M[-1] * val
         return total
@@ -174,12 +179,11 @@ class _FormAssembler:
 def _second_variation(flow, physics, A: EigenMode, B: EigenMode):
     """D^2 G at the laminar state in directions (A, B), d(A) = d(B) = 0."""
     asm = _FormAssembler(flow)
-    p = flow.grid.nodes
     Hp = flow.Hp
     Hpp = flow.Hpp(physics)
     g = physics.g
-    rho_p = physics.rho_p(p)
-    beta = physics.beta_at(p)
+    given = _given_data(physics.rho, physics.beta, flow.grid)
+    rho_p, beta = given.rho_p, given.beta
     Y = flow.Y
 
     asm.add_interior(2.0 * Hpp, (A, "q"), (B, "q"))
@@ -211,8 +215,8 @@ def _third_variation(flow, physics, A, B, C):
     p = flow.grid.nodes
     Hp = flow.Hp
     g = physics.g
-    rho_p = physics.rho_p(p)
-    beta = physics.beta_at(p)
+    given = _given_data(physics.rho, physics.beta, flow.grid)
+    rho_p, beta = given.rho_p, given.beta
     Y = flow.Y
     modes = (A, B, C)
 
@@ -264,14 +268,13 @@ def compute_Psi(flow: LaminarFlow, physics: Physics, mode: EigenMode,
     if mode.M.shape != flow.H.shape:
         raise ShapeError("mode and flow live on different grids")
     grid = flow.grid
-    p = grid.nodes
     a = flow.a
     lam = flow.lam
     n = mode.n
     M, Mp = mode.M, mode.Mp
     g = physics.g
-    rho_p = physics.rho_p(p)
-    beta = physics.beta_at(p)
+    given = _given_data(physics.rho, physics.beta, grid)
+    rho_p, beta = given.rho_p, given.beta
     one_plus_Gdot = 1.0 + flow.Gdot
 
     integrand = (n * n / a * one_plus_Gdot * M ** 2
@@ -513,14 +516,27 @@ def oracle_roots(coeffs: CoefficientSet, side: str):
     keep = (~active & np.isfinite(th1) & np.isfinite(th2)
             & ~(res > 1e-10 * scale)
             & ~(np.hypot(th1, th2) < near))             # trivial roots
+    return sorted(_distinct(th1[keep], th2[keep], near))
+
+
+def _distinct(th1, th2, near):
+    """The candidates, in order, that lie at least ``near`` from every
+    earlier one kept.
+
+    The first candidate left is kept, and every candidate nearer than
+    ``near`` to it is dropped in one array call.  A dropped candidate is
+    near a root kept before it, and the next one left is near none, so
+    this keeps what a candidate-by-candidate check against the roots so
+    far keeps, in the same order.
+    """
     roots = []
-    for t1, t2 in zip(th1[keep].tolist(), th2[keep].tolist()):
-        for known in roots:
-            if np.hypot(t1 - known[0], t2 - known[1]) < near:
-                break
-        else:
-            roots.append((t1, t2))
-    return sorted(roots)
+    while th1.size:
+        t1, t2 = th1[0], th2[0]
+        roots.append((float(t1), float(t2)))
+        far = ~(np.hypot(th1 - t1, th2 - t2) < near)
+        far[0] = False                  # kept, whatever near is
+        th1, th2 = th1[far], th2[far]
+    return roots
 
 
 def coefficients_to_dict(coeffs: CoefficientSet, germs=None) -> dict:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (DomainError, IterationFailureError, NoMinimumError,
                      UndefinedQuantityError)
+from .piecewise import _evaluate, _hermite, _locate, _pchip_slopes
 from .profiles import (PGrid, Physics, ProfileFn, b_min, build_B,
                        cumquad_from_left, cumquad_to_zero, quad)
 
@@ -99,9 +100,8 @@ class LaminarFlow:
 
     def Hpp(self, physics: Physics):
         """H_pp from the laminar ODE: g H_p^3 Y rho_p - H_p^3 beta(-p)."""
-        p = self.grid.nodes
-        return self.Hp ** 3 * (physics.g * physics.rho_p(p) * self.Y
-                               - physics.beta_at(p))
+        given = _given_data(physics.rho, physics.beta, self.grid)
+        return self.Hp ** 3 * (physics.g * given.rho_p * self.Y - given.beta)
 
 
 def epsilon0(physics: Physics, grid: PGrid) -> float:
@@ -128,6 +128,8 @@ class _Given(NamedTuple):
     rho_p_half: np.ndarray       # at the grid's half_nodes
     beta: np.ndarray             # beta(-p) at the nodes
     homogeneous: bool
+    stations: np.ndarray         # (1, 2 N_p + 1): nodes, then half_nodes
+    intervals: np.ndarray        # each station's interval of the nodes
 
 
 @lru_cache(maxsize=256)
@@ -135,20 +137,56 @@ def _given_data(rho: ProfileFn, beta: ProfileFn, grid: PGrid) -> _Given:
     """Per-(rho, beta, grid) immutable precomputation shared by every
     solve, shot and height residual: 2B on the nodes, B_min, rho_p at the
     nodes and at the shooting march's half-step stations, beta(-p) at the
-    nodes, and homogeneity (rho_p vanishes on the grid to 1e-13 relative
-    to max |rho|).  Keyed on the profiles only, so any sigma, g or c
-    hits."""
+    nodes, homogeneity (rho_p vanishes on the grid to 1e-13 relative
+    to max |rho|), and the march's stations with the interval of the
+    nodes each lies in (node k in interval k, the last node in N_p - 1,
+    half step k in k), located once here.  Keyed on the profiles only,
+    so any sigma, g or c hits."""
     B = build_B(beta, grid)
     p = grid.nodes
     rho_p = rho.deriv(p)
     scale = max(1.0, float(np.max(np.abs(rho.eval(p)))))
     homogeneous = float(np.max(np.abs(rho_p))) <= 1e-13 * scale
+    stations = np.concatenate([p, grid.half_nodes])[None, :]
     given = _Given(twoB=2.0 * B.eval(p), b_min=b_min(B), rho_p=rho_p,
                    rho_p_half=rho.deriv(grid.half_nodes), beta=beta.eval(-p),
-                   homogeneous=homogeneous)
-    for samples in (given.twoB, given.rho_p, given.rho_p_half, given.beta):
+                   homogeneous=homogeneous, stations=stations,
+                   intervals=_locate(p[None, :], stations))
+    for samples in (given.twoB, given.rho_p, given.rho_p_half, given.beta,
+                    given.stations, given.intervals):
         samples.flags.writeable = False     # every caller shares them
     return given
+
+
+class _GSamples(NamedTuple):
+    stations: np.ndarray         # G at the nodes, then at the half nodes
+    slopes: np.ndarray           # G' at the nodes
+
+
+def _pchip_samples(given: _Given, G) -> _GSamples:
+    """The PCHIP of G, as scipy's PchipInterpolator and its derivative
+    would evaluate it, at the shooting march's stations; its slope at the
+    nodes."""
+    nodes = G.size
+    x = given.stations[:, :nodes]
+    row = G[None, :]
+    pchip = _hermite(x, row, _pchip_slopes(x, row))
+    intervals = given.intervals
+    return _GSamples(
+        _evaluate(x, pchip, given.stations, intervals=intervals)[0],
+        _evaluate(x, pchip, x, derivative=True,
+                  intervals=intervals[:, :nodes])[0])
+
+
+@lru_cache(maxsize=256)
+def _twoB_samples(rho: ProfileFn, beta: ProfileFn, grid: PGrid) -> _GSamples:
+    """``_pchip_samples`` of G = 2B.  A homogeneous rho has G = 2B at
+    every lambda (see ``solve_laminar``), so these are all its flows'."""
+    given = _given_data(rho, beta, grid)
+    samples = _pchip_samples(given, given.twoB)
+    for values in samples:
+        values.flags.writeable = False
+    return samples
 
 
 def _floor_margin(physics: Physics, grid: PGrid) -> float:
@@ -219,8 +257,9 @@ def solve_laminar(physics: Physics, lam: float, grid: PGrid,
             f"{DEFAULT_MAX_ITER} iterations",
             residual=diff, iterations=iterations)
 
-    Hp = (lam + G) ** -0.5
-    H = cumquad_from_left(grid, Hp)
+    if not homogeneous:             # the last pass changed G
+        Hp = (lam + G) ** -0.5
+        H = cumquad_from_left(grid, Hp)
     Q = lam + 2.0 * g * physics.rho0() * H[-1]
     return LaminarFlow(lam=lam, grid=grid, H=H, Hp=Hp, G=G, Q=Q,
                        iterations=iterations, converged=True,

@@ -41,11 +41,15 @@ def _hermite(x, y, slopes):
             y[:, :-1])
 
 
-def _evaluate(x, coeffs, points, derivative=False):
+def _evaluate(x, coeffs, points, derivative=False, intervals=None):
     """Row-wise values of the piecewise cubic at the points, or with
     ``derivative`` its first derivatives, summed as scipy evaluates
-    ``PPoly.derivative()``: c2 + (2 c1) s + (3 c0) s^2."""
-    i = _locate(x, points)
+    ``PPoly.derivative()``: c2 + (2 c1) s + (3 c0) s^2.
+
+    ``intervals``, when given, are the points' ``_locate`` indices, known
+    to the caller (a grid's stations are), so no search runs.
+    """
+    i = _locate(x, points) if intervals is None else intervals
     rows = np.arange(x.shape[0])[:, None]
     s = points - x[rows, i]
     c0, c1, c2, c3 = (c[rows, i] for c in coeffs)

@@ -17,6 +17,7 @@ table profile on the grid; for polynomial beta the antiderivative is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -159,7 +160,7 @@ class Physics:
             raise DomainError("rho must be nonincreasing on [p0, 0]")
 
     def rho0(self) -> float:
-        return float(self.rho.eval(0.0))
+        return _rho0(self.rho)
 
     def rho_p(self, p):
         return self.rho.deriv(p)
@@ -170,7 +171,19 @@ class Physics:
 
     def rho_p_sup(self, grid: PGrid) -> float:
         """max |rho_p| over the grid nodes (the L^inf norm used in thresholds)."""
-        return float(np.max(np.abs(self.rho.deriv(grid.nodes))))
+        return _rho_p_sup(self.rho, grid)
+
+
+# Profile scalars that every dispersion value, residual and floor reads:
+# sampled once per profile (and grid), not once per call.
+@lru_cache(maxsize=256)
+def _rho0(rho: ProfileFn) -> float:
+    return float(rho.eval(0.0))
+
+
+@lru_cache(maxsize=256)
+def _rho_p_sup(rho: ProfileFn, grid: PGrid) -> float:
+    return float(np.max(np.abs(rho.deriv(grid.nodes))))
 
 
 def _shape_error(grid, samples):
@@ -215,8 +228,7 @@ def cumquad_from_left(grid: PGrid, samples):
     inc = np.empty(n)
     inc[0] = h / 24.0 * (9*f[0] + 19*f[1] - 5*f[2] + f[3])
     inc[-1] = h / 24.0 * (f[-4] - 5*f[-3] + 19*f[-2] + 9*f[-1])
-    i = np.arange(1, n - 1)
-    inc[i] = h / 24.0 * (-f[i-1] + 13*f[i] + 13*f[i+1] - f[i+2])
+    inc[1:-1] = h / 24.0 * (-f[:-3] + 13*f[1:-2] + 13*f[2:-1] - f[3:])
     out = np.zeros(n + 1)
     np.cumsum(inc, out=out[1:])
     return out

@@ -28,9 +28,8 @@ from scipy.optimize import brentq
 from .errors import (IndefiniteFormError, LBViolatedError,
                      MultiplicityExceededError, RootNotFoundError,
                      SuperpositionDegenerateError)
-from .laminar import (LAMBDA_CAP, LaminarFlow, _given_data, lambda_floor,
-                      solve_laminar)
-from .piecewise import _evaluate, _hermite, _pchip_slopes
+from .laminar import (LAMBDA_CAP, LaminarFlow, _given_data, _pchip_samples,
+                      _twoB_samples, lambda_floor, solve_laminar)
 from .profiles import PGrid, Physics
 
 RESONANCE_RTOL = 1e-6
@@ -127,19 +126,22 @@ def shot_coefficients(flow, physics: Physics) -> ShotCoefficients:
 
     a = sqrt(lambda + G) and a' = G' / (2 a) come from the PCHIP of G,
     evaluated by ``piecewise`` on one row as scipy's PchipInterpolator
-    and its derivative would; rho_p from the grid's cached samples.
+    and its derivative would; rho_p from the grid's cached samples.  A
+    flow whose G is 2B bit for bit (every homogeneous one) reads the
+    profile's PCHIP samples, fitted once, and computes only a, a' and
+    a^-3 here.
     """
-    grid = flow.grid
+    rho, beta, grid = physics.rho, physics.beta, flow.grid
     nodes = grid.N_p + 1
-    p = grid.nodes[None, :]
-    G = flow.G[None, :]
-    pchip = _hermite(p, G, _pchip_slopes(p, G))
-    stations = np.concatenate([p, grid.half_nodes[None, :]], axis=1)
-    a = np.sqrt(flow.lam + _evaluate(p, pchip, stations)[0])
+    given = _given_data(rho, beta, grid)
+    if given.homogeneous and np.array_equal(flow.G, given.twoB):
+        G_at, G_slopes = _twoB_samples(rho, beta, grid)
+    else:
+        G_at, G_slopes = _pchip_samples(given, flow.G)
+    a = np.sqrt(flow.lam + G_at)
     a_nodes = a[:nodes]
-    ap_nodes = _evaluate(p, pchip, p, derivative=True)[0] / (2.0 * a_nodes)
+    ap_nodes = G_slopes / (2.0 * a_nodes)
     inv_a3 = a ** -3.0
-    given = _given_data(physics.rho, physics.beta, grid)
     return ShotCoefficients(
         h=float(grid.h), N_p=grid.N_p, g=physics.g, a_nodes=a_nodes,
         a_half=a[nodes:], ap_nodes=ap_nodes, rp_nodes=given.rho_p,
@@ -272,8 +274,14 @@ def dispersion(flow, physics: Physics, mode: EigenMode):
 def _mismatch(lam, physics, n, end):
     """``dispersion``'s (D, scale) from the mode's end point
     end = (M(0), M'(0))."""
+    return _mismatch_at(lam, physics.sigma, physics.g * physics.rho0(), n,
+                        end)
+
+
+def _mismatch_at(lam, sigma, g_rho0, n, end):
+    """``_mismatch`` at surface tension sigma, with g rho(0) given."""
     top = lam ** 1.5 * end[1]
-    bottom = (n ** 2 * physics.sigma + physics.g * physics.rho0()) * end[0]
+    bottom = (n ** 2 * sigma + g_rho0) * end[0]
     return float(top - bottom), float(abs(top) + abs(bottom))
 
 
@@ -636,6 +644,7 @@ def find_double_sigma(physics: Physics, grid: PGrid, n2: int):
     if n2 < 2:
         raise ValueError("n2 must be >= 2")
     sigma, lam = _irrotational_double_seed(physics, n2)
+    g_rho0 = physics.g * physics.rho0()
 
     def shots(lam_):
         # neither the flow nor the end points depend on sigma
@@ -645,10 +654,9 @@ def find_double_sigma(physics: Physics, grid: PGrid, n2: int):
 
     def F(sigma_, flow, ends):
         # _dispersion_at, its march shared by every sigma at one lambda
-        at_sigma = replace(physics, sigma=sigma_)
         rel = []
         for n, end in zip((1, n2), ends):
-            D, scale = _mismatch(flow.lam, at_sigma, n, end)
+            D, scale = _mismatch_at(flow.lam, sigma_, g_rho0, n, end)
             rel.append(D / scale)
         return np.array(rel)
 

@@ -528,3 +528,65 @@ def test_simple_point_coefficients_and_germs(t0, grid64):
     flat = bf.predict_branches(replace(cs, theta1111=0.0))
     assert [(g.side, g.theta) for g in flat] == [("minus", (1.0, 0.0)),
                                                  ("minus", (-1.0, 0.0))]
+
+
+def _distinct_loop(th1, th2, near):
+    """``bifurc._distinct`` as it stood: each candidate checked against the
+    roots kept so far, one scalar ``np.hypot`` per pair; the reference."""
+    roots = []
+    for t1, t2 in zip(th1.tolist(), th2.tolist()):
+        for known in roots:
+            if np.hypot(t1 - known[0], t2 - known[1]) < near:
+                break
+        else:
+            roots.append((t1, t2))
+    return roots
+
+
+def _random_cubic_sets(count=200):
+    """Seeded cubic coefficient sets, degenerate ones included."""
+    rng = np.random.default_rng(19)
+    for _ in range(count):
+        psi = rng.uniform(-3.0, 3.0, size=2)
+        diag = rng.uniform(0.05, 3.0, size=2) * rng.choice([-1, 1], size=2)
+        yield bf.CoefficientSet(
+            n1=1, n2=3, psi11=psi[0], psi22=psi[1], phi112=0.0, phi121=0.0,
+            phi211=0.0, theta1111=diag[0], theta2222=diag[1],
+            theta1122=rng.uniform(-2.0, 2.0), theta2211=rng.uniform(-2.0, 2.0),
+            normalization="hand-built")
+
+
+def test_oracle_dedup_matches_loop_reference(double3, monkeypatch):
+    t0, grid, bp, flow = double3
+    sets = [bf.coefficient_set(flow, t0, *bp.modes), _double4_coeffs()]
+    sets += list(_random_cubic_sets())
+    seen = []
+    distinct = bf._distinct
+
+    def recorded(th1, th2, near):
+        roots = distinct(th1, th2, near)
+        seen.append((th1.copy(), th2.copy(), near, roots))
+        return roots
+
+    monkeypatch.setattr(bf, "_distinct", recorded)
+    for cs in sets:
+        for side in ("plus", "minus"):
+            bf.oracle_roots(cs, side)
+    assert len(seen) == 2 * len(sets)
+    assert max(th1.size for th1, *_ in seen) > 100   # many pairs to check
+    for th1, th2, near, roots in seen:
+        assert roots == _distinct_loop(th1, th2, near)
+        assert all(type(t) is float for root in roots for t in root)
+
+
+def test_trig_product_integral_memo_matches_expansion():
+    unmemoized = bf._trig_product_integral.__wrapped__
+    factors = [(("c", 1),), (("c", 2), ("c", 2)), (("s", 3), ("s", 3)),
+               (("c", 1), ("c", 1), ("c", 2)), (("c", 1), ("s", 1)),
+               (("c", 3), ("c", 1), ("s", 1), ("s", 3)),
+               (("c", 4), ("c", 1), ("c", 1), ("c", 4))]
+    for f in factors:
+        want = unmemoized(f)
+        for _ in range(2):              # the expansion, then a hit
+            assert bf._trig_product_integral(f) == want
+    assert bf._trig_product_integral(factors[1]) == pytest.approx(np.pi)

@@ -190,3 +190,54 @@ def test_given_data_cache_ignores_sigma(t0, grid64):
     lm._given_data.cache_clear()
     sp.lambda_star_of_sigma(t0, grid64, (0.5, 1.0, 2.0))
     assert lm._given_data.cache_info().misses == 1
+
+
+# stratified: a homogeneous floor reads neither scalar
+_FLOOR_RHO = {
+    "linear": pr.ProfileFn.poly((1.0, -0.1), -1.0, 0.0),
+    "quadratic": pr.ProfileFn.poly((1.0, -0.1, -0.04), -1.0, 0.0),
+    "table": pr.ProfileFn.table([-1.0, -0.5, 0.0], [1.15, 1.06, 1.0]),
+}
+
+
+@pytest.mark.parametrize("rho", sorted(_FLOOR_RHO))
+@pytest.mark.parametrize("n_p", [64, 512])
+def test_lambda_floor_matches_uncached_scalars(rho, n_p, monkeypatch):
+    phys = pr.Physics(g=1.0, c=1.0, p0=-1.0, sigma=10.0, rho=_FLOOR_RHO[rho],
+                      beta=pr.ProfileFn.poly((0.0, 0.2), 0.0, 1.0))
+    grid = pr.PGrid(-1.0, n_p)
+    cached = lm.lambda_floor(phys, grid)
+    with monkeypatch.context() as patch:
+        # a second floor samples no profile
+        def forbidden(*args, **kwargs):
+            raise AssertionError("profile sampled again")
+        patch.setattr(pr.ProfileFn, "eval", forbidden)
+        patch.setattr(pr.ProfileFn, "deriv", forbidden)
+        assert lm.lambda_floor(phys, grid) == cached
+    # rho(0) and max |rho_p| sampled through the profile on every read
+    monkeypatch.setattr(pr.Physics, "rho0",
+                        lambda self: float(self.rho.eval(0.0)))
+    monkeypatch.setattr(pr.Physics, "rho_p_sup", lambda self, grid: float(
+        np.max(np.abs(self.rho.deriv(grid.nodes)))))
+    assert lm.lambda_floor(phys, grid) == cached
+
+
+@pytest.mark.parametrize("beta", [(0.0,), (0.0, 0.2)])
+def test_homogeneous_solve_makes_one_pass(beta, monkeypatch):
+    # the pass after the loop recomputed Hp and H from the same G
+    phys = make_physics(beta_coeffs=beta)
+    grid = pr.PGrid(-1.0, 64)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pr.cumquad_from_left(*args)
+
+    monkeypatch.setattr(lm, "cumquad_from_left", counted)
+    flow = lm.solve_laminar(phys, 3.0, grid)
+    assert len(calls) == 1 and flow.iterations == 1
+    given = lm._given_data(phys.rho, phys.beta, grid)
+    assert np.array_equal(flow.G, given.twoB)
+    Hp = (3.0 + given.twoB) ** -0.5
+    assert np.array_equal(flow.Hp, Hp)
+    assert np.array_equal(flow.H, pr.cumquad_from_left(grid, Hp))

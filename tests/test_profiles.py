@@ -127,3 +127,67 @@ def test_physics_validation():
         pr.Physics(g=1.0, c=-1.0, p0=-1.0, sigma=0.0, rho=rho, beta=beta)
     with pytest.raises(DomainError):
         pr.Physics(g=1.0, c=1.0, p0=0.5, sigma=0.0, rho=rho, beta=beta)
+
+
+def _cumquad_from_left_indexed(grid, samples):
+    """``cumquad_from_left`` as it stood with ``np.arange`` fancy indices;
+    the reference for bit-equality."""
+    f = np.asarray(samples, dtype=float)
+    h, n = grid.h, grid.N_p
+    inc = np.empty(n)
+    inc[0] = h / 24.0 * (9*f[0] + 19*f[1] - 5*f[2] + f[3])
+    inc[-1] = h / 24.0 * (f[-4] - 5*f[-3] + 19*f[-2] + 9*f[-1])
+    i = np.arange(1, n - 1)
+    inc[i] = h / 24.0 * (-f[i-1] + 13*f[i] + 13*f[i+1] - f[i+2])
+    out = np.zeros(n + 1)
+    np.cumsum(inc, out=out[1:])
+    return out
+
+
+@pytest.mark.parametrize("n_p", [8, 10, 64, 512])
+def test_cumquad_from_left_matches_indexed(n_p, monkeypatch):
+    rng = np.random.default_rng(n_p)
+    grid = pr.PGrid(-0.7, n_p)
+    for _ in range(5):
+        f = rng.standard_normal(n_p + 1) * 10.0 ** rng.uniform(-3, 3)
+        want = _cumquad_from_left_indexed(grid, f)
+        with monkeypatch.context() as patch:
+            def forbidden(*args, **kwargs):
+                raise AssertionError("cells indexed by an index array")
+            patch.setattr(np, "arange", forbidden)
+            got = pr.cumquad_from_left(grid, f)
+        assert np.array_equal(got, want)
+
+
+_SCALAR_PROFILES = {
+    "constant": pr.ProfileFn.poly([1.0], -1.0, 0.0),
+    "quadratic": pr.ProfileFn.poly([1.0, -0.1, -0.04], -1.0, 0.0),
+    "table": pr.ProfileFn.table([-1.0, -0.5, 0.0], [1.15, 1.06, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALAR_PROFILES))
+def test_profile_scalars_match_uncached(name, monkeypatch):
+    rho = _SCALAR_PROFILES[name]
+    beta = pr.ProfileFn.poly([0.0, 0.2], 0.0, 1.0)
+    phys = pr.Physics(g=1.0, c=1.0, p0=-1.0, sigma=1.0, rho=rho, beta=beta)
+    grids = [pr.PGrid(-1.0, n_p) for n_p in (64, 512)]
+    want = [(float(rho.eval(0.0)),
+             float(np.max(np.abs(rho.deriv(grid.nodes))))) for grid in grids]
+    for grid, (rho0, sup) in zip(grids, want):
+        assert phys.rho0() == rho0
+        assert phys.rho_p_sup(grid) == sup
+    with monkeypatch.context() as patch:
+        # sampled once per profile (and grid): a second read samples nothing
+        def forbidden(*args, **kwargs):
+            raise AssertionError("profile sampled again")
+        patch.setattr(pr.ProfileFn, "eval", forbidden)
+        patch.setattr(pr.ProfileFn, "deriv", forbidden)
+        for grid, (rho0, sup) in zip(grids, want):
+            assert phys.rho0() == rho0
+            assert phys.rho_p_sup(grid) == sup
+    # an equal profile built anew reads the same values
+    twin = pr.Physics(g=1.0, c=1.0, p0=-1.0, sigma=2.0, rho=(
+        pr.ProfileFn.table(rho.nodes, rho.values) if rho.kind == "table"
+        else pr.ProfileFn.poly(rho.coeffs, rho.lo, rho.hi)), beta=beta)
+    assert twin.rho0() == phys.rho0()

@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from conftest import irrotational_lambda_star, make_physics, sigma_for_root
 from stratiwave import bifurc
 from stratiwave import laminar as lm
+from stratiwave import piecewise as pw
 from stratiwave import profiles as pr
 from stratiwave import spectral as sp
 from stratiwave.errors import LBViolatedError, UndefinedQuantityError
@@ -491,3 +492,104 @@ def test_lambda_derivatives_only_for_the_returned_flow(physics, n_p, request,
     fresh = lm.solve_laminar(phys, bp.lambda_star, grid)
     for name in ("Ydot", "Gdot", "Qdot"):
         assert np.array_equal(getattr(bp.flow, name), getattr(fresh, name))
+
+
+def _shot_coefficients_locate(flow, physics):
+    """``sp.shot_coefficients`` as it stood before the per-profile G
+    samples and the known intervals: the PCHIP of this flow's G fitted
+    anew, every station located by ``_locate``; the reference for
+    bit-equality."""
+    grid = flow.grid
+    nodes = grid.N_p + 1
+    p = grid.nodes[None, :]
+    G = flow.G[None, :]
+    pchip = pw._hermite(p, G, pw._pchip_slopes(p, G))
+    stations = np.concatenate([p, grid.half_nodes[None, :]], axis=1)
+    a = np.sqrt(flow.lam + pw._evaluate(p, pchip, stations)[0])
+    a_nodes = a[:nodes]
+    ap_nodes = pw._evaluate(p, pchip, p, derivative=True)[0] / (2.0 * a_nodes)
+    inv_a3 = a ** -3.0
+    given = lm._given_data(physics.rho, physics.beta, grid)
+    return sp.ShotCoefficients(
+        h=float(grid.h), N_p=grid.N_p, g=physics.g, a_nodes=a_nodes,
+        a_half=a[nodes:], ap_nodes=ap_nodes, rp_nodes=given.rho_p,
+        rp_half=given.rho_p_half, inv_a3_nodes=inv_a3[:nodes],
+        ia3_n=inv_a3[:nodes].tolist(), ia3_h=inv_a3[nodes:].tolist())
+
+
+def _count_fits(monkeypatch):
+    """Record each G that ``shot_coefficients`` fits a PCHIP to."""
+    fitted = []
+
+    def recorded(given, G):
+        fitted.append(G)
+        return lm._pchip_samples(given, G)
+
+    monkeypatch.setattr(sp, "_pchip_samples", recorded)
+    return fitted
+
+
+def _assert_same_coefficients(got, want):
+    for name in sp.ShotCoefficients.__dataclass_fields__:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("n_p", [64, 512])
+@pytest.mark.parametrize("case", sorted(COEFFICIENT_CASES))
+def test_shot_coefficients_match_locate_route(case, n_p, monkeypatch):
+    phys = COEFFICIENT_CASES[case]()
+    grid = pr.PGrid(-1.0, n_p)
+    given = lm._given_data(phys.rho, phys.beta, grid)
+    # node k in interval k, the last node in N_p - 1, half step k in k
+    known = np.r_[np.arange(n_p), n_p - 1, np.arange(n_p)]
+    assert np.array_equal(given.intervals, known[None, :])
+    homogeneous = case in ("constant", "beta-0.2s")
+    assert given.homogeneous == homogeneous
+    lam_star = sp.find_lambda_star(phys, grid)
+    for lam in (lam_star, 3.0 * lam_star):
+        flow = lm.solve_laminar(phys, lam, grid)
+        ref = _shot_coefficients_locate(flow, phys)
+        with monkeypatch.context() as patch:
+            def forbidden(*args, **kwargs):
+                raise AssertionError("a station was located anew")
+            patch.setattr(pw, "_locate", forbidden)
+            fitted = _count_fits(patch)
+            coef = sp.shot_coefficients(flow, phys)
+        _assert_same_coefficients(coef, ref)
+        # a homogeneous flow reads the profile's samples, fitted once
+        assert len(fitted) == (0 if homogeneous else 1), lam
+
+
+@pytest.mark.parametrize("beta", [(0.0, 0.2), (0.1, -0.3, 0.2)])
+def test_perturbed_G_is_fitted_anew(beta, monkeypatch):
+    # beta = 0 has G = 0, which the perturbation leaves as it is
+    phys = make_physics(beta_coeffs=beta)
+    grid = pr.PGrid(-1.0, 64)
+    flow = lm.solve_laminar(phys, 2.0, grid)
+    perturbed = replace(flow, G=flow.G * (1 + 1e-9))
+    assert not np.array_equal(perturbed.G, flow.G)
+    fitted = _count_fits(monkeypatch)
+    sp.shot_coefficients(flow, phys)
+    assert fitted == []
+    coef = sp.shot_coefficients(perturbed, phys)
+    assert len(fitted) == 1 and fitted[0] is perturbed.G
+    _assert_same_coefficients(coef, _shot_coefficients_locate(perturbed,
+                                                              phys))
+    assert not np.array_equal(coef.a_nodes,
+                              sp.shot_coefficients(flow, phys).a_nodes)
+
+
+def test_find_double_sigma_builds_no_physics(t0, grid64, monkeypatch):
+    # each Newton step built three Physics, each probing rho at 101 points
+    built = []
+    post_init = pr.Physics.__post_init__
+
+    def counted(self):
+        built.append(self.sigma)
+        post_init(self)
+
+    monkeypatch.setattr(pr.Physics, "__post_init__", counted)
+    sigma_d, lam_d = sp.find_double_sigma(t0, grid64, 3)
+    assert built == []
+    bp = sp.classify(replace(t0, sigma=sigma_d), grid64)
+    assert bp.classification == "Double" and bp.n2 == 3

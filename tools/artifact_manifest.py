@@ -1,6 +1,6 @@
 """Hash every artifact of the golden CLI set, one ``sha256 label`` line each.
 
-    PYTHONPATH=src python tools/artifact_manifest.py OUTDIR > manifest.txt
+    PYTHONPATH=src python tools/artifact_manifest.py OUTDIR [--expect DIGEST]
 
 The set runs in process through ``stratiwave.cli.main``, inside OUTDIR
 (created; it must not hold files yet), with relative paths, so two
@@ -25,7 +25,9 @@ checkouts print the same lines when their artifacts agree byte for byte:
 Every file written, every stdout and stderr (with the exit code in its
 label) gets one line; the last line is the sha256 of all lines before it.
 To check that a change keeps the artifacts, run this at the parent and at
-the change and diff the two outputs.
+the change and diff the two outputs, or pass the parent's last line's
+digest as ``--expect``: the lines are the same, and the exit code is 1
+when the digest differs.
 """
 
 import os
@@ -35,6 +37,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 os.environ.pop("STRATIWAVE_VERBOSE", None)
 
+import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -97,7 +100,9 @@ class Manifest:
 
     def digest(self):
         text = "".join(line + "\n" for line in self.lines)
-        print(f"{sha(text.encode())} manifest", flush=True)
+        digest = sha(text.encode())
+        print(f"{digest} manifest", flush=True)
+        return digest
 
 
 def analysis(man, tag, config, commands, n2_flags):
@@ -190,10 +195,12 @@ def verify_fields(man):
 
 
 def main(argv):
-    if len(argv) != 1:
-        print("usage: " + __doc__.splitlines()[2].strip(), file=sys.stderr)
-        return 2
-    outdir = argv[0]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir")
+    parser.add_argument("--expect", metavar="DIGEST",
+                        help="exit 1 unless the manifest digest is this")
+    args = parser.parse_args(argv)
+    outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
     if os.listdir(outdir):
         print(f"{outdir} is not empty", file=sys.stderr)
@@ -204,7 +211,11 @@ def main(argv):
     branches = branch_set(man)
     check_dumps(man, branches)
     verify_fields(man)
-    man.digest()
+    digest = man.digest()
+    if args.expect is not None and digest != args.expect:
+        print(f"digest {digest} is not the expected {args.expect}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
