@@ -113,22 +113,15 @@ def _trig_product_integral(factors: tuple) -> float:
 
 # --- separable representation of mode derivatives -----------------------
 
-def _mode_field(mode: EigenMode, deriv: str):
-    """(p-profile, (trig kind, wavenumber)) of a derivative of M cos(nq)."""
+def _mode_fields(mode: EigenMode) -> dict:
+    """{derivative: (p-profile, (trig kind, wavenumber))} of M cos(nq)."""
     n = mode.n
-    if deriv == "0":
-        return mode.M, ("c", n)
-    if deriv == "p":
-        return mode.Mp, ("c", n)
-    if deriv == "pp":
-        return mode.Mpp, ("c", n)
-    if deriv == "q":
-        return -n * mode.M, ("s", n)
-    if deriv == "qq":
-        return -n * n * mode.M, ("c", n)
-    if deriv == "pq":
-        return -n * mode.Mp, ("s", n)
-    raise ValueError(deriv)
+    return {"0": (mode.M, ("c", n)),
+            "p": (mode.Mp, ("c", n)),
+            "pp": (mode.Mpp, ("c", n)),
+            "q": (-n * mode.M, ("s", n)),
+            "qq": (-n * n * mode.M, ("c", n)),
+            "pq": (-n * mode.Mp, ("s", n))}
 
 
 class _FormAssembler:
@@ -139,21 +132,30 @@ class _FormAssembler:
         self.flow = flow
         self.interior = []      # (p-array, (trig factors))
         self.top = []           # (scalar at p=0, (trig factors))
+        # id(mode) -> (mode, _mode_fields(mode)); holding the mode keeps
+        # its id from being reused while the assembler lives
+        self._fields = {}
+
+    def _field(self, mode, deriv):
+        entry = self._fields.get(id(mode))
+        if entry is None:
+            entry = self._fields[id(mode)] = (mode, _mode_fields(mode))
+        return entry[1][deriv]
 
     def add_interior(self, coef, *parts):
-        arrs, trigs = [], []
+        # left to right, as np.prod(stacked, axis=0) multiplies
+        prof, trigs = None, []
         for mode, deriv in parts:
-            arr, trig = _mode_field(mode, deriv)
-            arrs.append(arr)
+            arr, trig = self._field(mode, deriv)
+            prof = arr if prof is None else prof * arr
             trigs.append(trig)
-        prof = coef * np.prod(arrs, axis=0)
-        self.interior.append((prof, tuple(trigs)))
+        self.interior.append((coef * prof, tuple(trigs)))
 
     def add_top(self, coef, *parts):
         val = coef
         trigs = []
         for mode, deriv in parts:
-            arr, trig = _mode_field(mode, deriv)
+            arr, trig = self._field(mode, deriv)
             val = val * arr[-1]
             trigs.append(trig)
         self.top.append((val, tuple(trigs)))

@@ -20,6 +20,7 @@ steps on it until the contraction of max|r| stalls (``_bordered_newton``).
 
 from __future__ import annotations
 
+import base64
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -747,28 +748,51 @@ def nodal_check(hf: HeightField) -> bool:
 # --- serialization --------------------------------------------------------
 
 def dump_field(hf: HeightField) -> str:
-    """Text grid format: header then row-major h values, 17 digits."""
-    lines = [f"heightfield v1 {hf.N_q} {hf.pgrid.N_p} "
+    """``heightfield v2`` text: a header with N_q, N_p, p0 and Q (17
+    digits), then one line per q-column holding the standard padded base64
+    of that row's N_p + 1 little-endian float64 values, exact to the bit."""
+    lines = [f"heightfield v2 {hf.N_q} {hf.pgrid.N_p} "
              f"{hf.pgrid.p0:.16e} {hf.Q:.16e}"]
-    row = " ".join(["%.16e"] * hf.h.shape[1])
-    lines += [row % tuple(values) for values in hf.h.tolist()]
+    rows = np.ascontiguousarray(hf.h, dtype="<f8")
+    lines += [base64.b64encode(row).decode("ascii") for row in rows]
     return "\n".join(lines) + "\n"
 
 
+def _text_rows(lines, N_p):
+    """A v1 body: rows of decimal numbers separated by spaces."""
+    # a token that is no number, or rows of unequal length
+    return np.vstack([np.fromstring(ln, sep=" ") for ln in lines])
+
+
+def _binary_rows(lines, N_p):
+    """A v2 body: one base64 line of N_p + 1 little-endian float64 each."""
+    width = 8 * (N_p + 1)
+    rows = [base64.b64decode(ln.strip(), validate=True) for ln in lines]
+    if not rows or any(len(row) != width for row in rows):
+        raise ShapeError(f"a v2 dump body needs rows of {width} bytes")
+    return np.frombuffer(b"".join(rows), dtype="<f8").astype(
+        np.float64).reshape(len(rows), N_p + 1)
+
+
+_BODY_READERS = {("heightfield", "v1"): _text_rows,
+                 ("heightfield", "v2"): _binary_rows}
+
+
 def load_field(text: str) -> HeightField:
-    """Parse a ``dump_field`` text; ShapeError on anything malformed."""
+    """Parse a ``dump_field`` text, v2 or the decimal v1 of older dumps;
+    ShapeError on anything malformed."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     head = lines[0].split() if lines else []
-    if head[:2] != ["heightfield", "v1"]:
-        raise ShapeError("not a heightfield v1 dump")
+    read_body = _BODY_READERS.get(tuple(head[:2]))
+    if read_body is None:
+        raise ShapeError("not a heightfield v1 or v2 dump")
     if len(head) != 6:
         raise ShapeError(f"heightfield header has {len(head)} fields, not 6")
     try:
         N_q, N_p = int(head[2]), int(head[3])
         p0, Q = float(head[4]), float(head[5])
-        # a token that is no number, or rows of unequal length
-        h = np.vstack([np.fromstring(ln, sep=" ") for ln in lines[1:]])
-    except ValueError as exc:
+        h = read_body(lines[1:], N_p)
+    except ValueError as exc:       # binascii.Error is a ValueError
         raise ShapeError(f"unreadable heightfield dump: {exc}") from None
     if not (np.isfinite(p0) and np.isfinite(Q) and np.all(np.isfinite(h))):
         raise ShapeError("heightfield dump holds a non-finite value")

@@ -590,3 +590,78 @@ def test_trig_product_integral_memo_matches_expansion():
         for _ in range(2):              # the expansion, then a hit
             assert bf._trig_product_integral(f) == want
     assert bf._trig_product_integral(factors[1]) == pytest.approx(np.pi)
+
+
+def _mode_field_ref(mode, deriv):
+    """A derivative of M cos(nq) as ``bifurc`` formed it per call, before
+    each assembler kept its modes' six profiles."""
+    n = mode.n
+    return {"0": (mode.M, ("c", n)), "p": (mode.Mp, ("c", n)),
+            "pp": (mode.Mpp, ("c", n)), "q": (-n * mode.M, ("s", n)),
+            "qq": (-n * n * mode.M, ("c", n)),
+            "pq": (-n * mode.Mp, ("s", n))}[deriv]
+
+
+def _stratified_modes():
+    phys = make_physics(sigma=10.0, rho_coeffs=(1.0, -0.1),
+                        beta_coeffs=(0.0, 0.2))
+    grid = pr.PGrid(-1.0, 64)
+    lam = sp.find_lambda_star(phys, grid)
+    flow = lm.solve_laminar(phys, lam, grid)
+    return phys, flow, (sp.shoot_mode(flow, phys, 1),
+                        sp.shoot_mode(flow, phys, 2))
+
+
+def test_assembler_terms_match_stacked_product(double3, monkeypatch):
+    """Every term equals coef * np.prod(stacked profiles, axis=0) bit for
+    bit, and each mode's profiles are formed once per assembler."""
+    t0, _, bp, flow = double3
+    cases = [(t0, flow, bp.modes), _stratified_modes()]
+    calls = []
+    fields = bf._mode_fields
+    monkeypatch.setattr(bf, "_mode_fields",
+                        lambda mode: calls.append(mode) or fields(mode))
+    terms = []
+    add_interior, add_top = (bf._FormAssembler.add_interior,
+                             bf._FormAssembler.add_top)
+
+    def interior(self, coef, *parts):
+        add_interior(self, coef, *parts)
+        terms.append(("interior", coef, parts, self.interior[-1]))
+
+    def top(self, coef, *parts):
+        add_top(self, coef, *parts)
+        terms.append(("top", coef, parts, self.top[-1]))
+
+    monkeypatch.setattr(bf._FormAssembler, "add_interior", interior)
+    monkeypatch.setattr(bf._FormAssembler, "add_top", top)
+    for phys, fl, (A, B) in cases:
+        for modes, variation in (((A, B), bf._second_variation),
+                                 ((A, A, B), bf._third_variation),
+                                 ((B, B, B), bf._third_variation)):
+            calls.clear()
+            variation(fl, phys, *modes)
+            assert len(calls) == len({id(m) for m in modes})
+    assert len(terms) > 100
+    for kind, coef, parts, (value, trigs) in terms:
+        refs = [_mode_field_ref(mode, deriv) for mode, deriv in parts]
+        assert trigs == tuple(trig for _, trig in refs)
+        if kind == "interior":
+            want = coef * np.prod([arr for arr, _ in refs], axis=0)
+        else:
+            want = coef
+            for arr, _ in refs:
+                want = want * arr[-1]
+        assert np.array_equal(value, want)
+
+
+def test_sequential_product_matches_stacked_reduction():
+    rng = np.random.default_rng(20)
+    for _ in range(500):
+        k = rng.integers(2, 4)
+        arrs = rng.standard_normal((k, 65)) * 10.0 ** rng.integers(
+            -150, 150, size=(k, 1))
+        prod = arrs[0]
+        for arr in arrs[1:]:
+            prod = prod * arr
+        assert np.array_equal(prod, np.prod(list(arrs), axis=0))

@@ -1,4 +1,6 @@
+import base64
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from stratiwave import cli
 from stratiwave import heightsolver as hs
 from stratiwave import laminar as lm
 from stratiwave import profiles as pr
+from stratiwave.errors import ShapeError
+from test_heightsolver import _v1_dump
 
 
 BASE_CONFIG = {
@@ -194,6 +198,91 @@ def test_verify_roundtrip_and_negative_control(t0, config_path, tmp_path,
     assert code == 3
     assert "verification-failure" in captured.err
     assert "FAIL" in captured.out
+
+
+def _row(values):
+    """A v2 body line: the padded base64 of little-endian float64s."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def _with_value(lines, value):
+    row = hs.load_field("\n".join(lines)).h[2].copy()
+    row[5] = value
+    return lines[:3] + [_row(row)] + lines[4:]
+
+
+def _resized_rows(lines, changes):
+    """Rows 1, 2, ... lose (-1) or gain (+1) one value."""
+    h = hs.load_field("\n".join(lines)).h
+    rows = [_row(h[k][:-1] if change < 0 else np.append(h[k], 1.0))
+            for k, change in enumerate(changes, start=1)]
+    return lines[:1] + rows + lines[1 + len(rows):]
+
+
+def _with_header_token(lines, index, token):
+    head = lines[0].split(" ")
+    head[index] = token
+    return [" ".join(head)] + lines[1:]
+
+
+# each turns the v2 lines of a laminar dump (N_q = 16, N_p = 64) into a
+# malformed one
+_MALFORMED_V2 = {
+    "non-alphabet": lambda ls: ls[:2] + [ls[2][:9] + "*" + ls[2][9:]]
+    + ls[3:],
+    "url-safe-alphabet": lambda ls: ls[:2] + [ls[2][:9] + "-" + ls[2][9:]]
+    + ls[3:],
+    "row-8-bytes-short": lambda ls: _resized_rows(ls, (-1,)),
+    "row-8-bytes-long": lambda ls: _resized_rows(ls, (1,)),
+    # the body's length still matches the header
+    "rows-short-then-long": lambda ls: _resized_rows(ls, (-1, 1)),
+    "missing-row": lambda ls: ls[:-1],
+    "extra-row": lambda ls: ls + [ls[-1]],
+    "nan-value": lambda ls: _with_value(ls, np.nan),
+    "inf-value": lambda ls: _with_value(ls, np.inf),
+    "minus-inf-value": lambda ls: _with_value(ls, -np.inf),
+    "nan-p0": lambda ls: _with_header_token(ls, 4, "nan"),
+    "minus-inf-p0": lambda ls: _with_header_token(ls, 4, "-inf"),
+    "nan-Q": lambda ls: _with_header_token(ls, 5, "nan"),
+    "inf-Q": lambda ls: _with_header_token(ls, 5, "inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_V2))
+def test_malformed_v2_dump_rejected(t0, config_path, tmp_path, capsys, case):
+    flow = lm.solve_laminar(t0, 4.0, pr.PGrid(-1.0, 64))
+    lines = hs.dump_field(hs.laminar_field(flow, 16)).splitlines()
+    assert lines[0].startswith("heightfield v2 16 64 ")
+    text = "\n".join(_MALFORMED_V2[case](lines)) + "\n"
+    with pytest.raises(ShapeError):
+        hs.load_field(text)
+    dump = tmp_path / "field.txt"
+    dump.write_text(text)
+    code = cli.main(["verify", "--config", config_path(),
+                     "--field", str(dump)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "shape-error" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-6])
+def test_verify_reads_v1_and_v2_dumps_alike(t0, config_path, tmp_path,
+                                            capsys, noise):
+    flow = lm.solve_laminar(t0, 4.0, pr.PGrid(-1.0, 64))
+    fld = hs.laminar_field(flow, 32)
+    rng = np.random.default_rng(5)
+    fld = replace(fld, h=fld.h + noise * rng.standard_normal(fld.h.shape))
+    results = []
+    for name, text in (("v1.field", _v1_dump(fld)),
+                       ("v2.field", hs.dump_field(fld))):
+        assert text.startswith(f"heightfield {name[:2]} ")
+        (tmp_path / name).write_text(text)
+        code = cli.main(["verify", "--config", config_path(),
+                         "--field", str(tmp_path / name)])
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert results[0] == results[1]
+    assert results[0][0] == (0 if noise == 0.0 else 3)
 
 
 def test_coeffs_subcommand_double_point(config_path, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -735,13 +737,33 @@ def test_dump_load_roundtrip_bitwise(hf):
                          ids=["short-header", "bad-token", "nan-value"])
 def test_load_field_rejects_malformed(t0, line, start, stop, new):
     flow = lm.solve_laminar(t0, 4.0, pr.PGrid(-1.0, 16))
-    lines = hs.dump_field(hs.laminar_field(flow, 16)).split("\n")
+    lines = _v1_dump(hs.laminar_field(flow, 16)).split("\n")
     hs.load_field("\n".join(lines))
     tokens = lines[line].split(" ")
     tokens[start:stop] = new
     lines[line] = " ".join(tokens)
     with pytest.raises(ShapeError):
         hs.load_field("\n".join(lines))
+
+
+def test_v1_dump_loads_bit_identically():
+    """A decimal v1 dump, written one value at a time, still loads to the
+    bits of the field, as its v2 dump does; both give a writable,
+    native-order float64 h."""
+    rng = np.random.default_rng(7)
+    special = [-0.0, 5e-324, 1e308, -1e308, -2.5e-300, 0.1, -7.0e-17]
+    vals = np.concatenate([special, rng.standard_normal(5 * 17 - 7)
+                           * 10.0 ** rng.integers(-300, 300, 5 * 17 - 7)])
+    hf = hs.HeightField(Q=0.1 + 2e-17, N_q=4, pgrid=pr.PGrid(-0.7, 16),
+                        h=vals.reshape(5, 17))
+    for text in (_v1_dump(hf), hs.dump_field(hf)):
+        back = hs.load_field(text)
+        assert (back.N_q, back.pgrid.N_p) == (4, 16)
+        assert _bits(back.pgrid.p0) == _bits(hf.pgrid.p0)
+        assert _bits(back.Q) == _bits(hf.Q)
+        assert np.array_equal(_bits(back.h), _bits(hf.h))
+        assert back.h.flags.writeable and back.h.dtype == np.float64
+        assert back.h.dtype.isnative
 
 
 def test_field_shape_validation(grid64):
@@ -781,6 +803,14 @@ def _per_value(rows, sep):
     return [sep.join(f"{v:.16e}" for v in row) for row in rows]
 
 
+def _v1_dump(hf):
+    """The decimal ``heightfield v1`` text that ``dump_field`` wrote before
+    v2: the same header, then one row of %.16e values per q-column."""
+    head = (f"heightfield v1 {hf.N_q} {hf.pgrid.N_p} "
+            f"{hf.pgrid.p0:.16e} {hf.Q:.16e}")
+    return "\n".join([head] + _per_value(hf.h, " ")) + "\n"
+
+
 def test_writers_match_per_value_format():
     # signed zero, the smallest subnormal, the extremes and negatives
     special = [-0.0, 5e-324, 1e308, -1e308, -1.5, 0.1, -2.5e-300, 3.0,
@@ -788,7 +818,14 @@ def test_writers_match_per_value_format():
     vals = np.resize(special, (3, 17))
     grid = pr.PGrid(-1.0, 16)
     hf = hs.HeightField(Q=-0.0, N_q=2, pgrid=grid, h=vals)
-    assert hs.dump_field(hf).splitlines()[1:] == _per_value(vals, " ")
+    # v2: each body line is exactly its row's little-endian float64 bytes
+    lines = hs.dump_field(hf).splitlines()
+    assert lines[0] == ("heightfield v2 2 16 -1.0000000000000000e+00 "
+                        "-0.0000000000000000e+00")
+    assert len(lines) == 4
+    for line, row in zip(lines[1:], vals):
+        assert base64.b64decode(line, validate=True) == \
+            row.astype("<f8").tobytes()
 
     points = tuple(hs.BranchPoint(
         s=row[0], Q=row[1], amplitude=row[2], monitors=tuple(row[3:9]),

@@ -23,11 +23,15 @@ checkouts print the same lines when their artifacts agree byte for byte:
   dumps rebuilt here the way that workload prepares them (seed 3).
 
 Every file written, every stdout and stderr (with the exit code in its
-label) gets one line; the last line is the sha256 of all lines before it.
+label) gets one line; every ``.field`` dump gets a second, ``<path>
+[decoded]``: the sha256 of N_q and N_p (little-endian int64) and of the
+float64 bits of p0, Q and h, as ``heightsolver.load_field`` returns them.
+The last line is the sha256 of all lines before it.
 To check that a change keeps the artifacts, run this at the parent and at
 the change and diff the two outputs, or pass the parent's last line's
 digest as ``--expect``: the lines are the same, and the exit code is 1
-when the digest differs.
+when the digest differs.  A change of the dump format alone moves the
+``.field`` byte lines and leaves every ``[decoded]`` line equal.
 """
 
 import os
@@ -60,6 +64,15 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def decoded_field(data: bytes) -> bytes:
+    """N_q, N_p, p0, Q and h of a dump as bytes that do not depend on its
+    format version."""
+    hf = heightsolver.load_field(data.decode("utf-8"))
+    return (np.array([hf.N_q, hf.pgrid.N_p], dtype="<i8").tobytes()
+            + np.array([hf.pgrid.p0, hf.Q], dtype="<f8").tobytes()
+            + np.ascontiguousarray(hf.h, dtype="<f8").tobytes())
+
+
 def write_config(name, sigma=1.0, rho=(1.0,), n=64, continuation=None):
     """A config on [p0, 0] = [-1, 0] with g = c = 1 and beta = 0."""
     doc = {"physics": {"g": 1.0, "c": 1.0, "p0": -1.0, "sigma": sigma,
@@ -83,6 +96,12 @@ class Manifest:
         self.lines.append(line)
         print(line, flush=True)
 
+    def add_file(self, data: bytes, path: str):
+        """The file's bytes; for a field dump also what it decodes to."""
+        self.add(data, path)
+        if path.endswith(".field"):
+            self.add(decoded_field(data), f"{path} [decoded]")
+
     def run(self, label, argv, out=None):
         """Run one command; hash its stdout, stderr and files under out."""
         if out is not None:
@@ -95,7 +114,7 @@ class Manifest:
         if out is not None and os.path.isdir(out):
             for name in sorted(os.listdir(out)):
                 with open(os.path.join(out, name), "rb") as fh:
-                    self.add(fh.read(), f"{out}/{name}")
+                    self.add_file(fh.read(), f"{out}/{name}")
         return code
 
     def digest(self):
@@ -182,7 +201,7 @@ def verify_fields(man):
             text = heightsolver.dump_field(fld)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            man.add(text.encode(), path)
+            man.add_file(text.encode(), path)
             runs.append((f"verify-fields {name}",
                          ["verify", "--config", config, "--field", path]))
     c32 = os.path.join("configs", "c32.json")
