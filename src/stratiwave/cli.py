@@ -379,20 +379,25 @@ def _load_dump(cfg: RunConfig, args):
     return hf
 
 
+def _oracle_values(physics, wave) -> dict:
+    """The Eulerian oracle values of a reconstructed wave: what
+    ``eulerian`` writes to eulerian_checks.json and ``verify`` checks."""
+    fluxes = eulerian.flux_all_columns(wave)
+    return {
+        "flux_max_error": float(np.max(np.abs(fluxes - physics.p0))),
+        "surface_bernoulli_residual":
+            eulerian.surface_bernoulli_residual(wave, physics),
+        "yih_residual": eulerian.yih_residual(wave, physics),
+        "eta_mean": float(np.mean(wave.eta[:-1])),
+    }
+
+
 def cmd_eulerian(cfg: RunConfig, args):
     hf = _load_dump(cfg, args)
     wave = eulerian.reconstruct(cfg.physics, hf)
     p1 = _write(args.out, "wave.csv", eulerian.wave_csv(wave))
     p2 = _write(args.out, "surface.csv", eulerian.surface_csv(wave))
-    fluxes = eulerian.flux_all_columns(wave)
-    bern = eulerian.surface_bernoulli_residual(wave, cfg.physics)
-    yih = eulerian.yih_residual(wave, cfg.physics)
-    report = {
-        "flux_max_error": float(np.max(np.abs(fluxes - cfg.physics.p0))),
-        "surface_bernoulli_residual": bern,
-        "yih_residual": yih,
-        "eta_mean": float(np.mean(wave.eta[:-1])),
-    }
+    report = _oracle_values(cfg.physics, wave)
     p3 = _write(args.out, "eulerian_checks.json", _json_dump(report))
     print("\n".join([p1, p2, p3]))
     return 0
@@ -401,23 +406,19 @@ def cmd_eulerian(cfg: RunConfig, args):
 def run_verify(cfg: RunConfig, hf) -> list:
     """All residual oracles on a stored field; list of (name, value, tol, ok)."""
     num = cfg.numerics
-    checks = []
     res = heightsolver.residual(cfg.physics, hf)
-    checks.append(("height-residual", float(np.max(np.abs(res))),
-                   num["verify_residual_tol"]))
     wave = eulerian.reconstruct(cfg.physics, hf)
-    checks.append(("eta-mean", abs(float(np.mean(wave.eta[:-1]))),
-                   num["verify_eta_tol"]))
-    fluxes = eulerian.flux_all_columns(wave)
-    checks.append(("flux", float(np.max(np.abs(fluxes - cfg.physics.p0))),
-                   num["verify_flux_tol"]))
-    checks.append(("surface-bernoulli",
-                   eulerian.surface_bernoulli_residual(wave, cfg.physics),
-                   num["verify_bernoulli_tol"]))
-    checks.append(("yih", eulerian.yih_residual(wave, cfg.physics),
-                   num["verify_yih_tol"]))
-    checks.append(("u-below-c", float(np.max(wave.u - cfg.physics.c)),
-                   0.0))
+    oracle = _oracle_values(cfg.physics, wave)
+    checks = [
+        ("height-residual", float(np.max(np.abs(res))),
+         num["verify_residual_tol"]),
+        ("eta-mean", abs(oracle["eta_mean"]), num["verify_eta_tol"]),
+        ("flux", oracle["flux_max_error"], num["verify_flux_tol"]),
+        ("surface-bernoulli", oracle["surface_bernoulli_residual"],
+         num["verify_bernoulli_tol"]),
+        ("yih", oracle["yih_residual"], num["verify_yih_tol"]),
+        ("u-below-c", float(np.max(wave.u - cfg.physics.c)), 0.0),
+    ]
     return [(name, value, tol, value < tol or (name == "u-below-c" and value < 0))
             for name, value, tol in checks]
 

@@ -59,6 +59,8 @@ class HeightField:
     residual_norm: float = float("nan")
 
     def __post_init__(self):
+        if self.N_q < 1:
+            raise ShapeError(f"N_q = {self.N_q}: the field needs a q-interval")
         if self.h.shape != (self.N_q + 1, self.pgrid.N_p + 1):
             raise ShapeError(
                 f"h shape {self.h.shape} != {(self.N_q + 1, self.pgrid.N_p + 1)}")

@@ -11,7 +11,7 @@ turns bifurcation detection into root finding on the dispersion function
     D(n, lambda) = lambda^{3/2} M'(0) - (n^2 sigma + g rho(0)) M(0),
 
 where M is the shooting solution (M'(p0) = 1).  The n = 0 mode carries a
-nonlocal forcing term and is assembled from two auxiliary IVPs.  An
+nonlocal forcing term and is assembled from two unforced shots.  An
 independent Rayleigh-quotient route (discrete generalized eigenvalue by
 Sturm-sequence bisection) cross-checks the n = 1 root, and the resonance
 scan classifies bifurcation points as simple, double, or zero-mode.
@@ -43,7 +43,7 @@ class EigenMode:
 
     normalization is one of "shooting" (M'(p0) = 1) or "sinh"
     (M'(p0) = n / sqrt(lambda), matching the constant-density closed form
-    sinh(n (p - p0) / sqrt(lambda))).
+    sinh(n (p - p0) / sqrt(lambda)); not defined for n = 0).
     """
 
     n: int
@@ -59,6 +59,9 @@ class EigenMode:
         if normalization == "shooting":
             factor = 1.0 / self.Mp[0]
         elif normalization == "sinh":
+            if self.n == 0:
+                # n / sqrt(lambda) = 0 would scale the mode to zero
+                raise ValueError("the zero mode has no sinh normalization")
             factor = (self.n / np.sqrt(self.lam)) / self.Mp[0]
         else:
             raise ValueError(f"unknown normalization {normalization!r}")
@@ -149,77 +152,25 @@ def shot_coefficients(flow, physics: Physics) -> ShotCoefficients:
         ia3_n=inv_a3[:nodes].tolist(), ia3_h=inv_a3[nodes:].tolist())
 
 
-def _shoot(coef, n, forcing=0.0, M0p=1.0):
-    """RK4 on (M, w = a^3 M'), w' = (n^2 a + g rho_p) M + forcing.
+def _march(coef, n, m0=0.0, M0p=1.0, record=False):
+    """RK4 on (M, w = a^3 M'), w' = (n^2 a + g rho_p) M, from
+    (M, M')(p0) = (m0, M0p), on the samples of ``shot_coefficients``.
 
-    The coefficient samples at the nodes and half-step stations come from
-    ``shot_coefficients`` (the stage values of a linear system only need
-    those), so the marching loop is pure scalar arithmetic, done on Python
-    floats: the same IEEE double operations in the same order as on numpy
-    scalars, without their per-operation dispatch.  Returns node samples
-    of M, M', M'' and the accumulated log rescale applied to keep the
-    state finite for large n.
-    """
-    h, g = coef.h, coef.g
-    a_nodes, rp_nodes = coef.a_nodes, coef.rp_nodes
-    c_nodes = n * n * a_nodes + g * rp_nodes
-    c_half = n * n * coef.a_half + g * coef.rp_half
-    f_nodes = forcing * rp_nodes
-    f_half = forcing * coef.rp_half
-
-    m, w = 0.0, float(a_nodes[0] ** 3 * M0p)
-    log_rescale = 0.0
-    corr = 1.0
-    M, Mp = [m], [float(M0p)]
-    hh, h6 = 0.5 * h, h / 6.0
-    lim, nlim = _RESCALE_LIMIT, -_RESCALE_LIMIT
-    ia3_n = coef.ia3_n
-    c_n, f_n = c_nodes.tolist(), f_nodes.tolist()
-    for ia_k, ia_h, ia_k1, c_k, c_hk, c_k1, f_k, f_hk, f_k1 in zip(
-            ia3_n, coef.ia3_h, ia3_n[1:], c_n, c_half.tolist(), c_n[1:],
-            f_n, f_half.tolist(), f_n[1:]):
-        dm1 = w * ia_k
-        dw1 = c_k * m + f_k * corr
-        m2, w2 = m + hh * dm1, w + hh * dw1
-        dm2 = w2 * ia_h
-        dw2 = c_hk * m2 + f_hk * corr
-        m3, w3 = m + hh * dm2, w + hh * dw2
-        dm3 = w3 * ia_h
-        dw3 = c_hk * m3 + f_hk * corr
-        m4, w4 = m + h * dm3, w + h * dw3
-        dm4 = w4 * ia_k1
-        dw4 = c_k1 * m4 + f_k1 * corr
-        m += h6 * (dm1 + 2.0 * dm2 + 2.0 * dm3 + dm4)
-        w += h6 * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
-        if m > lim or m < nlim or w > lim or w < nlim:
-            big = max(abs(m), abs(w))
-            m /= big
-            w /= big
-            M = [x / big for x in M]
-            Mp = [x / big for x in Mp]
-            log_rescale += np.log(big)
-            corr = float(np.exp(-log_rescale))
-        M.append(m)
-        Mp.append(w * ia_k1)
-    M, Mp = np.array(M), np.array(Mp)
-    Mpp = ((n * n * a_nodes + g * rp_nodes) * M + forcing * rp_nodes * corr
-           - 3.0 * a_nodes ** 2 * coef.ap_nodes * Mp) * coef.inv_a3_nodes
-    return M, Mp, Mpp, log_rescale
-
-
-def _shoot_end(coef, n):
-    """(M(0), M'(0)) of ``_shoot(coef, n)``, bit for bit, from a march that
-    records no nodes.
-
-    It runs ``_shoot``'s stages in ``_shoot``'s order, from M'(p0) = 1,
-    and rescales the state at the same steps by the same factor.  It
-    drops the forcing terms: unforced, ``_shoot`` adds 0.0 * rho_p *
-    corr = +-0.0 to each w-stage, which changes no value.
+    The stage values of a linear system only need the coefficients at the
+    nodes and half-step stations, so the loop is pure scalar arithmetic,
+    done on Python floats: the same IEEE double operations in the same
+    order as on numpy scalars, without their per-operation dispatch.  When
+    the state passes 1e150 it is divided by its largest entry, which keeps
+    it finite for large n.  Returns (M(0), M'(0)); with ``record``, M, M'
+    and M'' at the nodes and the accumulated log of those divisors.
     """
     h = coef.h
-    c_n = (n * n * coef.a_nodes + coef.g * coef.rp_nodes).tolist()
+    c_nodes = n * n * coef.a_nodes + coef.g * coef.rp_nodes
+    c_n = c_nodes.tolist()
     c_half = (n * n * coef.a_half + coef.g * coef.rp_half).tolist()
-    m, w = 0.0, float(coef.a_nodes[0] ** 3)
+    m, w = float(m0), float(coef.a_nodes[0] ** 3 * M0p)
+    log_rescale = 0.0
+    M, Mp = [m], [float(M0p)]
     hh, h6 = 0.5 * h, h / 6.0
     lim, nlim = _RESCALE_LIMIT, -_RESCALE_LIMIT
     ia3_n = coef.ia3_n
@@ -242,7 +193,38 @@ def _shoot_end(coef, n):
             big = max(abs(m), abs(w))
             m /= big
             w /= big
-    return m, w * ia3_n[-1]
+            if record:
+                M = [x / big for x in M]
+                Mp = [x / big for x in Mp]
+                log_rescale += np.log(big)
+        if record:
+            M.append(m)
+            Mp.append(w * ia_k1)
+    if not record:
+        return m, w * ia3_n[-1]
+    M, Mp = np.array(M), np.array(Mp)
+    Mpp = (c_nodes * M
+           - 3.0 * coef.a_nodes ** 2 * coef.ap_nodes * Mp) * coef.inv_a3_nodes
+    return M, Mp, Mpp, log_rescale
+
+
+def _zero_superposition(u1, v):
+    """The zero mode's (M, M', ...) from those of the two unforced n = 0
+    shots u1, from (0, 1), and v, from (1, 0): node arrays or end values.
+
+    u2 = 1 - v solves the forced problem (a^3 u')' - g rho_p u = -g rho_p
+    from zero data, so M = u1 + m0 (1 - v), M' = u1' - m0 v' and
+    M'' = u1'' - m0 v'', with m0 = u1(0) / v(0).
+    """
+    u1_end, v_end = u1[0], v[0]
+    if np.ndim(u1_end):
+        u1_end, v_end = u1_end[-1], v_end[-1]
+    if abs(v_end) < 1e-12:
+        raise SuperpositionDegenerateError(
+            "zero-mode superposition denominator vanished")
+    m0 = u1_end / v_end
+    return (u1[0] + m0 * (1.0 - v[0]),) + tuple(
+        d1 - m0 * dv for d1, dv in zip(u1[1:], v[1:]))
 
 
 def shoot_mode(flow, physics: Physics, n: int,
@@ -254,7 +236,7 @@ def shoot_mode(flow, physics: Physics, n: int,
         raise ValueError("shoot_mode requires n >= 1; use shoot_zero_mode")
     if coefficients is None:
         coefficients = shot_coefficients(flow, physics)
-    M, Mp, Mpp, _ = _shoot(coefficients, n)
+    M, Mp, Mpp, _ = _march(coefficients, n, record=True)
     mode = EigenMode(n=n, lam=flow.lam, M=M, Mp=Mp, Mpp=Mpp,
                      normalization="shooting")
     return mode.renormalized(normalization)
@@ -287,12 +269,18 @@ def _mismatch_at(lam, sigma, g_rho0, n, end):
 
 def _dispersion_at(flow, physics: Physics, n: int,
                    coefficients: ShotCoefficients | None = None):
-    """``dispersion``'s (D, scale) of the mode-n shot on ``flow`` (n >= 1),
-    from ``_shoot_end``: no mode is recorded.  The coefficients are
-    sampled here unless given."""
+    """``dispersion``'s (D, scale) of the mode-n shot on ``flow`` (for
+    n = 0, of ``shoot_zero_mode``'s mode) from the end points of its
+    marches: no mode is recorded.  The coefficients are sampled here
+    unless given."""
     if coefficients is None:
         coefficients = shot_coefficients(flow, physics)
-    return _mismatch(flow.lam, physics, n, _shoot_end(coefficients, n))
+    if n:
+        end = _march(coefficients, n)
+    else:
+        end = _zero_superposition(_march(coefficients, 0),
+                                  _march(coefficients, 0, m0=1.0, M0p=0.0))
+    return _mismatch(flow.lam, physics, n, end)
 
 
 def shoot_zero_mode(flow, physics: Physics,
@@ -302,21 +290,16 @@ def shoot_zero_mode(flow, physics: Physics,
     u1 solves (a^3 u')' - g rho_p u = 0 with u(p0) = 0, u'(p0) = 1;
     u2 solves (a^3 u')' - g rho_p u = -g rho_p with zero initial data.
     Then M = u1 + m0 u2 with m0 = u1(0) / (1 - u2(0)), and
-    D0 = lambda^{3/2} M'(0) - g rho(0) M(0).  Both shots run on one
-    ``shot_coefficients`` (sampled here unless given).
+    D0 = lambda^{3/2} M'(0) - g rho(0) M(0).  u2 = 1 - v, where v is the
+    unforced shot from v(p0) = 1, v'(p0) = 0 (``_zero_superposition``).
+    Both shots run on one ``shot_coefficients`` (sampled here unless
+    given).
     """
     if coefficients is None:
         coefficients = shot_coefficients(flow, physics)
-    M1, M1p, M1pp, _ = _shoot(coefficients, 0, forcing=0.0, M0p=1.0)
-    M2, M2p, M2pp, _ = _shoot(coefficients, 0, forcing=-physics.g, M0p=0.0)
-    denom = 1.0 - M2[-1]
-    if abs(denom) < 1e-12:
-        raise SuperpositionDegenerateError(
-            "zero-mode superposition denominator vanished")
-    m0 = M1[-1] / denom
-    M = M1 + m0 * M2
-    Mp = M1p + m0 * M2p
-    Mpp = M1pp + m0 * M2pp
+    M, Mp, Mpp = _zero_superposition(
+        _march(coefficients, 0, record=True)[:3],
+        _march(coefficients, 0, m0=1.0, M0p=0.0, record=True)[:3])
     mode = EigenMode(n=0, lam=flow.lam, M=M, Mp=Mp, Mpp=Mpp,
                      normalization="shooting")
     return mode, dispersion(flow, physics, mode)[0]
@@ -552,8 +535,8 @@ def classify(physics: Physics, grid: PGrid, n_max: int = 64,
     residuals = {1: abs(_relative(flow, physics, mode1))}
     modes = [mode1]
 
-    zmode, _ = shoot_zero_mode(flow, physics, coefficients)
-    residuals[0] = abs(_relative(flow, physics, zmode))
+    D0, scale0 = _dispersion_at(flow, physics, 0, coefficients)
+    residuals[0] = abs(D0 / scale0)
     zero_resonant = residuals[0] < resonance_rtol
 
     resonant = []
@@ -583,7 +566,7 @@ def classify(physics: Physics, grid: PGrid, n_max: int = 64,
 
     if zero_resonant:
         classification, n2 = "ZeroMode", 0
-        modes.append(zmode)
+        modes.append(shoot_zero_mode(flow, physics, coefficients)[0])
     elif resonant:
         n2 = resonant[0]
         classification = "Double"
@@ -650,7 +633,7 @@ def find_double_sigma(physics: Physics, grid: PGrid, n2: int):
         # neither the flow nor the end points depend on sigma
         flow = solve_laminar(physics, lam_, grid)
         coefficients = shot_coefficients(flow, physics)
-        return flow, [_shoot_end(coefficients, n) for n in (1, n2)]
+        return flow, [_march(coefficients, n) for n in (1, n2)]
 
     def F(sigma_, flow, ends):
         # _dispersion_at, its march shared by every sigma at one lambda

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stratiwave import cli
+from stratiwave import eulerian as eu
 from stratiwave import heightsolver as hs
 from stratiwave import laminar as lm
 from stratiwave import profiles as pr
@@ -265,6 +266,28 @@ def test_malformed_v2_dump_rejected(t0, config_path, tmp_path, capsys, case):
     assert "shape-error" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["verify", "eulerian"])
+def test_dump_without_q_interval_rejected(t0, config_path, tmp_path, capsys,
+                                          command):
+    # N_q = 0 with its one body row loaded, and dq = pi / N_q then raised
+    # ZeroDivisionError out of the command
+    flow = lm.solve_laminar(t0, 4.0, pr.PGrid(-1.0, 64))
+    lines = hs.dump_field(hs.laminar_field(flow, 16)).splitlines()
+    text = "\n".join(_with_header_token(lines, 2, "0")[:2]) + "\n"
+    with pytest.raises(ShapeError):
+        hs.load_field(text)
+    with pytest.raises(ShapeError):
+        hs.HeightField(Q=flow.Q, N_q=0, pgrid=flow.grid,
+                       h=np.zeros((1, flow.grid.N_p + 1)))
+    dump = tmp_path / "field.txt"
+    dump.write_text(text)
+    code = cli.main([command, "--config", config_path(), "--field", str(dump),
+                     "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "shape-error" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("noise", [0.0, 1e-6])
 def test_verify_reads_v1_and_v2_dumps_alike(t0, config_path, tmp_path,
                                             capsys, noise):
@@ -345,6 +368,40 @@ def test_eulerian_subcommand(t0, config_path, tmp_path, capsys):
     checks = json.loads((out / "eulerian_checks.json").read_text())
     assert abs(checks["flux_max_error"]) < 1e-9
     assert abs(checks["eta_mean"]) < 1e-12
+
+
+def test_eulerian_and_verify_share_the_oracle_values(t0, config_path, tmp_path,
+                                                     capsys, monkeypatch):
+    # each command evaluates each oracle once, and both report its value
+    flow = lm.solve_laminar(t0, 4.0, pr.PGrid(-1.0, 64))
+    fld = hs.laminar_field(flow, 32)
+    rng = np.random.default_rng(11)
+    fld = replace(fld, h=fld.h + 1e-6 * rng.standard_normal(fld.h.shape))
+    dump = tmp_path / "field.txt"
+    dump.write_text(hs.dump_field(fld))
+    calls = []
+    for name in ("flux_all_columns", "surface_bernoulli_residual",
+                 "yih_residual"):
+        def counted(*args, _name=name, _oracle=getattr(eu, name)):
+            calls.append(_name)
+            return _oracle(*args)
+        monkeypatch.setattr(eu, name, counted)
+    out = tmp_path / "out"
+    assert cli.main(["eulerian", "--config", config_path(), "--out",
+                     str(out), "--field", str(dump)]) == 0
+    report = json.loads((out / "eulerian_checks.json").read_text())
+    assert sorted(calls) == ["flux_all_columns", "surface_bernoulli_residual",
+                             "yih_residual"]
+    del calls[:]
+    capsys.readouterr()
+    cli.main(["verify", "--config", config_path(), "--field", str(dump)])
+    assert len(calls) == 3
+    printed = {line.split()[1]: float(line.split()[2][len("value="):])
+               for line in capsys.readouterr().out.splitlines()}
+    assert printed["flux"] == report["flux_max_error"]
+    assert printed["surface-bernoulli"] == report["surface_bernoulli_residual"]
+    assert printed["yih"] == report["yih_residual"]
+    assert printed["eta-mean"] == abs(report["eta_mean"])
 
 
 @pytest.mark.parametrize("sub", ["verify", "eulerian"])

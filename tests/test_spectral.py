@@ -54,9 +54,10 @@ def _count_laminar_solves(monkeypatch):
     return calls
 
 
-def _shoot_loop(flow, physics, n, forcing=0.0, M0p=1.0):
-    """The RK4 march of ``spectral._shoot`` on numpy scalars, as it stood
-    before the float march; the reference for bit-equality."""
+def _shoot_loop(flow, physics, n, forcing=0.0, m0=0.0, M0p=1.0):
+    """The RK4 march on numpy scalars, w' = (n^2 a + g rho_p) M + forcing
+    rho_p, as it stood before the float march: unforced, the reference for
+    bit-equality of ``spectral._march``; forced, for the zero mode."""
     grid = flow.grid
     p = grid.nodes
     h = grid.h
@@ -76,7 +77,7 @@ def _shoot_loop(flow, physics, n, forcing=0.0, M0p=1.0):
 
     M = np.empty(grid.N_p + 1)
     Mp = np.empty(grid.N_p + 1)
-    m, w = 0.0, a_nodes[0] ** 3 * M0p
+    m, w = m0, a_nodes[0] ** 3 * M0p
     log_rescale = 0.0
     M[0], Mp[0] = m, M0p
     for k in range(grid.N_p):
@@ -157,51 +158,99 @@ def test_zero_mode_constant_density(t0, grid128):
 
 
 def test_zero_mode_forcing_vanishes_for_constant_rho(t0, grid128):
+    # rho_p = 0: v = 1 - u2 stays at its start, so u2 = 0 and M = u1
     flow = lm.solve_laminar(t0, 2.0, grid128)
     coef = sp.shot_coefficients(flow, t0)
-    M2, M2p, _, _ = sp._shoot(coef, 0, forcing=-t0.g, M0p=0.0)
-    assert np.max(np.abs(M2)) == 0.0
+    V, Vp, Vpp, log_rescale = sp._march(coef, 0, m0=1.0, M0p=0.0,
+                                        record=True)
+    assert np.array_equal(V, np.ones_like(V))
+    assert np.array_equal(Vp, np.zeros_like(Vp))
+    assert np.array_equal(Vpp, np.zeros_like(Vpp)) and log_rescale == 0.0
+    mode, _ = sp.shoot_zero_mode(flow, t0, coef)
+    assert np.array_equal(mode.M, sp._march(coef, 0, record=True)[0])
 
 
 # the coefficient profiles of the march tests (see the first one)
+_SHOOT_PROFILES = {"constant": ((1.0,), (0.0,)),
+                   "linear-rho": ((1.0, -0.1), (0.0,)),
+                   "linear-rho-beta": ((1.0, -0.1), (0.0, 0.2)),
+                   "quadratic-rho": ((1.0, -0.1, -0.04), (0.0,))}
 _SHOOT_CONFIGS = pytest.mark.parametrize(
-    "rho, beta", [((1.0,), (0.0,)), ((1.0, -0.1), (0.0,)),
-                  ((1.0, -0.1), (0.0, 0.2)), ((1.0, -0.1, -0.04), (0.0,))],
-    ids=["constant", "linear-rho", "linear-rho-beta", "quadratic-rho"])
+    "rho, beta", list(_SHOOT_PROFILES.values()), ids=list(_SHOOT_PROFILES))
+
+
+# the two starts (M, M')(p0) of the march tests: the mode's and v's
+_STARTS = ((0.0, 1.0), (1.0, 0.0))
 
 
 @_SHOOT_CONFIGS
 def test_shoot_matches_loop_reference(rho, beta):
-    # constant rho; rho = 1 - p/10 (rho_p != 0, so the n = 0 forcing acts);
-    # the same with beta = 0.2 s; a rho_p that varies between the nodes
-    # and the half steps.  n = 1000 overflows 1e150 and rescales, also
-    # with a forcing, which the rescale then scales down.
+    # constant rho; rho = 1 - p/10 (rho_p != 0); the same with beta = 0.2 s;
+    # a rho_p that varies between the nodes and the half steps.  n = 1000
+    # overflows 1e150 and rescales from either start.  The unforced loop
+    # adds 0.0 * rho_p = +-0.0 to each w-stage, which changes no value.
     phys = make_physics(sigma=10.0, rho_coeffs=rho, beta_coeffs=beta)
     grid = pr.PGrid(-1.0, 512)
     flow = lm.solve_laminar(phys, 5.0, grid)
     coef = sp.shot_coefficients(flow, phys)
-    cases = [(0, 0.0, 1.0), (0, -phys.g, 0.0), (1, 0.0, 1.0),
-             (1000, -phys.g, 1.0), (1000, 0.0, 1.0)]
-    for n, forcing, M0p in cases:
-        got = sp._shoot(coef, n, forcing=forcing, M0p=M0p)
-        ref = _shoot_loop(flow, phys, n, forcing=forcing, M0p=M0p)
-        for a, b in zip(got[:3], ref[:3]):
-            assert np.array_equal(a, b), (n, forcing)
-        assert got[3] == ref[3]
-    assert ref[3] > 0.0                     # the n = 1000 march rescaled
+    for n in (0, 1, 1000):
+        for m0, M0p in _STARTS:
+            got = sp._march(coef, n, m0=m0, M0p=M0p, record=True)
+            ref = _shoot_loop(flow, phys, n, m0=m0, M0p=M0p)
+            for a, b in zip(got[:3], ref[:3]):
+                assert np.array_equal(a, b), (n, m0)
+            assert got[3] == ref[3]
+            assert (ref[3] > 0.0) == (n == 1000)    # rescaled only there
 
 
 @_SHOOT_CONFIGS
 def test_shoot_end_matches_shoot(rho, beta):
-    # the end-point march drops the forcing terms, which add +-0.0 to an
-    # unforced march, and keeps its rescales
+    # without record the march returns the recorded end point, bit for
+    # bit, also past its rescales
     phys = make_physics(sigma=10.0, rho_coeffs=rho, beta_coeffs=beta)
     grid = pr.PGrid(-1.0, 512)
     coef = sp.shot_coefficients(lm.solve_laminar(phys, 5.0, grid), phys)
     for n in (0, 1, 1000):
-        M, Mp, _, log_rescale = sp._shoot(coef, n)
-        assert sp._shoot_end(coef, n) == (M[-1], Mp[-1]), n
-    assert log_rescale > 0.0                # the n = 1000 march rescaled
+        for m0, M0p in _STARTS:
+            M, Mp, _, log_rescale = sp._march(coef, n, m0=m0, M0p=M0p,
+                                              record=True)
+            assert sp._march(coef, n, m0=m0, M0p=M0p) == (M[-1], Mp[-1])
+            assert (log_rescale > 0.0) == (n == 1000)
+
+
+def _zero_mode_forced(flow, physics):
+    """``shoot_zero_mode`` as it stood with a forced shot: M = u1 + m0 u2,
+    u2 from the forcing -g rho_p and zero data, m0 = u1(0) / (1 - u2(0));
+    the reference of the superposition through v = 1 - u2."""
+    u1 = _shoot_loop(flow, physics, 0)
+    u2 = _shoot_loop(flow, physics, 0, forcing=-physics.g, M0p=0.0)
+    m0 = u1[0][-1] / (1.0 - u2[0][-1])
+    M, Mp, Mpp = (a + m0 * b for a, b in zip(u1[:3], u2[:3]))
+    mode = sp.EigenMode(n=0, lam=flow.lam, M=M, Mp=Mp, Mpp=Mpp,
+                        normalization="shooting")
+    return mode, sp.dispersion(flow, physics, mode)[0]
+
+
+@pytest.mark.parametrize("case", [*_SHOOT_PROFILES, "table-rho"])
+def test_zero_mode_matches_forced_reference(case):
+    # the march tests' profiles and the table rho.  Measured at N_p = 512:
+    # D0 equal to the bit; max |dM| <= 1.3e-15, |dM'| <= 2.3e-16,
+    # |dM''| <= 2.8e-17, with M = O(1); at lambda_* |dD0| <= 1.7e-16 scale
+    if case == "table-rho":
+        phys = _table_rho_physics()
+    else:
+        rho, beta = _SHOOT_PROFILES[case]
+        phys = make_physics(sigma=10.0, rho_coeffs=rho, beta_coeffs=beta)
+    grid = pr.PGrid(-1.0, 512)
+    flow = lm.solve_laminar(phys, 5.0, grid)
+    mode, D0 = sp.shoot_zero_mode(flow, phys)
+    ref, D0_ref = _zero_mode_forced(flow, phys)
+    _, scale = sp.dispersion(flow, phys, ref)
+    assert abs(D0 - D0_ref) <= 1e-14 * scale
+    for name in ("M", "Mp", "Mpp"):
+        assert np.max(np.abs(getattr(mode, name) - getattr(ref, name))) \
+            <= 1e-14, name
+    assert sp._dispersion_at(flow, phys, 0) == sp.dispersion(flow, phys, mode)
 
 
 @pytest.mark.parametrize("sigma", [0.05, 0.5, 2.0])
@@ -259,6 +308,43 @@ def test_classify_double3(double3):
     assert bp.classification == "Double"
     assert bp.n2 == 3
     assert len(bp.modes) == 2
+
+
+def _classify_counting_modes(physics, grid, monkeypatch):
+    """classify's point and the number of EigenModes it built."""
+    built = []
+
+    def counted(**fields):
+        built.append(fields["n"])
+        return eigen_mode(**fields)
+
+    eigen_mode = sp.EigenMode
+    with monkeypatch.context() as patch:
+        patch.setattr(sp, "EigenMode", counted)
+        bp = sp.classify(physics, grid)
+    return bp, len(built)
+
+
+def test_classify_records_only_the_modes_it_returns(t0, grid128, double3,
+                                                    monkeypatch):
+    # the zero mode was recorded at every point, to read D0 alone
+    zero = replace(t0, sigma=1.0 / np.tanh(1.0) - 1.0)
+    physics_d, grid_d = double3[0], double3[1]
+    for physics, grid, label in ((t0, grid128, "Simple"),
+                                 (physics_d, grid_d, "Double"),
+                                 (zero, grid128, "ZeroMode")):
+        bp, built = _classify_counting_modes(physics, grid, monkeypatch)
+        assert bp.classification == label
+        assert built == len(bp.modes) == (1 if label == "Simple" else 2)
+
+
+def test_zero_mode_has_no_sinh_normalization(t0, grid128):
+    # n / sqrt(lambda) = 0 scaled the mode to zeros
+    flow = lm.solve_laminar(t0, 2.0, grid128)
+    mode, _ = sp.shoot_zero_mode(flow, t0)
+    with pytest.raises(ValueError):
+        mode.renormalized("sinh")
+    assert mode.renormalized("shooting") is mode
 
 
 def test_find_double_sigma_against_oracle(t0, grid128):
