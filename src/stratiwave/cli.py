@@ -6,6 +6,9 @@ default.  All floating-point output is emitted at 17 significant digits
 with deterministic ordering, so identical configs give byte-identical
 artifacts.
 
+Each subcommand takes ``--config``, ``--out`` and its own flags only
+(``_SUBCOMMANDS``); ``main`` alone writes its artifacts, after it succeeds.
+
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure
 (the failing operation's error name goes to stderr).
 """
@@ -188,16 +191,18 @@ def load_config(path: str) -> RunConfig:
 def _check_flags(args):
     """The flags pass the checks of the config values they stand in for:
     --lambda and --sigma finite (sigma >= 0), --steps a count, --n2 at
-    least 2, --out a non-empty string."""
+    least 2, --out a non-empty string.  ``args`` holds only the flags of
+    its subcommand."""
+    flags = vars(args)
     if args.out is not None:
         _out_dir(args.out, "--out")
-    if args.lam is not None:
+    if flags.get("lam") is not None:
         _number(args.lam, "--lambda")
-    if args.sigma is not None and _number(args.sigma, "--sigma") < 0:
+    if flags.get("sigma") is not None and _number(args.sigma, "--sigma") < 0:
         raise ConfigError("--sigma must be nonnegative")
-    if args.n2 is not None and args.n2 < 2:
+    if flags.get("n2") is not None and args.n2 < 2:
         raise ConfigError("--n2 must be >= 2")
-    if args.steps is not None:
+    if flags.get("steps") is not None:
         _count(args.steps, "--steps")
 
 
@@ -224,7 +229,7 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-# --- subcommands ----------------------------------------------------------
+# --- subcommands: each returns an ordered list of (file name, text) -------
 
 def cmd_laminar(cfg: RunConfig, args):
     lambdas = [args.lam] if args.lam is not None else cfg.lambdas
@@ -235,12 +240,9 @@ def cmd_laminar(cfg: RunConfig, args):
         raise ConfigError("lambdas must differ in their first 6 significant "
                           "digits, which name their files")
     grid = cfg.grid
-    paths = []
-    for lam, name in zip(lambdas, names):
-        flow = laminar.solve_laminar(cfg.physics, lam, grid)
-        paths.append(_write(args.out, name, laminar.flow_to_csv(flow)))
-    print("\n".join(paths))
-    return 0
+    return [(name, laminar.flow_to_csv(
+        laminar.solve_laminar(cfg.physics, lam, grid)))
+        for lam, name in zip(lambdas, names)]
 
 
 def cmd_dispersion(cfg: RunConfig, args):
@@ -258,11 +260,8 @@ def cmd_dispersion(cfg: RunConfig, args):
             flow = laminar.solve_laminar(physics, lam, grid)
             D, sc = spectral._dispersion_at(flow, physics, n)
             rows.append(f"{n},{lam:.16e},{D:.16e},{sc:.16e}")
-    p1 = _write(args.out, "dispersion.csv", "\n".join(rows) + "\n")
-    p2 = _write(args.out, "dispersion_roots.csv", "\n".join(roots) + "\n")
-    print(p1)
-    print(p2)
-    return 0
+    return [("dispersion.csv", "\n".join(rows) + "\n"),
+            ("dispersion_roots.csv", "\n".join(roots) + "\n")]
 
 
 def _classification_report(physics, grid, numerics):
@@ -275,8 +274,7 @@ def _classification_report(physics, grid, numerics):
         "lambda_star": bp.lambda_star,
         "Q_star": bp.flow.Q,
         "class": label,
-        "resonant_n": [] if bp.classification == "Simple"
-        else [bp.n2],
+        "resonant_n": [] if bp.n2 is None else [bp.n2],
         "residuals": {str(k): v for k, v in sorted(bp.residuals.items())},
         "resonance_rtol": bp.resonance_rtol,
     }
@@ -285,9 +283,7 @@ def _classification_report(physics, grid, numerics):
 def cmd_classify(cfg: RunConfig, args):
     physics = _resolve_physics(cfg, args)
     _, report = _classification_report(physics, cfg.grid, cfg.numerics)
-    path = _write(args.out, "classification.json", _json_dump(report))
-    print(path)
-    return 0
+    return [("classification.json", _json_dump(report))]
 
 
 def _coefficients(cfg, physics):
@@ -303,18 +299,14 @@ def cmd_coeffs(cfg: RunConfig, args):
     _, coeffs, germs, report = _coefficients(cfg, physics)
     out = bifurc.coefficients_to_dict(coeffs, germs)
     out["classification"] = report
-    path = _write(args.out, "coefficients.json", _json_dump(out))
-    print(path)
-    return 0
+    return [("coefficients.json", _json_dump(out))]
 
 
 def cmd_predict(cfg: RunConfig, args):
     physics = _resolve_physics(cfg, args)
     _, coeffs, germs, _ = _coefficients(cfg, physics)
     out = bifurc.coefficients_to_dict(coeffs, germs)["germs"]
-    path = _write(args.out, "germs.json", _json_dump(out))
-    print(path)
-    return 0
+    return [("germs.json", _json_dump(out))]
 
 
 def canonical_germs(germs):
@@ -331,13 +323,12 @@ def canonical_germs(germs):
 
 def cmd_branch(cfg: RunConfig, args):
     physics = _resolve_physics(cfg, args)
-    verbose = bool(os.environ.get("STRATIWAVE_VERBOSE"))
     bp, coeffs, germs, _ = _coefficients(cfg, physics)
     controls = cfg.continuation
     if args.steps is not None:
         controls = replace(controls, max_steps=args.steps)
     N_q = cfg.numerics["N_q"]
-    paths = []
+    artifacts = []
     branches = []
     for k, germ in enumerate(canonical_germs(germs)):
         # mixed branches detach from the trivial family at the resonance
@@ -346,21 +337,15 @@ def cmd_branch(cfg: RunConfig, args):
         fld = heightsolver.germ_field(bp.flow, bp.modes, germ.theta, eps, N_q)
         if abs(fld.amplitude()) < 1e-14:
             continue
-        if verbose:
-            print(f"continuing germ {k}: kind={germ.kind} side={germ.side}",
-                  file=sys.stderr)
         branch = heightsolver.continue_branch(physics, fld, controls)
         branches.append(branch)
-        paths.append(_write(args.out, f"branch_{k}.csv",
-                            heightsolver.branch_csv(branch)))
-        paths.append(_write(args.out, f"branch_{k}_last.field",
-                            heightsolver.dump_field(branch.points[-1].field)))
-        paths.append(_write(args.out, f"branch_{k}_first.field",
-                            heightsolver.dump_field(branch.points[0].field)))
-    paths.append(_write(args.out, "branches.svg",
-                        heightsolver.branch_svg(branches)))
-    print("\n".join(paths))
-    return 0
+        artifacts += [
+            (f"branch_{k}.csv", heightsolver.branch_csv(branch)),
+            (f"branch_{k}_last.field",
+             heightsolver.dump_field(branch.points[-1].field)),
+            (f"branch_{k}_first.field",
+             heightsolver.dump_field(branch.points[0].field))]
+    return artifacts + [("branches.svg", heightsolver.branch_svg(branches))]
 
 
 def _load_dump(cfg: RunConfig, args):
@@ -395,16 +380,15 @@ def _oracle_values(physics, wave) -> dict:
 def cmd_eulerian(cfg: RunConfig, args):
     hf = _load_dump(cfg, args)
     wave = eulerian.reconstruct(cfg.physics, hf)
-    p1 = _write(args.out, "wave.csv", eulerian.wave_csv(wave))
-    p2 = _write(args.out, "surface.csv", eulerian.surface_csv(wave))
-    report = _oracle_values(cfg.physics, wave)
-    p3 = _write(args.out, "eulerian_checks.json", _json_dump(report))
-    print("\n".join([p1, p2, p3]))
-    return 0
+    return [("wave.csv", eulerian.wave_csv(wave)),
+            ("surface.csv", eulerian.surface_csv(wave)),
+            ("eulerian_checks.json",
+             _json_dump(_oracle_values(cfg.physics, wave)))]
 
 
-def run_verify(cfg: RunConfig, hf) -> list:
-    """All residual oracles on a stored field; list of (name, value, tol, ok)."""
+def cmd_verify(cfg: RunConfig, args):
+    """All residual oracles on a stored field, one PASS or FAIL line each."""
+    hf = _load_dump(cfg, args)
     num = cfg.numerics
     res = heightsolver.residual(cfg.physics, hf)
     wave = eulerian.reconstruct(cfg.physics, hf)
@@ -419,33 +403,37 @@ def run_verify(cfg: RunConfig, hf) -> list:
         ("yih", oracle["yih_residual"], num["verify_yih_tol"]),
         ("u-below-c", float(np.max(wave.u - cfg.physics.c)), 0.0),
     ]
-    return [(name, value, tol, value < tol or (name == "u-below-c" and value < 0))
-            for name, value, tol in checks]
+    for name, value, tol in checks:
+        print(f"{'PASS' if value < tol else 'FAIL'} {name} "
+              f"value={value:.16e} tol={tol:.16e}")
+    for name, value, tol in checks:
+        if not value < tol:
+            raise VerificationError(f"verification failed: {name}",
+                                    check=name, value=value)
+    return []
 
 
-def cmd_verify(cfg: RunConfig, args):
-    hf = _load_dump(cfg, args)
-    results = run_verify(cfg, hf)
-    for name, value, tol, ok in results:
-        print(f"{'PASS' if ok else 'FAIL'} {name} value={value:.16e} "
-              f"tol={tol:.16e}")
-    failing = [r for r in results if not r[3]]
-    if failing:
-        raise VerificationError(
-            f"verification failed: {failing[0][0]}", check=failing[0][0],
-            value=failing[0][1])
-    return 0
+# flag -> its add_argument keywords
+_FLAGS = {
+    "--lambda": {"dest": "lam", "type": float},
+    "--sigma": {"type": float},
+    "--n2": {"type": int},
+    "--steps": {"type": int},
+    "--field": {},
+}
 
-
+# subcommand -> (command, the flags it takes besides --config and --out).
+# eulerian and verify take --sigma and --n2 but check the dump at the
+# config's physics: they do not apply them.
 _SUBCOMMANDS = {
-    "laminar": cmd_laminar,
-    "dispersion": cmd_dispersion,
-    "classify": cmd_classify,
-    "coeffs": cmd_coeffs,
-    "predict": cmd_predict,
-    "branch": cmd_branch,
-    "eulerian": cmd_eulerian,
-    "verify": cmd_verify,
+    "laminar": (cmd_laminar, ("--lambda",)),
+    "dispersion": (cmd_dispersion, ("--sigma", "--n2")),
+    "classify": (cmd_classify, ("--sigma", "--n2")),
+    "coeffs": (cmd_coeffs, ("--sigma", "--n2")),
+    "predict": (cmd_predict, ("--sigma", "--n2")),
+    "branch": (cmd_branch, ("--sigma", "--n2", "--steps")),
+    "eulerian": (cmd_eulerian, ("--sigma", "--n2", "--field")),
+    "verify": (cmd_verify, ("--sigma", "--n2", "--field")),
 }
 
 
@@ -453,14 +441,13 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="stratiwave",
         description="Steady stratified capillary-gravity wave toolkit")
-    parser.add_argument("subcommand", choices=sorted(_SUBCOMMANDS))
-    parser.add_argument("--config", required=True)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--lambda", dest="lam", type=float, default=None)
-    parser.add_argument("--sigma", type=float, default=None)
-    parser.add_argument("--n2", type=int, default=None)
-    parser.add_argument("--steps", type=int, default=None)
-    parser.add_argument("--field", default=None)
+    subparsers = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (_, flags) in _SUBCOMMANDS.items():
+        sub = subparsers.add_parser(name)
+        sub.add_argument("--config", required=True)
+        sub.add_argument("--out")
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -476,19 +463,15 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         _check_flags(args)
-    except ConfigError as exc:
-        print(f"{exc.name}: {exc}", file=sys.stderr)
-        return 2
-    if args.out is None:
-        args.out = cfg.output_dir
-    try:
-        return _SUBCOMMANDS[args.subcommand](cfg, args)
-    except ConfigError as exc:
-        print(f"{exc.name}: {exc}", file=sys.stderr)
-        return 2
+        if args.out is None:
+            args.out = cfg.output_dir
+        artifacts = _SUBCOMMANDS[args.subcommand][0](cfg, args)
     except StratiwaveError as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
+    for name, text in artifacts:
+        print(_write(args.out, name, text))
+    return 0
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from scipy.interpolate import CubicSpline
 from .errors import EllipticityLossError
 from .heightsolver import HeightField, derivatives
 from .piecewise import _evaluate, _hermite, _pchip_slopes, _spline_slopes
-from .profiles import Physics
+from .profiles import Physics, simpson_weights
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,15 @@ def flux_all_columns(wave: EulerianWave):
     n = 4 * (y.shape[1] - 1)
     yy = np.linspace(y[:, 0], y[:, -1], n + 1, axis=1)
     ff = _evaluate(y, _hermite(y, f, _pchip_slopes(y, f)), yy)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
     hstep = (y[:, -1] - y[:, 0]) / n
-    return ((hstep / 3.0) * (ff @ w))[_mirror(n_q)]
+    return ((hstep / 3.0) * (ff @ simpson_weights(n, 3.0)))[_mirror(n_q)]
+
+
+def _curvature(west, centre, east, dx):
+    """kappa = -eta'' / (1 + eta'^2)^(3/2) by central differences."""
+    ex = (east - west) / (2.0 * dx)
+    exx = (east - 2.0 * centre + west) / dx ** 2
+    return -exx / (1.0 + ex ** 2) ** 1.5
 
 
 def surface_bernoulli_residual(wave: EulerianWave, physics: Physics) -> float:
@@ -128,13 +132,11 @@ def surface_bernoulli_residual(wave: EulerianWave, physics: Physics) -> float:
     e, us, vs = surface(mid).T
     e_east = surface(mid + dx)[:, 0]
     e_west = surface(mid - dx)[:, 0]
-    ex = (e_east - e_west) / (2.0 * dx)
-    exx = (e_east - 2.0 * e + e_west) / dx ** 2
-    kappa = -exx / (1.0 + ex ** 2) ** 1.5
     rho_s = physics.rho0()
     resid = (rho_s * ((us - wave.c) ** 2 + vs ** 2)
              + 2.0 * physics.g * rho_s * (e + wave.d)
-             + 2.0 * physics.sigma * kappa - wave.Q)
+             + 2.0 * physics.sigma * _curvature(e_west, e, e_east, dx)
+             - wave.Q)
     return float(np.max(np.abs(resid)))
 
 
@@ -209,9 +211,7 @@ def surface_csv(wave: EulerianWave) -> str:
     idx = np.arange(n + 1)
     ipl = np.where(idx + 1 > n, 1, idx + 1)       # periodic wrap on [0, 2pi]
     imn = np.where(idx - 1 < 0, n - 1, idx - 1)
-    ex = (wave.eta[ipl] - wave.eta[imn]) / (2.0 * dx)
-    exx = (wave.eta[ipl] - 2.0 * wave.eta + wave.eta[imn]) / dx ** 2
-    kappa = -exx / (1.0 + ex ** 2) ** 1.5
+    kappa = _curvature(wave.eta[imn], wave.eta, wave.eta[ipl], dx)
     row = ",".join(["%.16e"] * 3)
     lines += [row % tuple(values) for values in
               np.column_stack([wave.x, wave.eta, kappa]).tolist()]

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .errors import (IndefiniteFormError, LBViolatedError,
@@ -30,6 +29,7 @@ from .errors import (IndefiniteFormError, LBViolatedError,
                      SuperpositionDegenerateError)
 from .laminar import (LAMBDA_CAP, LaminarFlow, _given_data, _pchip_samples,
                       _twoB_samples, lambda_floor, solve_laminar)
+from .piecewise import _evaluate, _hermite, _pchip_slopes
 from .profiles import PGrid, Physics
 
 RESONANCE_RTOL = 1e-6
@@ -84,31 +84,15 @@ class BifurcationPoint:
     resonance_rtol: float = RESONANCE_RTOL
 
 
-def _coefficient_interpolants(flow):
-    """a(p) and a'(p) from smooth interpolation of G (not of H_p itself)."""
-    p = flow.grid.nodes
-    G_interp = PchipInterpolator(p, flow.G, extrapolate=True)
-    Gp_interp = G_interp.derivative()
-    lam = flow.lam
-
-    def a_of(p_):
-        return np.sqrt(lam + G_interp(p_))
-
-    def ap_of(p_):
-        return Gp_interp(p_) / (2.0 * np.sqrt(lam + G_interp(p_)))
-
-    return a_of, ap_of
-
-
 @dataclass(frozen=True)
 class ShotCoefficients:
     """The coefficient samples of every shot on one flow, independent of n.
 
     a and rho_p at the nodes and half-step stations, a^-3 at both (also
     as Python floats, for the march), and a' at the nodes, with a and a'
-    bit-equal to those of ``_coefficient_interpolants``.  Build them with
-    ``shot_coefficients`` once per flow and pass them to each shot on it,
-    as ``classify`` does for all its shots.
+    bit-equal to those of scipy's PchipInterpolator of G and its
+    derivative.  Build them with ``shot_coefficients`` once per flow and
+    pass them to each shot on it, as ``classify`` does for all its shots.
     """
 
     h: float
@@ -250,18 +234,13 @@ def dispersion(flow, physics: Physics, mode: EigenMode):
     D is positive exactly when lambda exceeds the mode-n bifurcation value;
     n = 0 gives the nonlocal mode's D0 = lambda^{3/2} M'(0) - g rho(0) M(0).
     """
-    return _mismatch(flow.lam, physics, mode.n, (mode.M[-1], mode.Mp[-1]))
-
-
-def _mismatch(lam, physics, n, end):
-    """``dispersion``'s (D, scale) from the mode's end point
-    end = (M(0), M'(0))."""
-    return _mismatch_at(lam, physics.sigma, physics.g * physics.rho0(), n,
-                        end)
+    return _mismatch_at(flow.lam, physics.sigma, physics.g * physics.rho0(),
+                        mode.n, (mode.M[-1], mode.Mp[-1]))
 
 
 def _mismatch_at(lam, sigma, g_rho0, n, end):
-    """``_mismatch`` at surface tension sigma, with g rho(0) given."""
+    """``dispersion``'s (D, scale) at surface tension sigma, with g rho(0)
+    given, from the mode's end point end = (M(0), M'(0))."""
     top = lam ** 1.5 * end[1]
     bottom = (n ** 2 * sigma + g_rho0) * end[0]
     return float(top - bottom), float(abs(top) + abs(bottom))
@@ -280,7 +259,8 @@ def _dispersion_at(flow, physics: Physics, n: int,
     else:
         end = _zero_superposition(_march(coefficients, 0),
                                   _march(coefficients, 0, m0=1.0, M0p=0.0))
-    return _mismatch(flow.lam, physics, n, end)
+    return _mismatch_at(flow.lam, physics.sigma, physics.g * physics.rho0(),
+                        n, end)
 
 
 def shoot_zero_mode(flow, physics: Physics,
@@ -452,17 +432,19 @@ def rayleigh_mu(flow, physics: Physics, sigma: float, N: int = 512) -> float:
     p0 = flow.grid.p0
     h = abs(p0) / N
     nodes = np.linspace(p0, 0.0, N + 1)
-    a_of, _ = _coefficient_interpolants(flow)
-    # 2-point Gauss per element for the coefficient integrals.
+    # 2-point Gauss per element for the coefficient integrals, with
+    # a = sqrt(lambda + G) from the PCHIP of G (not of H_p itself)
     gauss = np.array([-1.0, 1.0]) / np.sqrt(3.0)
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     pts = mids[:, None] + 0.5 * h * gauss[None, :]
-    a_q = a_of(pts)
+    x, G = flow.grid.nodes[None, :], flow.G[None, :]
+    G_q = _evaluate(x, _hermite(x, G, _pchip_slopes(x, G)), pts.reshape(1, -1))
+    a_q = np.sqrt(flow.lam + G_q.reshape(pts.shape))
     w_q = a_q + physics.g * physics.rho_p(pts)
     if np.any(w_q <= 0):
         raise IndefiniteFormError(
             "denominator weight a + g rho_p not positive on the grid")
-    a3_el = 0.5 * np.sum(a_of(pts) ** 3, axis=1)        # mean of a^3 per element
+    a3_el = 0.5 * np.sum(a_q ** 3, axis=1)      # mean of a^3 per element
     # P1 stiffness: (a3/h) [[1,-1],[-1,1]]; mass with weight w via Gauss:
     # shape functions at the two Gauss points.
     xi = 0.5 * (1.0 + gauss)                            # in [0,1]

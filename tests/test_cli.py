@@ -127,6 +127,86 @@ def test_laminar_subcommand(config_path, tmp_path, capsys):
     assert csv.splitlines()[0] == "p,H,Hp,G,Ydot,Gdot"
 
 
+def test_failed_command_writes_no_file(config_path, tmp_path, capsys):
+    # lambda = 4 solves and lambda = -10 lies below the floor: the command
+    # fails as a whole, and laminar_4.csv is not left behind
+    out = tmp_path / "out"
+    path = config_path(extra={"lambdas": [4.0, -10.0]})
+    assert cli.main(["laminar", "--config", path, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("domain-error") and captured.out == ""
+    assert not out.exists()
+
+
+# the flags each subcommand reads; every other pairing is a usage error
+_OWN_FLAGS = {
+    "laminar": {"--lambda"},
+    "dispersion": {"--sigma", "--n2"},
+    "classify": {"--sigma", "--n2"},
+    "coeffs": {"--sigma", "--n2"},
+    "predict": {"--sigma", "--n2"},
+    "branch": {"--sigma", "--n2", "--steps"},
+    "eulerian": {"--sigma", "--n2", "--field"},
+    "verify": {"--sigma", "--n2", "--field"},
+}
+_FLAG_VALUES = {"--lambda": "4", "--sigma": "1", "--n2": "3", "--steps": "5",
+                "--field": "nothing.field"}
+_FOREIGN_FLAGS = [(sub, flag) for sub, own in sorted(_OWN_FLAGS.items())
+                  for flag in sorted(_FLAG_VALUES) if flag not in own]
+
+
+@pytest.mark.parametrize("sub, flag", _FOREIGN_FLAGS,
+                         ids=[" ".join(pair) for pair in _FOREIGN_FLAGS])
+def test_foreign_flag_is_a_usage_error(config_path, tmp_path, capsys, sub,
+                                       flag):
+    # exit 2 from the parser, before the config is read or anything written
+    out = tmp_path / "out"
+    code = cli.main([sub, "--config", config_path(), "--out", str(out),
+                     flag, _FLAG_VALUES[flag]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert flag in captured.err and "config-error" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["verify", "eulerian"])
+def test_missing_field_rejected(config_path, tmp_path, capsys, sub):
+    out = tmp_path / "out"
+    assert cli.main([sub, "--config", config_path(), "--out", str(out)]) == 2
+    assert "--field" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", sorted(_OWN_FLAGS))
+def test_help_lists_only_the_subcommands_flags(capsys, sub):
+    assert cli.main([sub, "--help"]) == 0
+    listed = {word.strip("[],") for word in capsys.readouterr().out.split()
+              if word.strip("[],").startswith("-")}
+    assert listed == {"-h", "--help", "--config", "--out"} | _OWN_FLAGS[sub]
+
+
+@pytest.mark.parametrize("sub", ["verify", "eulerian"])
+def test_dump_commands_accept_sigma_and_n2(t0, config_path, tmp_path, capsys,
+                                           sub):
+    # a laminar field has a flat surface, so its checks do not depend on
+    # sigma: the flags change no output
+    flow = lm.solve_laminar(t0, 4.0, pr.PGrid(-1.0, 64))
+    dump = tmp_path / "field.txt"
+    dump.write_text(hs.dump_field(hs.laminar_field(flow, 32)))
+    results = []
+    for k, flags in enumerate(([], ["--sigma", "2.5", "--n2", "3"])):
+        out = tmp_path / f"out{k}"
+        code = cli.main([sub, "--config", config_path(), "--out", str(out),
+                         "--field", str(dump), *flags])
+        captured = capsys.readouterr()
+        files = ({p.name: p.read_bytes() for p in out.iterdir()}
+                 if out.exists() else {})
+        results.append((code, captured.out.replace(str(out), "OUT"),
+                        captured.err, files))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
+
+
 def test_laminar_lambdas_sharing_a_file_name_rejected(config_path, tmp_path,
                                                       capsys):
     # both lambdas print as laminar_2.csv: exit 2 before anything is written
@@ -526,8 +606,10 @@ def test_parser_keeps_no_flags_between_calls(config_path, monkeypatch):
     # one parser serves every main call: the flags of one call must not
     # reach the next
     seen = []
+    _, flags = cli._SUBCOMMANDS["branch"]
     monkeypatch.setitem(cli._SUBCOMMANDS, "branch",
-                        lambda cfg, args: seen.append(vars(args).copy()) or 0)
+                        (lambda cfg, args: seen.append(vars(args).copy())
+                         or [], flags))
     path = config_path()
     assert cli.main(["branch", "--config", path, "--n2", "3",
                      "--steps", "2", "--out", "first"]) == 0

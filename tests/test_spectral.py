@@ -54,6 +54,22 @@ def _count_laminar_solves(monkeypatch):
     return calls
 
 
+def _coefficient_interpolants(flow):
+    """a(p) and a'(p) from smooth interpolation of G (not of H_p itself)."""
+    p = flow.grid.nodes
+    G_interp = PchipInterpolator(p, flow.G, extrapolate=True)
+    Gp_interp = G_interp.derivative()
+    lam = flow.lam
+
+    def a_of(p_):
+        return np.sqrt(lam + G_interp(p_))
+
+    def ap_of(p_):
+        return Gp_interp(p_) / (2.0 * np.sqrt(lam + G_interp(p_)))
+
+    return a_of, ap_of
+
+
 def _shoot_loop(flow, physics, n, forcing=0.0, m0=0.0, M0p=1.0):
     """The RK4 march on numpy scalars, w' = (n^2 a + g rho_p) M + forcing
     rho_p, as it stood before the float march: unforced, the reference for
@@ -61,7 +77,7 @@ def _shoot_loop(flow, physics, n, forcing=0.0, m0=0.0, M0p=1.0):
     grid = flow.grid
     p = grid.nodes
     h = grid.h
-    a_of, ap_of = sp._coefficient_interpolants(flow)
+    a_of, ap_of = _coefficient_interpolants(flow)
     g = physics.g
     half = p[:-1] + 0.5 * h
     a_nodes = a_of(p)
@@ -538,6 +554,9 @@ COEFFICIENT_CASES = {
 @pytest.mark.parametrize("n_p", [64, 512])
 @pytest.mark.parametrize("case", sorted(COEFFICIENT_CASES))
 def test_shot_coefficients_match_scipy_route(case, n_p, monkeypatch):
+    # no scipy interpolant: spectral holds none
+    assert not any(getattr(v, "__module__", "").startswith("scipy.interpolate")
+                   for v in vars(sp).values())
     phys = COEFFICIENT_CASES[case]()
     grid = pr.PGrid(-1.0, n_p)
     lam_star = sp.find_lambda_star(phys, grid)
@@ -545,10 +564,9 @@ def test_shot_coefficients_match_scipy_route(case, n_p, monkeypatch):
         flow = lm.solve_laminar(phys, lam, grid)
         ref = _shot_coefficients_scipy(flow, phys)
         with monkeypatch.context() as patch:
-            # no scipy interpolant, no profile sampled: the grid's cache
+            # no profile sampled: the grid's cache
             def forbidden(*args, **kwargs):
                 raise AssertionError("shot_coefficients sampled anew")
-            patch.setattr(sp, "PchipInterpolator", forbidden)
             patch.setattr(pr.ProfileFn, "deriv", forbidden)
             coef = sp.shot_coefficients(flow, phys)
         for name, value in ref.items():

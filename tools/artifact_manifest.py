@@ -39,7 +39,6 @@ import os
 # One BLAS thread, set before numpy is imported, as the benchmark runs.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-os.environ.pop("STRATIWAVE_VERBOSE", None)
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
