@@ -31,31 +31,35 @@ from .profiles import PGrid, Physics, ProfileFn
 
 _PROFILE_KEYS = {"poly": {"type", "coeffs"}, "table": {"type", "p", "v"}}
 _PHYSICS_KEYS = {"g", "c", "p0", "sigma", "rho", "beta"}
-_NUMERICS_DEFAULTS = {
-    "N_p": 64, "N_q": 64, "n_max": 64, "resonance_rtol": 1e-6,
-    "verify_residual_tol": 1e-8, "verify_eta_tol": 1e-10,
-    "verify_flux_tol": 1e-3, "verify_bernoulli_tol": 1e-3,
-    "verify_yih_tol": 5e-2,
-}
-_NUMERICS_KEYS = set(_NUMERICS_DEFAULTS)
-_CONTINUATION_KEYS = {f.name for f in
-                      fields(heightsolver.ContinuationControls)}
-_CONTINUATION_COUNTS = {"max_steps", "newton_max_iter"}
-_TOP_KEYS = {"physics", "numerics", "continuation", "lambdas", "sigma",
-             "output_dir"}
+_TOP_KEYS = {"physics", "numerics", "continuation", "lambdas", "output_dir"}
+
+
+@dataclass(frozen=True)
+class Numerics:
+    """The ``numerics`` block: the grid, the classification scan and the
+    ``verify`` thresholds."""
+    N_p: int = 64
+    N_q: int = 64
+    n_max: int = 64
+    resonance_rtol: float = 1e-6
+    verify_residual_tol: float = 1e-8
+    verify_eta_tol: float = 1e-10
+    verify_flux_tol: float = 1e-3
+    verify_bernoulli_tol: float = 1e-3
+    verify_yih_tol: float = 5e-2
 
 
 @dataclass
 class RunConfig:
     physics: Physics
-    numerics: dict
+    numerics: Numerics
     continuation: heightsolver.ContinuationControls
     lambdas: list = field(default_factory=list)
     output_dir: str = "out"
 
     @property
     def grid(self) -> PGrid:
-        return PGrid(self.physics.p0, self.numerics["N_p"])
+        return PGrid(self.physics.p0, self.numerics.N_p)
 
 
 def _reject_unknown(block: dict, allowed: set, where: str):
@@ -108,41 +112,20 @@ def _parse_profile(block, where, lo, hi) -> ProfileFn:
                            _numbers(block["v"], f"{where}.v"), lo, hi)
 
 
-def _power_of_two(n):
-    return n >= 16 and (n & (n - 1)) == 0
-
-
-def _parse_continuation(cb) -> heightsolver.ContinuationControls:
-    """Counts are ints >= 1, every other control a finite number > 0."""
-    if not isinstance(cb, dict):
-        raise ConfigError("continuation must be an object")
-    _reject_unknown(cb, _CONTINUATION_KEYS, "continuation")
-    for key, val in cb.items():
-        if key in _CONTINUATION_COUNTS:
-            _count(val, f"continuation.{key}")
-        elif _number(val, f"continuation.{key}") <= 0:
-            raise ConfigError(f"continuation.{key} must be a finite number > 0")
-    controls = heightsolver.ContinuationControls(**cb)
-    if controls.ds_min > controls.ds_max:
-        raise ConfigError("continuation.ds_min must not exceed ds_max")
-    return controls
-
-
-def _parse_numerics(nb) -> dict:
-    """Grid sizes are powers of two >= 16, n_max an int >= 1, every
-    tolerance a finite number > 0."""
-    if not isinstance(nb, dict):
-        raise ConfigError("numerics must be an object")
-    _reject_unknown(nb, _NUMERICS_KEYS, "numerics")
-    numerics = {**_NUMERICS_DEFAULTS, **nb}
-    for key in ("N_p", "N_q"):
-        if not _power_of_two(_count(numerics[key], f"numerics.{key}")):
-            raise ConfigError(f"numerics.{key} must be a power of two >= 16")
-    _count(numerics["n_max"], "numerics.n_max")
-    for key, val in numerics.items():
-        if key.endswith("tol") and _number(val, f"numerics.{key}") <= 0:
-            raise ConfigError(f"numerics.{key} must be positive")
-    return numerics
+def _parse_block(cls, block, where):
+    """A config block as the dataclass ``cls``: a field with an int default
+    takes an int >= 1, any other a finite number > 0; an absent field keeps
+    its default."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
+    counts = {f.name: isinstance(f.default, int) for f in fields(cls)}
+    _reject_unknown(block, set(counts), where)
+    for key, val in block.items():
+        if counts[key]:
+            _count(val, f"{where}.{key}")
+        elif _number(val, f"{where}.{key}") <= 0:
+            raise ConfigError(f"{where}.{key} must be a finite number > 0")
+    return cls(**block)
 
 
 def load_config(path: str) -> RunConfig:
@@ -167,20 +150,21 @@ def load_config(path: str) -> RunConfig:
                        for key in ("g", "c", "p0", "sigma"))
     if p0 >= 0:
         raise ConfigError("physics.p0 must be negative")
-    sigma_override = raw.get("sigma")
-    if sigma_override is not None:
-        sigma_override = _number(sigma_override, "sigma")
     try:
         rho = _parse_profile(pb["rho"], "physics.rho", p0, 0.0)
         beta = _parse_profile(pb["beta"], "physics.beta", 0.0, abs(p0))
         physics = Physics(g=g, c=c, p0=p0, sigma=sigma, rho=rho, beta=beta)
-        if sigma_override is not None:
-            physics = replace(physics, sigma=sigma_override)
     except DomainError as exc:
         raise ConfigError(f"invalid physics: {exc}")
 
-    numerics = _parse_numerics(raw.get("numerics", {}))
-    controls = _parse_continuation(raw.get("continuation", {}))
+    numerics = _parse_block(Numerics, raw.get("numerics", {}), "numerics")
+    for n, key in ((numerics.N_p, "N_p"), (numerics.N_q, "N_q")):
+        if n < 16 or n & (n - 1):
+            raise ConfigError(f"numerics.{key} must be a power of two >= 16")
+    controls = _parse_block(heightsolver.ContinuationControls,
+                            raw.get("continuation", {}), "continuation")
+    if controls.ds_min > controls.ds_max:
+        raise ConfigError("continuation.ds_min must not exceed ds_max")
     output_dir = _out_dir(raw.get("output_dir", "out"), "output_dir")
     return RunConfig(physics=physics, numerics=numerics,
                      continuation=controls,
@@ -218,10 +202,13 @@ def _resolve_physics(cfg: RunConfig, args) -> Physics:
 
 
 def _write(outdir, name, text):
-    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
     return path
 
 
@@ -265,8 +252,8 @@ def cmd_dispersion(cfg: RunConfig, args):
 
 
 def _classification_report(physics, grid, numerics):
-    bp = spectral.classify(physics, grid, n_max=numerics["n_max"],
-                           resonance_rtol=numerics["resonance_rtol"])
+    bp = spectral.classify(physics, grid, n_max=numerics.n_max,
+                           resonance_rtol=numerics.resonance_rtol)
     label = bp.classification
     if label == "Double":
         label = f"Double({bp.n2})"
@@ -327,7 +314,7 @@ def cmd_branch(cfg: RunConfig, args):
     controls = cfg.continuation
     if args.steps is not None:
         controls = replace(controls, max_steps=args.steps)
-    N_q = cfg.numerics["N_q"]
+    N_q = cfg.numerics.N_q
     artifacts = []
     branches = []
     for k, germ in enumerate(canonical_germs(germs)):
@@ -395,12 +382,12 @@ def cmd_verify(cfg: RunConfig, args):
     oracle = _oracle_values(cfg.physics, wave)
     checks = [
         ("height-residual", float(np.max(np.abs(res))),
-         num["verify_residual_tol"]),
-        ("eta-mean", abs(oracle["eta_mean"]), num["verify_eta_tol"]),
-        ("flux", oracle["flux_max_error"], num["verify_flux_tol"]),
+         num.verify_residual_tol),
+        ("eta-mean", abs(oracle["eta_mean"]), num.verify_eta_tol),
+        ("flux", oracle["flux_max_error"], num.verify_flux_tol),
         ("surface-bernoulli", oracle["surface_bernoulli_residual"],
-         num["verify_bernoulli_tol"]),
-        ("yih", oracle["yih_residual"], num["verify_yih_tol"]),
+         num.verify_bernoulli_tol),
+        ("yih", oracle["yih_residual"], num.verify_yih_tol),
         ("u-below-c", float(np.max(wave.u - cfg.physics.c)), 0.0),
     ]
     for name, value, tol in checks:
@@ -466,11 +453,11 @@ def main(argv=None) -> int:
         if args.out is None:
             args.out = cfg.output_dir
         artifacts = _SUBCOMMANDS[args.subcommand][0](cfg, args)
+        for name, text in artifacts:
+            print(_write(args.out, name, text))
     except StratiwaveError as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3
-    for name, text in artifacts:
-        print(_write(args.out, name, text))
     return 0
 
 

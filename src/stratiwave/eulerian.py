@@ -22,7 +22,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import EllipticityLossError
-from .heightsolver import HeightField, derivatives
+from .heightsolver import HeightField, _q_indices, derivatives
 from .piecewise import _evaluate, _hermite, _pchip_slopes, _spline_slopes
 from .profiles import Physics, simpson_weights
 
@@ -176,8 +176,7 @@ def yih_residual(wave: EulerianWave, physics: Physics) -> float:
     # rows iy = 2 .. n_y - 2: interior points with full stencils, two cells
     # clear of the bed and of the local surface
     mid, below, above = slice(2, n_y - 1), slice(1, n_y - 2), slice(3, n_y)
-    east = np.append(np.arange(1, n_q + 1), n_q - 1)
-    west = np.append(1, np.arange(n_q))
+    west, east = _q_indices(n_q)
     ok = (depth_ok[:, mid] & depth_ok[:, below] & depth_ok[:, above]
           & depth_ok[east, mid] & depth_ok[west, mid]
           & depth_ok[:, 4:n_y + 1] & (yy[mid] >= y_lo + 2 * dy)

@@ -1,6 +1,7 @@
 import base64
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def config_path(tmp_path):
 def test_load_config_roundtrip(config_path):
     cfg = cli.load_config(config_path())
     assert cfg.physics.g == 1.0
-    assert cfg.numerics["N_p"] == 64
+    assert cfg.numerics.N_p == 64
     assert cfg.grid.N_p == 64
 
 
@@ -109,6 +110,90 @@ def test_bad_grid_rejected(tmp_path):
     from stratiwave.errors import ConfigError
     with pytest.raises(ConfigError):
         cli.load_config(str(path))
+
+
+# every field of the two config blocks, read from the schema itself, so a
+# field added later is covered too; the annotation, not the checker's own
+# rule, says which fields are counts
+_SCHEMA = [(block, f) for block, cls in (
+    ("numerics", cli.Numerics), ("continuation", hs.ContinuationControls))
+    for f in fields(cls)]
+_BAD_VALUES = {"int": [2.0, True, 0, "1"],
+               "float": ["1e-3", True, float("nan"), float("inf"),
+                         float("-inf"), 0, -1]}
+_BAD_CASES = [(block, f.name, value) for block, f in _SCHEMA
+              for value in _BAD_VALUES[f.type]]
+
+
+@pytest.mark.parametrize("block, key, value", _BAD_CASES,
+                         ids=[f"{block}.{key}={value!r}"
+                              for block, key, value in _BAD_CASES])
+def test_schema_field_rejects_bad_value(tmp_path, block, key, value):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc.setdefault(block, {})[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    from stratiwave.errors import ConfigError
+    with pytest.raises(ConfigError, match=f"{block}.{key} "):
+        cli.load_config(str(path))
+
+
+@pytest.mark.parametrize("block, f", _SCHEMA,
+                         ids=[f"{block}.{f.name}" for block, f in _SCHEMA])
+def test_schema_field_accepts_its_default(tmp_path, block, f):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc.setdefault(block, {})[f.name] = f.default
+    path = tmp_path / "default.json"
+    path.write_text(json.dumps(doc))
+    value = getattr(getattr(cli.load_config(str(path)), block), f.name)
+    assert value == f.default and type(value) is type(f.default)
+
+
+def _readme_table(header):
+    """{key: default} of the README table whose header row starts with
+    ``header``; both cells are read without their backticks."""
+    lines = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        key, default = (cell.strip().strip("`")
+                        for cell in line.split("|")[1:3])
+        rows[key] = json.loads(default)
+    return rows
+
+
+@pytest.mark.parametrize("block, cls", [
+    ("numerics", cli.Numerics), ("continuation", hs.ContinuationControls)])
+def test_readme_tables_match_schema(block, cls):
+    rows = _readme_table(f"| `{block}` key |")
+    assert list(rows) == [f.name for f in fields(cls)]
+    for f in fields(cls):
+        assert rows[f.name] == f.default
+        assert type(rows[f.name]) is type(f.default)
+
+
+def test_top_level_sigma_rejected(config_path, tmp_path, capsys):
+    # physics.sigma is the one config setting of sigma
+    out = tmp_path / "o"
+    path = config_path(extra={"sigma": 2.0})
+    assert cli.main(["classify", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config-error") and "'sigma'" in err
+    assert not out.exists()
+
+
+def test_failed_write_exits_2(config_path, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")                      # --out names an existing file
+    code = cli.main(["laminar", "--config", config_path(), "--out", str(out),
+                     "--lambda", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config-error: cannot write")
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_unknown_subcommand_exits_2(config_path, capsys):
