@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 config/validation error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -210,6 +211,22 @@ def _write(outdir, name, text):
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")
     return path
+
+
+def _write_all(outdir, artifacts):
+    """Write each (file name, text) under outdir and return the paths.  A
+    write that fails removes the files written before it, so a command
+    leaves all of its files or none."""
+    paths = []
+    try:
+        for name, text in artifacts:
+            paths.append(_write(outdir, name, text))
+    except ConfigError:
+        for path in paths:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    return paths
 
 
 def _json_dump(obj) -> str:
@@ -453,8 +470,8 @@ def main(argv=None) -> int:
         if args.out is None:
             args.out = cfg.output_dir
         artifacts = _SUBCOMMANDS[args.subcommand][0](cfg, args)
-        for name, text in artifacts:
-            print(_write(args.out, name, text))
+        for path in _write_all(args.out, artifacts):
+            print(path)
     except StratiwaveError as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3

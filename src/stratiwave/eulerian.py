@@ -19,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import EllipticityLossError
 from .heightsolver import HeightField, _q_indices, derivatives
-from .piecewise import _evaluate, _hermite, _pchip_slopes, _spline_slopes
+from .piecewise import (_evaluate, _hermite, _locate, _pchip_slopes,
+                        _periodic_slopes, _shared_grid_intervals,
+                        _spline_slopes, _uniform_grid_intervals)
 from .profiles import Physics, simpson_weights
 
 
@@ -95,7 +96,8 @@ def flux_all_columns(wave: EulerianWave):
     f = np.sqrt(wave.rho[:n_q + 1]) * (wave.u[:n_q + 1] - wave.c)
     n = 4 * (y.shape[1] - 1)
     yy = np.linspace(y[:, 0], y[:, -1], n + 1, axis=1)
-    ff = _evaluate(y, _hermite(y, f, _pchip_slopes(y, f)), yy)
+    ff = _evaluate(y, _hermite(y, f, _pchip_slopes(y, f)), yy,
+                   intervals=_uniform_grid_intervals(y, yy))
     hstep = (y[:, -1] - y[:, 0]) / n
     return ((hstep / 3.0) * (ff @ simpson_weights(n, 3.0)))[_mirror(n_q)]
 
@@ -115,7 +117,7 @@ def surface_bernoulli_residual(wave: EulerianWave, physics: Physics) -> float:
     kappa[eta] = -eta'' / (1 + eta'^2)^(3/2) by finite differences in x.
 
     The identity is evaluated at the staggered midpoints x_{j+1/2} with all
-    surface quantities resampled there by monotone cubic interpolation, so
+    surface quantities resampled there by a periodic C^2 cubic spline, so
     the check does not share stencils with the solver that produced the
     field: it measures the discretization error of the solution itself and
     shrinks at second order under grid refinement.
@@ -124,14 +126,20 @@ def surface_bernoulli_residual(wave: EulerianWave, physics: Physics) -> float:
     dx = x[1] - x[0]
     # periodic C^2 splines keep full accuracy at the crest and trough,
     # where shape-preserving interpolants flatten and lose the curvature;
-    # one spline carries the columns eta, u and v of the surface
-    surface = CubicSpline(
-        x, np.stack([wave.eta, wave.u[:, -1], wave.v[:, -1]], axis=1),
-        bc_type="periodic")
+    # one spline carries the rows eta, u and v of the surface
+    rows = np.stack([wave.eta, wave.u[:, -1], wave.v[:, -1]])
+    knots = np.broadcast_to(x, rows.shape)
+    surface = _hermite(knots, rows, _periodic_slopes(x, rows))
     mid = 0.5 * (x[:-1] + x[1:])
-    e, us, vs = surface(mid).T
-    e_east = surface(mid + dx)[:, 0]
-    e_west = surface(mid - dx)[:, 0]
+    m = mid.size
+    # the midpoints and one cell either side, wrapped into [x_0, x_n] as
+    # scipy's periodic extrapolation wraps them
+    pts = np.concatenate([mid, mid + dx, mid - dx])
+    pts = (x[0] + (pts - x[0]) % (x[-1] - x[0]))[None, :]
+    values = _evaluate(knots, surface, pts,
+                       intervals=_locate(x[None, :], pts))
+    e, e_east, e_west = values[0].reshape(3, m)
+    us, vs = values[1:, :m]
     rho_s = physics.rho0()
     resid = (rho_s * ((us - wave.c) ** 2 + vs ** 2)
              + 2.0 * physics.g * rho_s * (e + wave.d)
@@ -169,10 +177,11 @@ def yih_residual(wave: EulerianWave, physics: Physics) -> float:
     # differences
     ycol = _increasing_columns(wave.y[:nx])[:n_q + 1]
     p = np.broadcast_to(wave.p, ycol.shape)
-    points = np.broadcast_to(yy, (n_q + 1, n_y + 1))
     depth_ok = (yy >= ycol[:, :1]) & (yy <= ycol[:, -1:])
     spline = _hermite(ycol, p, _spline_slopes(ycol, p))
-    psi = np.where(depth_ok, -_evaluate(ycol, spline, points), np.nan)
+    psi = np.where(depth_ok, -_evaluate(
+        ycol, spline, yy[None, :],
+        intervals=_shared_grid_intervals(ycol, yy)), np.nan)
     # rows iy = 2 .. n_y - 2: interior points with full stencils, two cells
     # clear of the bed and of the local surface
     mid, below, above = slice(2, n_y - 1), slice(1, n_y - 2), slice(3, n_y)

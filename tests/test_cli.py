@@ -196,6 +196,21 @@ def test_failed_write_exits_2(config_path, tmp_path, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+def test_failed_later_write_removes_earlier_files(config_path, tmp_path,
+                                                  capsys):
+    # laminar_4.csv is written, laminar_5.csv names a directory: the
+    # command exits 2 and takes laminar_4.csv away again
+    out = tmp_path / "out"
+    (out / "laminar_5.csv").mkdir(parents=True)
+    path = config_path(extra={"lambdas": [4.0, 5.0]})
+    code = cli.main(["laminar", "--config", path, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config-error: cannot write")
+    assert captured.out == ""
+    assert sorted(p.name for p in out.iterdir()) == ["laminar_5.csv"]
+
+
 def test_unknown_subcommand_exits_2(config_path, capsys):
     code = cli.main(["frobnicate", "--config", config_path()])
     capsys.readouterr()

@@ -1,12 +1,16 @@
+import ast
+import inspect
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from conftest import make_physics
+from stratiwave import cli
 from stratiwave import eulerian as eu
 from stratiwave import heightsolver as hs
 from stratiwave import laminar as lm
@@ -334,6 +338,160 @@ def test_spline_slopes_match_cubic_spline():
                   if not np.array_equal(slopes[r, :-1],
                                         CubicSpline(x[r], y[r]).c[2])]
     assert mismatched == []
+
+
+def test_periodic_slopes_match_cubic_spline():
+    # 3 to 257 knots (3 takes scipy's separate branch), 1 to 3 rows, and
+    # a few cells 3-30x wider than the rest, so that gtsv exchanges rows
+    rng = np.random.default_rng(4)
+    mismatched = []
+    for n in [3, 4, 5, 6] + rng.integers(3, 258, 96).tolist():
+        widths = rng.uniform(0.1, 1.0, n - 1)
+        wide = rng.integers(0, n - 1, 1 + n // 16)
+        widths[wide] *= rng.uniform(3, 30, wide.size)
+        x = rng.uniform(-3.0, 3.0) + np.concatenate([[0.0],
+                                                     np.cumsum(widths)])
+        y = rng.standard_normal((rng.integers(1, 4), n))
+        y[:, -1] = y[:, 0]
+        ref = CubicSpline(x, y.T, bc_type="periodic").c[2]
+        if not np.array_equal(pw._periodic_slopes(x, y)[:, :-1], ref.T):
+            mismatched.append((n, y.shape[0]))
+    assert mismatched == []
+
+
+@st.composite
+def _sorted_grids(draw):
+    """Knot rows and sorted grids of points: one grid shared by all rows,
+    and uniform rows as ``np.linspace`` makes them.  Cells range over four
+    decades, so that several knots fall between two points and many points
+    in one cell; the grids overhang the knots, and knots are taken on
+    points and one ulp either side of them."""
+    rows = draw(st.integers(1, 4))
+    nk = draw(st.integers(2, 9))
+    npt = draw(st.integers(2, 30))
+    lo, hi = draw(st.floats(-5.0, 5.0)), draw(st.floats(1e-3, 20.0))
+    uniform = np.array([np.linspace(lo - draw(st.floats(0.0, 2.0)),
+                                    lo + hi, npt) for _ in range(rows)])
+    shared = np.sort(draw(st.lists(st.floats(lo - 5.0, lo + hi + 5.0),
+                                   min_size=npt, max_size=npt)))
+    knots = []
+    for r in range(rows):
+        on_grid = st.tuples(
+            st.sampled_from(uniform[r].tolist() + shared.tolist()),
+            st.sampled_from([-np.inf, None, np.inf])).map(
+                lambda v: v[0] if v[1] is None else np.nextafter(*v))
+        row = np.unique(draw(st.lists(
+            st.one_of(on_grid, st.floats(lo - 5.0, lo + hi + 5.0)),
+            min_size=nk, max_size=nk, unique=True)))
+        if row.size < nk:          # distinct draws that round together
+            row = np.concatenate([row, row[-1] + np.arange(1, nk - row.size
+                                                           + 1)])
+        knots.append(row)
+    return np.array(knots), shared, uniform
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sorted_grids())
+@example((np.array([[0.0, 0.1, 0.2, 0.3, 5.0]]), np.linspace(0.0, 1.0, 11),
+          np.linspace(-1.0, 1.0, 21)[None, :]))
+@example((np.array([[-3.0, 0.25, 0.5, 9.0], [-0.5, 0.0, 0.55, 0.6]]),
+          np.array([0.0, 0.25, 0.25, 0.5, 0.75]),
+          np.array([np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5)])))
+def test_grid_intervals_match_locate(data):
+    knots, shared, uniform = data
+    rows = knots.shape[0]
+    assert np.array_equal(
+        pw._shared_grid_intervals(knots, shared),
+        pw._locate(knots, np.broadcast_to(shared, (rows, shared.size))))
+    assert np.array_equal(pw._uniform_grid_intervals(knots, uniform),
+                          pw._locate(knots, uniform))
+
+
+def _evaluate_2d(x, coeffs, points, derivative=False, intervals=None):
+    """``pw._evaluate`` gathering the knots and coefficients by 2-D fancy
+    indices, from coefficient arrays cut to one column per interval."""
+    i = pw._locate(x, points) if intervals is None else intervals
+    rows = np.arange(x.shape[0])[:, None]
+    s = points - x[rows, i]
+    c0, c1, c2, c3 = (c[:, :x.shape[1] - 1][rows, i] for c in coeffs)
+    s2 = s * s
+    if derivative:
+        return c2 + (2.0 * c1) * s + (3.0 * c0) * s2
+    return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+def test_flat_gathers_match_2d_gathers(derivative):
+    # signed zeros in every coefficient and points on knots: a value that
+    # comes out -0.0 must come from the same entries
+    rng = np.random.default_rng(8)
+    rows, nk, npt = 5, 9, 40
+    x = np.sort(rng.standard_normal((rows, nk)), axis=1)
+    coeffs = []
+    for _ in range(4):
+        c = rng.standard_normal((rows, nk))
+        c[rng.random(c.shape) < 0.5] = 0.0
+        c[rng.random(c.shape) < 0.5] *= -1.0
+        coeffs.append(c)
+    points = np.sort(np.concatenate(
+        [rng.uniform(-3.0, 3.0, (rows, npt - nk)), x], axis=1), axis=1)
+    for intervals in (None, pw._locate(x, points)):
+        got = pw._evaluate(x, coeffs, points, derivative, intervals)
+        want = _evaluate_2d(x, coeffs, points, derivative, intervals)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.any((got == 0.0) & np.signbit(got))
+
+
+def test_eulerian_takes_nothing_from_scipy_interpolate():
+    tree = ast.parse(inspect.getsource(eu))
+    imported = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    imported += [a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for a in node.names]
+    assert not [m for m in imported if m and m.startswith("scipy.interpolate")]
+    assert not [name for name, obj in vars(eu).items()
+                if getattr(obj, "__module__", "").startswith(
+                    "scipy.interpolate")]
+
+
+@pytest.mark.parametrize("n_q", [1, 2, 3, 4])
+@pytest.mark.parametrize("noise", [0.0, 1e-6])
+def test_tiny_dumps_match_scipy_route(t0, tmp_path, capsys, monkeypatch,
+                                      n_q, noise):
+    # 2 N_q + 1 = 3 surface knots take scipy's separate periodic branch
+    grid = pr.PGrid(-1.0, 16)
+    fld = hs.laminar_field(lm.solve_laminar(t0, 4.0, grid), n_q)
+    rng = np.random.default_rng(n_q)
+    fld = replace(fld, h=fld.h + noise * rng.standard_normal(fld.h.shape))
+    dump = tmp_path / "field.txt"
+    dump.write_text(hs.dump_field(fld))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "physics": {"g": 1.0, "c": 1.0, "p0": -1.0, "sigma": 1.0,
+                    "rho": {"type": "poly", "coeffs": [1.0]},
+                    "beta": {"type": "poly", "coeffs": [0.0]}},
+        "numerics": {"N_p": 16, "N_q": 16}}))
+    results = []
+    for route in ("piecewise", "scipy"):
+        if route == "scipy":
+            # the references above: scipy's periodic spline on the surface,
+            # scipy splines per column for Yih, the row-by-row interval
+            # search for the flux
+            monkeypatch.setattr(eu, "surface_bernoulli_residual",
+                                _bernoulli_three_splines)
+            monkeypatch.setattr(eu, "yih_residual", _yih_reference)
+            monkeypatch.setattr(eu, "flux_all_columns", _flux_full_reference)
+        out = tmp_path / route
+        args = ["--config", str(config), "--field", str(dump)]
+        verify = cli.main(["verify"] + args)
+        printed = capsys.readouterr().out
+        assert cli.main(["eulerian", "--out", str(out)] + args) == 0
+        capsys.readouterr()
+        results.append((verify, printed,
+                        (out / "eulerian_checks.json").read_bytes()))
+    assert results[0] == results[1]
+    assert len(results[0][1].splitlines()) == 6
 
 
 def test_surface_bernoulli_laminar_zero(t0, grid64):
