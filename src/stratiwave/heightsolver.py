@@ -14,8 +14,10 @@ the d(h) coupling (resolved by Sherman-Morrison around the banded solve),
 and one extra column for dG/dQ; frozen-amplitude, frozen-mixture and
 pseudo-arclength corrections append a single border row (a ``_Border``),
 eliminated through its scalar Schur complement (``JacobianRecord.solve``).
-The record keeps its banded LU, so the continuation solves take chord
-steps on it until the contraction of max|r| stalls (``_bordered_newton``).
+``jacobian`` writes the band straight into LAPACK's factor layout, and
+the first solve factors that one array in place; the record keeps the
+factor, so the continuation solves take chord steps on it until the
+contraction of max|r| stalls (``_bordered_newton``).
 """
 
 from __future__ import annotations
@@ -160,21 +162,23 @@ def residual(physics: Physics, hf: HeightField):
     return R
 
 
-def solve_banded(ab, k, b):
-    """Solve A x = b for A in LAPACK band storage ``ab`` ((2k + 1, n), k
-    sub- and superdiagonals) by LAPACK ``gbsv``, as
-    ``scipy.linalg.solve_banded((k, k), ab, b)`` does, so bit-equal to it;
-    returns x and the factor (lu, piv) for later ``dgbtrs`` solves.
+def solve_banded(lu, k, b):
+    """Solve A x = b by LAPACK ``gbsv``, factoring the band in place.
 
-    The band goes straight into rows k: of a Fortran-ordered factor array
-    with room for the k rows of fill-in, which ``gbsv`` factors in place;
-    scipy copies the band into a C-ordered array that f2py then copies
-    again.  NewtonFailureError on a non-finite input or a singular band.
+    ``lu`` is a Fortran-ordered (3k + 1, n) factor array in LAPACK's
+    ``gbtrf`` layout (k sub- and superdiagonals): A[r, c] sits at
+    lu[2k + r - c, c], and rows :k are room for the fill-in.  ``gbsv``
+    overwrites it with the factor, so x is bit-equal to
+    ``scipy.linalg.solve_banded((k, k), lu[k:], b)`` on the band as it was.
+    Returns x and the factor (lu, piv) for later ``dgbtrs`` solves.
+    NewtonFailureError on a non-finite input or a singular band; the
+    finiteness test reads the band's extremes (NaN propagates through
+    both, and an infinity is one of them), so it allocates nothing.
     """
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+    band = lu[k:]
+    if not (np.isfinite(band.min()) and np.isfinite(band.max())
+            and np.isfinite(b).all()):
         raise NewtonFailureError("non-finite entry in the banded system")
-    lu = np.empty((3 * k + 1, ab.shape[1]), order="F")
-    lu[k:] = ab
     lu, piv, x, info = dgbsv(k, k, lu, b, overwrite_ab=1)
     if info != 0:
         raise NewtonFailureError(f"banded LU failed (LAPACK info {info})")
@@ -185,10 +189,12 @@ def solve_banded(ab, k, b):
 class JacobianRecord:
     """Banded core + rank-one depth coupling + Q column.
 
-    Apply as J v = band(v) + u (w . v_top) and dG/dQ = q_col.
+    Apply as J v = band(v) + u (w . v_top) and dG/dQ = q_col.  The band
+    lives in ``lu``, the factor array ``solve_banded`` takes, which the
+    first ``solve`` overwrites with the factor.
     """
 
-    ab: np.ndarray          # LAPACK band storage of the stencil part
+    lu: np.ndarray          # band in LAPACK gbtrf layout, then its factor
     bandwidth: int
     u: np.ndarray           # rank-one left factor (flattened node order)
     v: np.ndarray           # rank-one right factor (mean weights, flattened)
@@ -201,12 +207,21 @@ class JacobianRecord:
         self._factor = None
         self._yq = None
 
+    @property
+    def ab(self):
+        """The stencil band in LAPACK band storage ((2k + 1, n), a view);
+        RuntimeError once ``solve`` has overwritten it with the factor."""
+        if self._factor is not None:
+            raise RuntimeError("the band has been factored in place")
+        return self.lu[self.bandwidth:]
+
     def matvec(self, vec):
+        ab = self.ab
         n = self.shape[0]
         kl = ku = self.bandwidth
         out = np.zeros(n)
         for off in range(-kl, ku + 1):
-            diag = self.ab[ku - off]
+            diag = ab[ku - off]
             if off >= 0:
                 out[: n - off] += diag[off:] * vec[off:]
             else:
@@ -232,7 +247,7 @@ class JacobianRecord:
         new_yq = border is not None and self._yq is None
         cols = [rhs, self.q_col] if new_yq else [rhs]
         if self._factor is None:
-            X, lu, piv = solve_banded(self.ab, self.bandwidth,
+            X, lu, piv = solve_banded(self.lu, self.bandwidth,
                                       np.column_stack(cols + [self.u]))
             xu = X[:, -1]
             denom = 1.0 + float(self.v @ xu)
@@ -332,31 +347,43 @@ def _stencil(physics: Physics, hf: HeightField):
 
 
 def jacobian(physics: Physics, hf: HeightField) -> JacobianRecord:
-    """Analytic Jacobian of the residual in band storage.
+    """Analytic Jacobian of the residual, built in the factor array of
+    ``solve_banded``.
 
-    Each ``_stencil`` term is one whole-grid coefficient array scattered
-    into the band with a single fancy-index update.  Within one update
-    every row appears once, so no index repeats; the entries that ghost
-    reflection folds together (q = 0 and q = pi) sum their terms in
-    stencil order, one update after another.
+    Nodes are numbered iq (N_p + 1) + ip, so the band has k = N_p + 2
+    sub- and superdiagonals.  Viewed as ``band[iq, ip, 2k + r - c]``, the
+    Fortran-ordered (3k + 1, n) array holds A[r, c] for the node
+    c = (iq, ip), so each ``_stencil`` term is added by basic slicing: one slice for a term on the row's own
+    q-column; for a neighbour term, one slice over the regular q-columns
+    and one row for the column that ghost reflection maps back (the left
+    neighbour of iq = 0 is 1, the right one of iq = N_q is N_q - 1).  No
+    entry is written twice by one term, so the entries that reflection
+    folds together sum their terms in stencil order, term after term.
     """
     families, u, q_col = _stencil(physics, hf)
     N_q, npp = hf.N_q, hf.pgrid.N_p + 1
     n = (N_q + 1) * npp
     k = npp + 1
-    ab = np.zeros((2 * k + 1, n))
-    # flat node index iq * npp + ip: the q offsets of the left neighbour, of
-    # the node itself and of the right neighbour, indexed by side + 1
-    left, right = _q_indices(N_q)
-    offsets = [iq[:, None] * npp for iq in (left, np.arange(N_q + 1), right)]
+    lu = np.zeros((3 * k + 1, n), order="F")
+    band = lu.T.reshape(N_q + 1, npp, 3 * k + 1)
     for ip, terms in families:
-        rows = offsets[1] + ip
         for side, shift, coef in terms:
-            cols = offsets[side + 1] + ip + shift
-            ab[k + rows - cols, cols] += coef
+            # a family's rows ip are one contiguous range
+            cols = slice(ip[0] + shift, ip[-1] + 1 + shift)
+            # band rows of a column one q-column right of the row's own
+            # (r - c = -npp - shift) and of a column one q-column left
+            right, left = k + 1 - shift, 3 * k - 1 - shift
+            if side == 0:
+                band[:, cols, 2 * k - shift] += coef
+            elif side == 1:
+                band[1:, cols, right] += coef[:-1]
+                band[N_q - 1, cols, left] += coef[-1]       # q = pi
+            else:
+                band[:-1, cols, left] += coef[1:]
+                band[1, cols, right] += coef[0]             # q = 0
     v = np.zeros((N_q + 1, npp))
     v[:, -1] = mean_weights(N_q)
-    return JacobianRecord(ab=ab, bandwidth=k, u=u.reshape(-1),
+    return JacobianRecord(lu=lu, bandwidth=k, u=u.reshape(-1),
                           v=v.reshape(-1), q_col=q_col.reshape(-1),
                           shape=(n, n))
 

@@ -91,14 +91,14 @@ def _jacobian_loop(physics, hf, sigma):
     n = (N_q + 1) * npp
     dq, dp = hf.dq, hf.pgrid.h
     kl = ku = npp + 1
-    ab = np.zeros((2 * kl + 1, n))
+    lu = np.zeros((2 * kl + ku + 1, n), order="F")
     left, right = hs._q_indices(N_q)
 
     def flat(iq, ip):
         return iq * npp + ip
 
     def add(i, j, val):
-        ab[ku + i - j, j] += val
+        lu[kl + ku + i - j, j] += val
 
     p = hf.pgrid.nodes
     rho_p = physics.rho_p(p)
@@ -164,7 +164,7 @@ def _jacobian_loop(physics, hf, sigma):
     for iq in range(N_q + 1):
         v[flat(iq, N_p)] = w[iq]
         q_col[flat(iq, N_p)] = -hp[iq, -1] ** 2
-    return hs.JacobianRecord(ab=ab, bandwidth=kl, u=u, v=v, q_col=q_col,
+    return hs.JacobianRecord(lu=lu, bandwidth=kl, u=u, v=v, q_col=q_col,
                              shape=(n, n))
 
 
@@ -286,7 +286,9 @@ def test_bordered_solve_satisfies_both_equations(stratified):
                         lambda f: 0.0, 1.0)
     for bd in (None, border):
         dh, dQ = jac.solve(rhs, bd, c)
-        assert np.max(np.abs(jac.matvec(dh) + dQ * jac.q_col - rhs)) \
+        # the solve factored jac's band in place: apply a fresh one
+        fresh = hs.jacobian(stratified, fld)
+        assert np.max(np.abs(fresh.matvec(dh) + dQ * fresh.q_col - rhs)) \
             < 1e-10 * scale
         if bd is None:
             assert dQ == 0.0
@@ -297,16 +299,79 @@ def test_bordered_solve_satisfies_both_equations(stratified):
                   c)
 
 
+def test_factored_record_refuses_matvec(stratified):
+    # after a solve the band rows hold L and U, not the Jacobian
+    grid = pr.PGrid(-1.0, 16)
+    fld = hs.laminar_field(lm.solve_laminar(stratified, 5.0, grid), 16)
+    jac = hs.jacobian(stratified, fld)
+    rhs = np.ones(fld.h.size)
+    jac.matvec(rhs)
+    jac.solve(rhs, None, 0.0)
+    with pytest.raises(RuntimeError):
+        jac.matvec(rhs)
+    with pytest.raises(RuntimeError):
+        jac.ab
+
+
+def _scatter_band(physics, hf):
+    """The band as ``hs.jacobian`` assembled it before it wrote into the
+    factor array: a C-ordered (2k + 1, n) array, each stencil term
+    scattered by one fancy-index update over all q-columns."""
+    families, _, _ = hs._stencil(physics, hf)
+    N_q, npp = hf.N_q, hf.pgrid.N_p + 1
+    n = (N_q + 1) * npp
+    k = npp + 1
+    ab = np.zeros((2 * k + 1, n))
+    left, right = hs._q_indices(N_q)
+    offsets = [iq[:, None] * npp for iq in (left, np.arange(N_q + 1), right)]
+    for ip, terms in families:
+        rows = offsets[1] + ip
+        for side, shift, coef in terms:
+            cols = offsets[side + 1] + ip + shift
+            ab[k + rows - cols, cols] += coef
+    return ab
+
+
+def _band_cases(t0, stratified, N_q, N_p):
+    # a laminar sigma = 1 field, the three-mode perturbation on the
+    # stratified beta != 0 physics, and a sigma = 10, rho = 1 - p/10 germ
+    grid = pr.PGrid(-1.0, N_p)
+    laminar = hs.laminar_field(lm.solve_laminar(t0, 2.0, grid), N_q)
+    phys, _ = _stratified_field()
+    base = hs.laminar_field(lm.solve_laminar(phys, 5.0, grid), N_q)
+    perturbed = replace(base, h=base.h + _three_mode_perturbation(grid, N_q))
+    flow = lm.solve_laminar(stratified, sp.find_lambda_star(stratified, grid),
+                            grid)
+    mode = sp.shoot_mode(flow, stratified, 1)
+    germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 5e-2, N_q)
+    return [(t0, laminar), (phys, perturbed), (stratified, germ)]
+
+
+@pytest.mark.parametrize("N_q, N_p", [(1, 16), (2, 16), (16, 16), (64, 16),
+                                      (16, 64), (64, 64)])
+def test_band_is_bit_equal_to_the_scatter(t0, stratified, N_q, N_p):
+    # the slices add the same terms to each entry in the same order as the
+    # scatter; the k fill-in rows above the band stay zero
+    for physics, fld in _band_cases(t0, stratified, N_q, N_p):
+        jac = hs.jacobian(physics, fld)
+        assert jac.lu.flags.f_contiguous
+        assert np.array_equal(jac.ab, _scatter_band(physics, fld))
+        assert not jac.lu[:jac.bandwidth].any()
+
+
 def test_solve_banded_is_bit_equal_to_scipy():
-    # gbsv on the same band is what scipy runs
+    # gbsv on the same band is what scipy runs; solve_banded factors the
+    # record's array in place, so the band is copied before it does
     phys, fld = _stratified_field()
-    jac = hs.jacobian(phys, fld)
     rng = np.random.default_rng(7)
     for cols in (1, 3):
+        jac = hs.jacobian(phys, fld)
+        k = jac.bandwidth
+        band = jac.ab.copy()
         b = rng.standard_normal((fld.h.size, cols))
-        got, _, _ = hs.solve_banded(jac.ab, jac.bandwidth, b)
-        want = scipy.linalg.solve_banded((jac.bandwidth, jac.bandwidth),
-                                         jac.ab, b)
+        got, lu, _ = hs.solve_banded(jac.lu, k, b)
+        assert np.shares_memory(lu, jac.lu)
+        want = scipy.linalg.solve_banded((k, k), band, b)
         assert np.array_equal(got, want)
 
 
@@ -330,19 +395,38 @@ def test_reused_factor_solves_like_a_fresh_one():
             assert abs(dQ - want_dQ) <= 1e-12 * max(1.0, abs(want_dQ))
 
 
-def test_solve_banded_failures_are_newton_failures():
+def _poisoned_band(where, value):
+    """A fresh Jacobian's factor array with one band entry set to value:
+    the first, a middle or the last entry of the band rows."""
     phys, fld = _stratified_field()
     jac = hs.jacobian(phys, fld)
-    k = jac.bandwidth
+    k, n = jac.bandwidth, jac.shape[0]
+    row, col = {"first": (k, 0), "middle": (2 * k, n // 2),
+                "last": (3 * k, n - 1)}[where]
+    jac.lu[row, col] = value
+    return jac.lu, k
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_non_finite_band_is_a_newton_failure(where, value):
+    lu, k = _poisoned_band(where, value)
+    with pytest.raises(NewtonFailureError, match="non-finite"):
+        hs.solve_banded(lu, k, np.ones((lu.shape[1], 1)))
+
+
+def test_solve_banded_failures_are_newton_failures():
+    phys, fld = _stratified_field()
     b = np.ones((fld.h.size, 1))
-    nan_band = jac.ab.copy()
-    nan_band[k, 5] = np.nan
     nan_rhs = b.copy()
     nan_rhs[5, 0] = np.nan
-    for ab, rhs in ((nan_band, b), (jac.ab, nan_rhs),
-                    (np.zeros_like(jac.ab), b)):
-        with pytest.raises(NewtonFailureError):
-            hs.solve_banded(ab, k, rhs)
+    jac = hs.jacobian(phys, fld)
+    with pytest.raises(NewtonFailureError, match="non-finite"):
+        hs.solve_banded(jac.lu, jac.bandwidth, nan_rhs)
+    jac.lu[:] = 0.0
+    with pytest.raises(NewtonFailureError, match="LAPACK info"):
+        hs.solve_banded(jac.lu, jac.bandwidth, b)
 
 
 def test_fourier_block_singular_at_lambda_star(t0, simple_point):
