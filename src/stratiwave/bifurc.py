@@ -70,7 +70,7 @@ class CoefficientSet:
     regular_value: bool = field(default=False)
 
     def with_flags(self):
-        nd1, nd2, regular = check_nondegeneracy(self, self.n2)
+        nd1, nd2, regular = check_nondegeneracy(self)
         return replace(self, nd1=nd1, nd2=nd2, regular_value=regular)
 
 
@@ -365,12 +365,12 @@ def _differs(x, y):
     return abs(x - y) > NONDEG_RTOL * max(abs(x), abs(y), 1e-300)
 
 
-def check_nondegeneracy(coeffs: CoefficientSet, n2: int):
+def check_nondegeneracy(coeffs: CoefficientSet):
     """(nd1, nd2, regular_value) flags at relative tolerance 1e-8."""
     t11, t22 = coeffs.theta1111, coeffs.theta2222
     t12, t21 = coeffs.theta1122, coeffs.theta2211
     p1, p2 = coeffs.psi11, coeffs.psi22
-    nd1 = n2 >= 3
+    nd1 = coeffs.n2 >= 3
     regular = _differs(t11 * p2, t21 * p1) and _differs(t22 * p1, t12 * p2)
     nd2 = (_differs(t11 * t22, 0.0) and _differs(t11 * t22, t12 * t21)
            and regular)

@@ -256,7 +256,7 @@ def cmd_dispersion(cfg: RunConfig, args):
     roots = ["n,lambda_star"]
     # each window starts where the root scan does, at the lowest admissible
     # lambda, when half the root lies below the laminar floor
-    lam_lo = spectral._first_admissible(laminar.lambda_floor(physics, grid))
+    lam_lo = laminar._first_admissible(laminar.lambda_floor(physics, grid))
     for n in range(1, 7):
         lam_n = spectral.find_lambda_star(physics, grid, n=n)
         roots.append(f"{n},{lam_n:.16e}")

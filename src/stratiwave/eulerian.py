@@ -183,13 +183,12 @@ def yih_residual(wave: EulerianWave, physics: Physics) -> float:
         ycol, spline, yy[None, :],
         intervals=_shared_grid_intervals(ycol, yy)), np.nan)
     # rows iy = 2 .. n_y - 2: interior points with full stencils, two cells
-    # clear of the bed and of the local surface
+    # clear of the bed and (depth_ok two rows up) of the local surface
     mid, below, above = slice(2, n_y - 1), slice(1, n_y - 2), slice(3, n_y)
     west, east = _q_indices(n_q)
     ok = (depth_ok[:, mid] & depth_ok[:, below] & depth_ok[:, above]
           & depth_ok[east, mid] & depth_ok[west, mid]
-          & depth_ok[:, 4:n_y + 1] & (yy[mid] >= y_lo + 2 * dy)
-          & (yy[mid] <= ycol[:, -1:] - 2 * dy))
+          & depth_ok[:, 4:n_y + 1] & (yy[mid] >= y_lo + 2 * dy))
     centre = psi[:, mid]
     e, w = psi[east, mid], psi[west, mid]
     vertical = (psi[:, above] - 2.0 * centre + psi[:, below]) / dy ** 2

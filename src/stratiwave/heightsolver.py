@@ -30,10 +30,9 @@ import numpy as np
 from scipy.linalg.lapack import dgbsv, dgbtrs
 
 from .errors import EllipticityLossError, NewtonFailureError, ShapeError
-from .laminar import (LAMBDA_CAP, LaminarFlow, _given_data, lambda_floor,
-                      solve_laminar)
+from .laminar import (LAMBDA_CAP, LaminarFlow, _given_data, _Memo,
+                      _smallest_root, lambda_floor, solve_laminar)
 from .profiles import PGrid, Physics
-from .spectral import _Memo, _smallest_root
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 40

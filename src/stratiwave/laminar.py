@@ -10,9 +10,10 @@ valid for lambda above the admissibility floor.  For constant rho the
 coupling term vanishes and a single pass is exact (G = 2B).  The module
 also computes the lambda-derivatives (Ydot, Gdot, Qdot) by their own
 integral fixed point, on a flow's first read of one, the energy
-parameter Q(lambda), and the threshold
-quantities epsilon_0, lambda_0, lambda_c, sigma_c together with the
-explicit sufficient size condition for local bifurcation.
+parameter Q(lambda), the threshold quantities epsilon_0, lambda_0,
+lambda_c (= lambda_0 for constant rho), sigma_c, the explicit sufficient
+size condition for local bifurcation, and the one lambda-root search,
+``_smallest_root``, behind lambda_0, lambda_c and both lambda_*.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import (DomainError, IterationFailureError, NoMinimumError,
                      UndefinedQuantityError)
@@ -31,8 +33,6 @@ from .profiles import (PGrid, Physics, ProfileFn, b_min, build_B,
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
-LAMBDA0_TOL = 1e-12
-ROOT_TOL = 1e-10
 LAMBDA_CAP = 1e6
 HOMOGENEOUS_FLOOR = 1e-6
 
@@ -291,90 +291,136 @@ def _lambda_derivatives(physics, lam, grid, G, homogeneous):
     return Ydot, Gdot, float(Qdot)
 
 
-def _qdot_at(physics, grid, lam):
-    return solve_laminar(physics, lam, grid, enforce_floor=False).Qdot
+class _Memo:
+    """One root search's evaluations, each lambda computed once.
+
+    ``evaluate(lam)`` returns a tuple whose first entry is the value the
+    search reads; ``seen`` keeps every tuple, so the caller takes what was
+    computed at the root (the flow, the mode) from there.  A memo lives
+    for the one search that made it: nothing is kept across calls.
+    """
+
+    def __init__(self, evaluate):
+        self.evaluate = evaluate
+        self.seen = {}
+
+    def __call__(self, lam):
+        if lam not in self.seen:
+            self.seen[lam] = self.evaluate(lam)
+        return self.seen[lam][0]
 
 
-def _expand_bracket(f, lo):
-    """Geometric expansion from lo until f changes sign; returns (a, b)."""
-    fa = f(lo)
-    if fa > 0:
+def _first_admissible(floor: float) -> float:
+    """The lowest lambda a scan evaluates: just above the laminar floor."""
+    return floor + 1e-8 * max(1.0, abs(floor))
+
+
+def _scan_samples(floor: float, cap: float) -> list:
+    """The root scan's fixed lambda samples, up to ``cap``: the first
+    admissible lambda, then each next one at twice the distance above the
+    floor, or at twice the value when that is larger."""
+    xs = [_first_admissible(floor)]
+    while True:
+        x = max(xs[-1] * 2.0, floor + 2.0 * (xs[-1] - floor))
+        if x > cap:
+            return xs
+        xs.append(x)
+
+
+def _smallest_root(f, floor: float, cap: float) -> float | None:
+    """Smallest sign change of f(lambda) above ``floor``: the laminar
+    floor, or lambda_0 for lambda_c.
+
+    f is read at ``_scan_samples`` only until the first sample whose sign
+    differs from f's at the first one is known: gallop over the sample
+    index from the first sample at floor + 1 or above, up or down, then
+    bisect.  Brent refines [that sample's predecessor, that sample].  The
+    search rests on f changing sign once on the samples, as D / scale
+    does (see ``spectral.dispersion``); then its bracket is the one a walk up every
+    sample would find.  Returns the first sample when f vanishes there,
+    and None when f keeps its sign up to ``cap``.
+    """
+    xs = _scan_samples(floor, cap)
+    f0 = f(xs[0])
+    if f0 == 0.0:
+        return xs[0]
+    last = len(xs) - 1
+    if last == 0:
         return None
-    hi = max(2.0 * abs(lo), lo + 1.0)
-    while hi <= LAMBDA_CAP:
-        if f(hi) > 0:
-            return lo, hi
-        lo = hi
-        hi *= 2.0
-    return None
 
+    def flipped(k):
+        return np.sign(f(xs[k])) != np.sign(f0)
 
-def _bisect(f, a, b, tol):
-    """Shrink the bracket [a, b] of an increasing f's sign change to
-    relative width tol; returns its midpoint."""
-    while b - a > tol * max(1.0, abs(a)):
-        mid = 0.5 * (a + b)
-        if f(mid) >= 0:
-            b = mid
+    start = max(1, next((k for k, x in enumerate(xs) if x >= floor + 1.0),
+                        last))
+    # lo is a sample index known unflipped, hi one known flipped
+    step = 1
+    if flipped(start):
+        lo, hi = start - 1, start
+        while lo > 0 and flipped(lo):
+            hi, step = lo, 2 * step
+            lo = max(hi - step, 0)
+    else:
+        lo, hi = start, min(start + 1, last)
+        while not flipped(hi):
+            if hi == last:
+                return None
+            lo, step = hi, 2 * step
+            hi = min(lo + step, last)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if flipped(mid):
+            hi = mid
         else:
-            a = mid
-    return 0.5 * (a + b)
+            lo = mid
+    return brentq(f, xs[lo], xs[hi], xtol=1e-14, rtol=8.9e-16, maxiter=200)
 
 
 def find_lambda0(physics: Physics, grid: PGrid) -> float:
-    """Unique minimizer of Q(lambda).
-
-    The bracket is expanded multiplicatively until Qdot changes sign, then
-    the minimizer is pinned by bisection on the monotone Qdot (convexity of
-    Q); a derivative-free interval search on Q itself would stall at the
-    sqrt(eps) flat-minimum floor, short of the required accuracy.
-    Raises NoMinimumError when g = 0 (Q(lambda) = lambda is monotone).
+    """Unique minimizer of Q(lambda): the root of the increasing Qdot (Q
+    is convex) above the existence floor, by ``_smallest_root``; a
+    derivative-free search on Q itself would stall at the sqrt(eps)
+    flat-minimum floor.  Raises NoMinimumError when g = 0 (Q(lambda) =
+    lambda is monotone) or Qdot keeps its sign up to the lambda cap.
     """
     if physics.g == 0:
         raise NoMinimumError("Q(lambda) = lambda has no interior minimum for g = 0")
-    floor = existence_floor(physics, grid)
-    lo = floor + 1e-6 * max(1.0, abs(floor))
 
     def qdot(lam):
-        return _qdot_at(physics, grid, lam)
+        return solve_laminar(physics, lam, grid, enforce_floor=False).Qdot
 
-    bracket = _expand_bracket(qdot, lo)
-    if bracket is None:
+    root = _smallest_root(qdot, existence_floor(physics, grid), LAMBDA_CAP)
+    if root is None:
         raise NoMinimumError("Qdot never changes sign up to the lambda cap")
-    return _bisect(qdot, *bracket, LAMBDA0_TOL)
+    return float(root)
 
 
 def find_lambda_c(physics: Physics, grid: PGrid) -> float:
     """Threshold lambda_c above which the linearized null space is simple.
 
-    Stratified rho: smallest lambda >= lambda_0 where
-    4 Ydot(p0; lambda) = 1 / (g rho(0) + g |rho_p|_inf |p0|), by bisection
-    on the decreasing map lambda -> Ydot(p0; lambda).  Constant rho: the
-    equivalent characterization int H_p^3 dp = 1 / (g rho(0)), whose root
-    coincides with lambda_0.
+    Stratified rho: smallest lambda >= lambda_0 where the decreasing
+    4 Ydot(p0; lambda) = 1 / (g rho(0) + g |rho_p|_inf |p0|), by
+    ``_smallest_root``.  Constant rho: the characterization int H_p^3 dp
+    = 1 / (g rho(0)) is Qdot = 1 - 2 g rho(0) Ydot(p0) = 0: lambda_0.
     """
     if physics.g == 0:
         raise UndefinedQuantityError("lambda_c undefined for g = 0")
     lam0 = find_lambda0(physics, grid)
     if _given_data(physics.rho, physics.beta, grid).homogeneous:
-        def fvalue(lam):
-            flow = solve_laminar(physics, lam, grid, enforce_floor=False)
-            return 1.0 / (physics.g * physics.rho0()) - quad(grid, flow.Hp ** 3)
-    else:
-        target = 1.0 / (physics.g * physics.rho0()
-                        + physics.g * physics.rho_p_sup(grid) * abs(physics.p0))
-
-        def fvalue(lam):
-            return target - 4.0 * solve_laminar(
-                physics, lam, grid, enforce_floor=False).Ydot[0]
-
-    f0 = fvalue(lam0)
-    if f0 >= 0:
         return lam0
-    bracket = _expand_bracket(fvalue, lam0)
-    if bracket is None:
+    target = 1.0 / (physics.g * physics.rho0()
+                    + physics.g * physics.rho_p_sup(grid) * abs(physics.p0))
+
+    def fvalue(lam):
+        return target - 4.0 * solve_laminar(
+            physics, lam, grid, enforce_floor=False).Ydot[0]
+
+    if fvalue(lam0) >= 0:
+        return lam0
+    root = _smallest_root(fvalue, lam0, LAMBDA_CAP)
+    if root is None:
         raise UndefinedQuantityError("lambda_c not found below the lambda cap")
-    return _bisect(fvalue, *bracket, ROOT_TOL)
+    return float(root)
 
 
 def sigma_c(physics: Physics, grid: PGrid) -> float:

@@ -27,8 +27,9 @@ from scipy.optimize import brentq
 from .errors import (IndefiniteFormError, LBViolatedError,
                      MultiplicityExceededError, RootNotFoundError,
                      SuperpositionDegenerateError)
-from .laminar import (LAMBDA_CAP, LaminarFlow, _given_data, _pchip_samples,
-                      _twoB_samples, lambda_floor, solve_laminar)
+from .laminar import (LAMBDA_CAP, LaminarFlow, _given_data, _Memo,
+                      _pchip_samples, _smallest_root, _twoB_samples,
+                      lambda_floor, solve_laminar)
 from .piecewise import _evaluate, _hermite, _pchip_slopes
 from .profiles import PGrid, Physics
 
@@ -291,25 +292,6 @@ def _relative(flow, physics, mode) -> float:
     return D / scale
 
 
-class _Memo:
-    """One root search's evaluations, each lambda computed once.
-
-    ``evaluate(lam)`` returns a tuple whose first entry is the value the
-    search reads; ``seen`` keeps every tuple, so the caller takes what was
-    computed at the root (the flow, the mode) from there.  A memo lives
-    for the one search that made it: nothing is kept across calls.
-    """
-
-    def __init__(self, evaluate):
-        self.evaluate = evaluate
-        self.seen = {}
-
-    def __call__(self, lam):
-        if lam not in self.seen:
-            self.seen[lam] = self.evaluate(lam)
-        return self.seen[lam][0]
-
-
 def _dispersion_memo(physics, grid, n):
     """lambda -> D / scale for mode n, remembering each flow with its shot
     coefficients."""
@@ -319,71 +301,6 @@ def _dispersion_memo(physics, grid, n):
         D, scale = _dispersion_at(flow, physics, n, coefficients)
         return D / scale, flow, coefficients
     return _Memo(evaluate)
-
-
-def _first_admissible(floor: float) -> float:
-    """The lowest lambda a scan evaluates: just above the laminar floor."""
-    return floor + 1e-8 * max(1.0, abs(floor))
-
-
-def _scan_samples(floor: float, cap: float) -> list:
-    """The root scan's fixed lambda samples, up to ``cap``: the first
-    admissible lambda, then each next one at twice the distance above the
-    floor, or at twice the value when that is larger."""
-    xs = [_first_admissible(floor)]
-    while True:
-        x = max(xs[-1] * 2.0, floor + 2.0 * (xs[-1] - floor))
-        if x > cap:
-            return xs
-        xs.append(x)
-
-
-def _smallest_root(f, floor: float, cap: float) -> float | None:
-    """Smallest sign change of f(lambda) above the laminar floor.
-
-    f is read at ``_scan_samples`` only until the first sample whose sign
-    differs from f's at the first one is known: gallop over the sample
-    index from the first sample at floor + 1 or above, up or down, then
-    bisect.  Brent refines [that sample's predecessor, that sample].  The
-    search rests on f changing sign once on the samples, as D / scale
-    does (see ``dispersion``); then its bracket is the one a walk up every
-    sample would find.  Returns the first sample when f vanishes there,
-    and None when f keeps its sign up to ``cap``.
-    """
-    xs = _scan_samples(floor, cap)
-    f0 = f(xs[0])
-    if f0 == 0.0:
-        return xs[0]
-    last = len(xs) - 1
-    if last == 0:
-        return None
-
-    def flipped(k):
-        return np.sign(f(xs[k])) != np.sign(f0)
-
-    start = max(1, next((k for k, x in enumerate(xs) if x >= floor + 1.0),
-                        last))
-    # lo is a sample index known unflipped, hi one known flipped
-    step = 1
-    if flipped(start):
-        lo, hi = start - 1, start
-        while lo > 0 and flipped(lo):
-            hi, step = lo, 2 * step
-            lo = max(hi - step, 0)
-    else:
-        lo, hi = start, min(start + 1, last)
-        while not flipped(hi):
-            if hi == last:
-                return None
-            lo, step = hi, 2 * step
-            hi = min(lo + step, last)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if flipped(mid):
-            hi = mid
-        else:
-            lo = mid
-    return brentq(f, xs[lo], xs[hi], xtol=1e-14, rtol=8.9e-16, maxiter=200)
 
 
 def _lambda_star(physics, grid, n):

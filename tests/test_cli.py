@@ -11,6 +11,7 @@ from stratiwave import eulerian as eu
 from stratiwave import heightsolver as hs
 from stratiwave import laminar as lm
 from stratiwave import profiles as pr
+from stratiwave import spectral as sp
 from stratiwave.errors import ShapeError
 from test_heightsolver import _v1_dump
 
@@ -667,6 +668,61 @@ def test_branch_subcommand_double_point(tmp_path, capsys):
         rows = (out / f"branch_{k}.csv").read_text().strip().splitlines()[1:]
         assert len(rows) == 3
         assert max(float(row.split(",")[9]) for row in rows) < 1e-10
+
+
+def _double_point_config(tmp_path, sigma=1.0):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["numerics"] = {"N_p": 32, "N_q": 32}
+    doc["physics"]["sigma"] = sigma
+    path = tmp_path / f"cfg_{sigma!r}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.fixture(scope="module")
+def double_point_dumps(tmp_path_factory):
+    """The eight field dumps of ``branch --n2 3 --steps 3`` (sigma = 1,
+    32^2), with the directory they were written to."""
+    tmp_path = tmp_path_factory.mktemp("double3")
+    out = tmp_path / "out"
+    code = cli.main(["branch", "--config",
+                     str(_double_point_config(tmp_path)), "--out", str(out),
+                     "--n2", "3", "--steps", "3"])
+    assert code == 0
+    dumps = sorted(out.glob("*.field"))
+    assert len(dumps) == 8
+    return tmp_path, dumps
+
+
+def _verify_codes(config, dumps, flags, capsys):
+    codes = {}
+    for dump in dumps:
+        codes[dump.name] = cli.main(["verify", "--config", str(config),
+                                     "--field", str(dump), *flags])
+        capsys.readouterr()
+    return codes
+
+
+def test_double_point_dumps_verify_at_their_sigma(double_point_dumps,
+                                                  capsys):
+    # the dumps are sound: a config at the double point's sigma passes
+    # every check on each of them
+    tmp_path, dumps = double_point_dumps
+    cfg = cli.load_config(str(_double_point_config(tmp_path)))
+    sigma_d, _ = sp.find_double_sigma(cfg.physics, cfg.grid, 3)
+    config = _double_point_config(tmp_path, sigma=sigma_d)
+    assert _verify_codes(config, dumps, [], capsys) == {
+        dump.name: 0 for dump in dumps}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1")
+def test_double_point_dumps_verify_with_n2(double_point_dumps, capsys):
+    # verify takes --n2 but checks the dump at the config's sigma
+    tmp_path, dumps = double_point_dumps
+    config = _double_point_config(tmp_path)
+    assert _verify_codes(config, dumps, ["--n2", "3"], capsys) == {
+        dump.name: 0 for dump in dumps}
 
 
 @pytest.mark.parametrize("argv", [

@@ -241,3 +241,134 @@ def test_homogeneous_solve_makes_one_pass(beta, monkeypatch):
     Hp = (3.0 + given.twoB) ** -0.5
     assert np.array_equal(flow.Hp, Hp)
     assert np.array_equal(flow.H, pr.cumquad_from_left(grid, Hp))
+
+
+# The threshold route before the shared lambda-root search, frozen as the
+# reference for it: a doubling bracket from just above the existence floor,
+# then bisection on the increasing map down to relative width 1e-12
+# (lambda_0) or 1e-10 (lambda_c).  For constant rho, lambda_c was the
+# Simpson root of int H_p^3 dp = 1 / (g rho(0)).
+_LAMBDA0_WIDTH = 1e-12
+_LAMBDA_C_WIDTH = 1e-10
+
+
+def _expand_bracket(f, lo):
+    if f(lo) > 0:
+        return None
+    hi = max(2.0 * abs(lo), lo + 1.0)
+    while hi <= lm.LAMBDA_CAP:
+        if f(hi) > 0:
+            return lo, hi
+        lo = hi
+        hi *= 2.0
+    return None
+
+
+def _bisect(f, a, b, tol):
+    while b - a > tol * max(1.0, abs(a)):
+        mid = 0.5 * (a + b)
+        if f(mid) >= 0:
+            b = mid
+        else:
+            a = mid
+    return 0.5 * (a + b)
+
+
+def _bisection_route(physics, grid):
+    """(lambda_0, lambda_c) as the bracket-and-bisect route found them."""
+    def flow(lam):
+        return lm.solve_laminar(physics, lam, grid, enforce_floor=False)
+
+    def qdot(lam):
+        return flow(lam).Qdot
+
+    floor = lm.existence_floor(physics, grid)
+    lam0 = _bisect(qdot, *_expand_bracket(
+        qdot, floor + 1e-6 * max(1.0, abs(floor))), _LAMBDA0_WIDTH)
+    if lm._given_data(physics.rho, physics.beta, grid).homogeneous:
+        def fvalue(lam):
+            return (1.0 / (physics.g * physics.rho0())
+                    - pr.quad(grid, flow(lam).Hp ** 3))
+    else:
+        target = 1.0 / (physics.g * physics.rho0() + physics.g
+                        * physics.rho_p_sup(grid) * abs(physics.p0))
+
+        def fvalue(lam):
+            return target - 4.0 * flow(lam).Ydot[0]
+
+    if fvalue(lam0) >= 0:
+        return lam0, lam0
+    return lam0, _bisect(fvalue, *_expand_bracket(fvalue, lam0),
+                         _LAMBDA_C_WIDTH)
+
+
+def _sigma_c_at(physics, grid, lam_c, monkeypatch):
+    """sigma_c with the flow taken at lam_c."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lm, "find_lambda_c", lambda physics, grid: lam_c)
+        return lm.sigma_c(physics, grid)
+
+
+_ROUTE_RHO = {"constant": pr.ProfileFn.poly((1.0,), -1.0, 0.0), **_FLOOR_RHO}
+
+
+def _route_physics(rho, beta):
+    return pr.Physics(g=1.0, c=1.0, p0=-1.0, sigma=1.0, rho=_ROUTE_RHO[rho],
+                      beta=pr.ProfileFn.poly(beta, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("beta", [(0.0,), (0.0, 0.2)])
+@pytest.mark.parametrize("rho", sorted(_ROUTE_RHO))
+def test_thresholds_match_bisection_route(rho, beta, monkeypatch):
+    physics, grid = _route_physics(rho, beta), pr.PGrid(-1.0, 64)
+    if rho == "constant" and beta != (0.0,):
+        # the Simpson and the cumulative rule differ on a varying H_p;
+        # see test_constant_rho_lambda_c_is_lambda0
+        grid = pr.PGrid(-1.0, 256)
+    old0, old_c = _bisection_route(physics, grid)
+    lam0 = lm.find_lambda0(physics, grid)
+    lam_c = lm.find_lambda_c(physics, grid)
+    assert abs(lam0 - old0) <= _LAMBDA0_WIDTH * max(1.0, abs(old0))
+    width = _LAMBDA_C_WIDTH * max(1.0, abs(old_c))
+    assert abs(lam_c - old_c) <= width
+    # sigma_c within what the bisection's last bracket leaves open
+    spread = abs(_sigma_c_at(physics, grid, old_c + width, monkeypatch)
+                 - _sigma_c_at(physics, grid, old_c - width, monkeypatch))
+    assert abs(lm.sigma_c(physics, grid)
+               - _sigma_c_at(physics, grid, old_c, monkeypatch)) <= spread
+
+
+def test_constant_rho_lambda_c_is_lambda0():
+    # lambda_c is lambda_0, the root of Qdot = 1 - 2 g rho(0) Ydot(p0),
+    # whose Ydot(p0) the fourth-order cumulative rule integrates; the old
+    # route took Simpson's root of the same integral, which differs from
+    # it at O(h^4) on a varying H_p (beta = 0.2 s here)
+    physics = _route_physics("constant", (0.0, 0.2))
+    gaps = []
+    for n_p in (64, 128):
+        grid = pr.PGrid(-1.0, n_p)
+        lam0 = lm.find_lambda0(physics, grid)
+        assert lm.find_lambda_c(physics, grid) == lam0
+        gaps.append(abs(lam0 - _bisection_route(physics, grid)[1]))
+    assert gaps[0] < 1e-8
+    assert np.log2(gaps[0] / gaps[1]) >= 3.5
+
+
+@pytest.mark.parametrize("rho_coeffs, n_p", [((1.0,), 128),
+                                             ((1.0, -0.1), 64)])
+def test_threshold_searches_count_solves(rho_coeffs, n_p, monkeypatch):
+    # the bracket-and-bisect route took 42 laminar solves for lambda_0 and
+    # 78 for the stratified lambda_c
+    physics, grid = make_physics(rho_coeffs=rho_coeffs), pr.PGrid(-1.0, n_p)
+    calls, solve = [], lm.solve_laminar
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lm, "solve_laminar", counted)
+    lm.find_lambda0(physics, grid)
+    assert len(calls) <= 16
+    calls.clear()
+    lm.find_lambda_c(physics, grid)
+    assert len(calls) <= 30
