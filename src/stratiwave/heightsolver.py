@@ -30,8 +30,8 @@ import numpy as np
 from scipy.linalg.lapack import dgbsv, dgbtrs
 
 from .errors import EllipticityLossError, NewtonFailureError, ShapeError
-from .laminar import (LAMBDA_CAP, LaminarFlow, _given_data, _Memo,
-                      _smallest_root, lambda_floor, solve_laminar)
+from .laminar import (LAMBDA_CAP, LaminarFlow, _given_data, _smallest_root,
+                      lambda_floor, solve_laminar)
 from .profiles import PGrid, Physics
 
 NEWTON_TOL = 1e-10
@@ -147,11 +147,12 @@ def residual(physics: Physics, hf: HeightField):
     beta = given.beta[None, :]
     g = physics.g
     d = hf.depth()
+    hp3 = hp ** 3
     R = np.empty_like(hf.h)
     R[:, 1:-1] = ((1.0 + hq ** 2) * hpp + hqq * hp ** 2
                   - 2.0 * hq * hp * hpq
-                  - g * (hf.h - d) * rho_p * hp ** 3
-                  + hp ** 3 * beta)[:, 1:-1]
+                  - g * (hf.h - d) * rho_p * hp3
+                  + hp3 * beta)[:, 1:-1]
     R[:, 0] = hf.h[:, 0]
     slope, kappa = _surface(hq, hqq)
     R[:, -1] = (slope
@@ -300,6 +301,7 @@ def _stencil(physics: Physics, hf: HeightField):
     hq_i, hp_i, hqq_i = hq[:, inner], hp[:, inner], hqq[:, inner]
     hpp_i, hpq_i = hpp[:, inner], hpq[:, inner]
     rho_p_i, beta_i = rho_p[inner], beta[inner]
+    hp3_i = hp_i ** 3
     c_pp = 1.0 + hq_i ** 2
     c_qq = hp_i ** 2
     c_q = 2.0 * hq_i * hpp_i - 2.0 * hp_i * hpq_i
@@ -308,7 +310,7 @@ def _stencil(physics: Physics, hf: HeightField):
            - 3.0 * g * (hf.h[:, inner] - d) * rho_p_i * hp_i ** 2
            + 3.0 * hp_i ** 2 * beta_i)
     c_pq = -2.0 * hq_i * hp_i
-    c_0 = -g * rho_p_i * hp_i ** 3
+    c_0 = -g * rho_p_i * hp3_i
     pp, qq = c_pp / dp ** 2, c_qq / dq ** 2
     q1, p1 = c_q / (2.0 * dq), c_p / (2.0 * dp)
     pq = c_pq / (4.0 * dq * dp)
@@ -339,7 +341,7 @@ def _stencil(physics: Physics, hf: HeightField):
                 (np.arange(1, N_p), interior), (np.array([N_p]), top)]
     # rank-one depth coupling: interior rows react to d(h) = w . h_top
     u = np.zeros_like(hf.h)
-    u[:, inner] = g * rho_p_i * hp_i ** 3
+    u[:, inner] = g * rho_p_i * hp3_i
     q_col = np.zeros_like(hf.h)
     q_col[:, -1:] = -hp_t ** 2
     return families, u, q_col
@@ -574,16 +576,16 @@ def fourier_block_dispersion(physics: Physics, flow: LaminarFlow, n: int,
 
 def discrete_lambda_star(physics: Physics, grid: PGrid, N_q: int,
                          n: int = 1) -> float:
-    """Smallest zero of the block determinant for mode n."""
+    """Smallest zero of the block determinant for mode n, by
+    ``laminar._smallest_root``: one solve and determinant per lambda."""
     def evaluate(lam):
         flow = solve_laminar(physics, lam, grid)
         return (fourier_block_dispersion(physics, flow, n, N_q),)
 
-    root = _smallest_root(_Memo(evaluate), lambda_floor(physics, grid),
-                          LAMBDA_CAP)
-    if root is None:
+    found = _smallest_root(evaluate, lambda_floor(physics, grid), LAMBDA_CAP)
+    if found is None:
         raise NewtonFailureError("no discrete dispersion sign change")
-    return float(root)
+    return float(found[0])
 
 
 # --- continuation ---------------------------------------------------------

@@ -8,12 +8,13 @@ on the implicit pair
 
 valid for lambda above the admissibility floor.  For constant rho the
 coupling term vanishes and a single pass is exact (G = 2B).  The module
-also computes the lambda-derivatives (Ydot, Gdot, Qdot) by their own
-integral fixed point, on a flow's first read of one, the energy
-parameter Q(lambda), the threshold quantities epsilon_0, lambda_0,
+also computes the lambda-derivatives (Ydot, Gdot, Qdot) by their integral
+fixed point on the same Picard driver, on a flow's first read of one, the
+energy parameter Q(lambda), the threshold quantities epsilon_0, lambda_0,
 lambda_c (= lambda_0 for constant rho), sigma_c, the explicit sufficient
 size condition for local bifurcation, and the one lambda-root search,
-``_smallest_root``, behind lambda_0, lambda_c and both lambda_*.
+``_smallest_root``, behind lambda_0, lambda_c and both lambda_*, which
+evaluates each lambda once and hands back what it computed at the root.
 """
 
 from __future__ import annotations
@@ -80,11 +81,8 @@ class LaminarFlow:
     physics: Physics | None = field(default=None, repr=False, compare=False)
 
     def _derive(self):
-        physics = self.physics
-        homogeneous = _given_data(physics.rho, physics.beta,
-                                  self.grid).homogeneous
-        derived = _lambda_derivatives(physics, self.lam, self.grid, self.G,
-                                      homogeneous)
+        derived = _lambda_derivatives(self.physics, self.lam, self.grid,
+                                      self.G)
         for name, value in zip(("_Ydot", "_Gdot", "_Qdot"), derived):
             self.__dict__[name] = value
 
@@ -227,87 +225,64 @@ def solve_laminar(physics: Physics, lam: float, grid: PGrid,
         raise DomainError(
             f"lambda={lam} not above the admissible floor {floor}")
     given = _given_data(physics.rho, physics.beta, grid)
-    twoB, rho_p, homogeneous = given.twoB, given.rho_p, given.homogeneous
-    g = physics.g
+    twoB, rho_p, g = given.twoB, given.rho_p, physics.g
 
-    G = twoB.copy()
-    H = np.zeros_like(twoB)
-    iterations = 0
-    converged = False
-    for iterations in range(1, DEFAULT_MAX_ITER + 1):
+    def heights(G, iterations):             # (H_p, H) of the pass with G
         arg = lam + G
         if np.any(arg <= 0):
             raise IterationFailureError(
                 "lambda + G became nonpositive during iteration",
                 residual=float(np.min(arg)), iterations=iterations)
         Hp = arg ** -0.5
-        H = cumquad_from_left(grid, Hp)
-        if homogeneous:
-            converged = True
-            break
-        G_new = twoB + 2.0 * g * cumquad_to_zero(grid, (H - H[-1]) * rho_p)
-        diff = float(np.max(np.abs(G_new - G)))
-        G = G_new
-        if diff < DEFAULT_TOL:
-            converged = True
-            break
-    if not converged:
-        raise IterationFailureError(
-            "laminar fixed point did not converge in "
-            f"{DEFAULT_MAX_ITER} iterations",
-            residual=diff, iterations=iterations)
+        return Hp, cumquad_from_left(grid, Hp)
 
-    if not homogeneous:             # the last pass changed G
-        Hp = (lam + G) ** -0.5
-        H = cumquad_from_left(grid, Hp)
+    def step(G, iterations):
+        H = heights(G, iterations)[1]
+        return twoB + 2.0 * g * cumquad_to_zero(grid, (H - H[-1]) * rho_p)
+
+    G, iterations = twoB.copy(), 1
+    if not given.homogeneous:
+        G, iterations = _fixed_point(
+            step, G, "laminar fixed point did not converge in "
+            f"{DEFAULT_MAX_ITER} iterations")
+    Hp, H = heights(G, iterations)
     Q = lam + 2.0 * g * physics.rho0() * H[-1]
     return LaminarFlow(lam=lam, grid=grid, H=H, Hp=Hp, G=G, Q=Q,
                        iterations=iterations, converged=True,
                        physics=physics)
 
 
-def _lambda_derivatives(physics, lam, grid, G, homogeneous):
+def _fixed_point(step, x, failure: str):
+    """(x, k): Picard passes x <- step(x, k), k = 1, 2, ..., until the
+    sup-norm increment drops under DEFAULT_TOL, in DEFAULT_MAX_ITER passes
+    or IterationFailureError(failure)."""
+    for k in range(1, DEFAULT_MAX_ITER + 1):
+        x_new = step(x, k)
+        diff = float(np.max(np.abs(x_new - x)))
+        x = x_new
+        if diff < DEFAULT_TOL:
+            return x, k
+    raise IterationFailureError(failure, residual=diff, iterations=k)
+
+
+def _lambda_derivatives(physics, lam, grid, G):
     """(Ydot, Gdot, Qdot) of the flow with this G, by their integral
     fixed point; ``LaminarFlow`` runs it on the first read of one."""
-    rho_p = _given_data(physics.rho, physics.beta, grid).rho_p
-    g = physics.g
+    given = _given_data(physics.rho, physics.beta, grid)
+    g, rho_p = physics.g, given.rho_p
     base = (lam + G) ** -1.5
+
+    def ydot(Gdot):
+        return 0.5 * cumquad_to_zero(grid, (1.0 + Gdot) * base)
+
     Gdot = np.zeros_like(G)
-    Ydot = 0.5 * cumquad_to_zero(grid, base)
-    if not homogeneous:
-        for _ in range(DEFAULT_MAX_ITER):
-            Ydot = 0.5 * cumquad_to_zero(grid, (1.0 + Gdot) * base)
-            Gdot_new = 2.0 * g * cumquad_to_zero(grid, Ydot * rho_p)
-            diff = float(np.max(np.abs(Gdot_new - Gdot)))
-            Gdot = Gdot_new
-            if diff < DEFAULT_TOL:
-                break
-        else:
-            raise IterationFailureError(
-                "lambda-derivative fixed point did not converge",
-                residual=diff, iterations=DEFAULT_MAX_ITER)
-        Ydot = 0.5 * cumquad_to_zero(grid, (1.0 + Gdot) * base)
+    if not given.homogeneous:
+        Gdot, _ = _fixed_point(
+            lambda x, _: 2.0 * g * cumquad_to_zero(grid, ydot(x) * rho_p),
+            Gdot, "lambda-derivative fixed point did not converge")
+    Ydot = ydot(Gdot)
     Qdot = 1.0 - 2.0 * g * physics.rho0() * Ydot[0]
     return Ydot, Gdot, float(Qdot)
-
-
-class _Memo:
-    """One root search's evaluations, each lambda computed once.
-
-    ``evaluate(lam)`` returns a tuple whose first entry is the value the
-    search reads; ``seen`` keeps every tuple, so the caller takes what was
-    computed at the root (the flow, the mode) from there.  A memo lives
-    for the one search that made it: nothing is kept across calls.
-    """
-
-    def __init__(self, evaluate):
-        self.evaluate = evaluate
-        self.seen = {}
-
-    def __call__(self, lam):
-        if lam not in self.seen:
-            self.seen[lam] = self.evaluate(lam)
-        return self.seen[lam][0]
 
 
 def _first_admissible(floor: float) -> float:
@@ -327,23 +302,33 @@ def _scan_samples(floor: float, cap: float) -> list:
         xs.append(x)
 
 
-def _smallest_root(f, floor: float, cap: float) -> float | None:
+def _smallest_root(evaluate, floor: float, cap: float):
     """Smallest sign change of f(lambda) above ``floor``: the laminar
     floor, or lambda_0 for lambda_c.
 
-    f is read at ``_scan_samples`` only until the first sample whose sign
-    differs from f's at the first one is known: gallop over the sample
-    index from the first sample at floor + 1 or above, up or down, then
-    bisect.  Brent refines [that sample's predecessor, that sample].  The
-    search rests on f changing sign once on the samples, as D / scale
-    does (see ``spectral.dispersion``); then its bracket is the one a walk up every
-    sample would find.  Returns the first sample when f vanishes there,
-    and None when f keeps its sign up to ``cap``.
-    """
+    ``evaluate(lam)``, called at most once per lambda, returns a tuple led
+    by f(lam) and then what the caller needs at the root (the flow, the
+    shot coefficients).  f is read at ``_scan_samples`` only until the
+    first sample whose sign differs from f's at the first one is known:
+    gallop over the sample index from the first sample at floor + 1 or
+    above, up or down, then bisect.  Brent refines [that sample's
+    predecessor, that sample].  The search rests on f changing sign once
+    on the samples, as D / scale does (see ``spectral.dispersion``); then
+    its bracket is the one a walk up every sample would find.  Returns
+    (root, the tuple evaluated there), the first sample being the root
+    when f vanishes there, or None when f keeps its sign up to ``cap``;
+    no other evaluation outlives the call."""
+    seen = {}
+
+    def f(lam):
+        if lam not in seen:
+            seen[lam] = evaluate(lam)
+        return seen[lam][0]
+
     xs = _scan_samples(floor, cap)
     f0 = f(xs[0])
     if f0 == 0.0:
-        return xs[0]
+        return xs[0], seen[xs[0]]
     last = len(xs) - 1
     if last == 0:
         return None
@@ -373,26 +358,45 @@ def _smallest_root(f, floor: float, cap: float) -> float | None:
             hi = mid
         else:
             lo = mid
-    return brentq(f, xs[lo], xs[hi], xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    root = brentq(f, xs[lo], xs[hi], xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    record = seen.pop(root)
+    # brentq's wrapper of f sits in a reference cycle until the next
+    # garbage collection; drop the other evaluations now
+    seen.clear()
+    return root, record
+
+
+def _flow_root(physics, grid, value, floor, failure):
+    """(root, flow there) of ``_smallest_root`` on value(flow) over flows
+    solved to the existence floor; ``failure`` when there is no root."""
+    def evaluate(lam):
+        flow = solve_laminar(physics, lam, grid, enforce_floor=False)
+        return value(flow), flow
+
+    found = _smallest_root(evaluate, floor, LAMBDA_CAP)
+    if found is None:
+        raise failure
+    return float(found[0]), found[1][1]
+
+
+def _lambda0(physics, grid):
+    """(lambda_0, the flow there) of ``find_lambda0``."""
+    if physics.g == 0:
+        raise NoMinimumError(
+            "Q(lambda) = lambda has no interior minimum for g = 0")
+    return _flow_root(physics, grid, lambda flow: flow.Qdot,
+                      existence_floor(physics, grid), NoMinimumError(
+                          "Qdot never changes sign up to the lambda cap"))
 
 
 def find_lambda0(physics: Physics, grid: PGrid) -> float:
     """Unique minimizer of Q(lambda): the root of the increasing Qdot (Q
-    is convex) above the existence floor, by ``_smallest_root``; a
-    derivative-free search on Q itself would stall at the sqrt(eps)
-    flat-minimum floor.  Raises NoMinimumError when g = 0 (Q(lambda) =
-    lambda is monotone) or Qdot keeps its sign up to the lambda cap.
-    """
-    if physics.g == 0:
-        raise NoMinimumError("Q(lambda) = lambda has no interior minimum for g = 0")
-
-    def qdot(lam):
-        return solve_laminar(physics, lam, grid, enforce_floor=False).Qdot
-
-    root = _smallest_root(qdot, existence_floor(physics, grid), LAMBDA_CAP)
-    if root is None:
-        raise NoMinimumError("Qdot never changes sign up to the lambda cap")
-    return float(root)
+    is convex) above the existence floor, by ``_smallest_root`` with one
+    laminar solve per lambda; a derivative-free search on Q itself would
+    stall at the sqrt(eps) flat-minimum floor.  Raises NoMinimumError
+    when g = 0 (Q = lambda is monotone) or Qdot keeps its sign up to the
+    lambda cap."""
+    return _lambda0(physics, grid)[0]
 
 
 def find_lambda_c(physics: Physics, grid: PGrid) -> float:
@@ -400,27 +404,25 @@ def find_lambda_c(physics: Physics, grid: PGrid) -> float:
 
     Stratified rho: smallest lambda >= lambda_0 where the decreasing
     4 Ydot(p0; lambda) = 1 / (g rho(0) + g |rho_p|_inf |p0|), by
-    ``_smallest_root``.  Constant rho: the characterization int H_p^3 dp
-    = 1 / (g rho(0)) is Qdot = 1 - 2 g rho(0) Ydot(p0) = 0: lambda_0.
+    ``_smallest_root`` above lambda_0, read at lambda_0 itself off the
+    flow the lambda_0 search solved there: one laminar solve per lambda.
+    Constant rho: the characterization int H_p^3 dp = 1 / (g rho(0)) is
+    Qdot = 1 - 2 g rho(0) Ydot(p0) = 0: lambda_0.
     """
     if physics.g == 0:
         raise UndefinedQuantityError("lambda_c undefined for g = 0")
-    lam0 = find_lambda0(physics, grid)
-    if _given_data(physics.rho, physics.beta, grid).homogeneous:
-        return lam0
+    lam0, flow0 = _lambda0(physics, grid)
     target = 1.0 / (physics.g * physics.rho0()
                     + physics.g * physics.rho_p_sup(grid) * abs(physics.p0))
 
-    def fvalue(lam):
-        return target - 4.0 * solve_laminar(
-            physics, lam, grid, enforce_floor=False).Ydot[0]
+    def fvalue(flow):
+        return target - 4.0 * flow.Ydot[0]
 
-    if fvalue(lam0) >= 0:
+    if (_given_data(physics.rho, physics.beta, grid).homogeneous
+            or fvalue(flow0) >= 0):
         return lam0
-    root = _smallest_root(fvalue, lam0, LAMBDA_CAP)
-    if root is None:
-        raise UndefinedQuantityError("lambda_c not found below the lambda cap")
-    return float(root)
+    return _flow_root(physics, grid, fvalue, lam0, UndefinedQuantityError(
+        "lambda_c not found below the lambda cap"))[0]
 
 
 def sigma_c(physics: Physics, grid: PGrid) -> float:

@@ -27,9 +27,9 @@ from scipy.optimize import brentq
 from .errors import (IndefiniteFormError, LBViolatedError,
                      MultiplicityExceededError, RootNotFoundError,
                      SuperpositionDegenerateError)
-from .laminar import (LAMBDA_CAP, LaminarFlow, _given_data, _Memo,
-                      _pchip_samples, _smallest_root, _twoB_samples,
-                      lambda_floor, solve_laminar)
+from .laminar import (LAMBDA_CAP, LaminarFlow, _given_data, _pchip_samples,
+                      _smallest_root, _twoB_samples, lambda_floor,
+                      solve_laminar)
 from .piecewise import _evaluate, _hermite, _pchip_slopes
 from .profiles import PGrid, Physics
 
@@ -292,33 +292,24 @@ def _relative(flow, physics, mode) -> float:
     return D / scale
 
 
-def _dispersion_memo(physics, grid, n):
-    """lambda -> D / scale for mode n, remembering each flow with its shot
-    coefficients."""
+def _lambda_star(physics, grid, n):
+    """(lambda_*, flow, coefficients) of ``find_lambda_star``: the root
+    with the laminar flow and the shot coefficients its search computed
+    there, one solve and one shot per lambda it reads."""
     def evaluate(lam):
         flow = solve_laminar(physics, lam, grid)
         coefficients = shot_coefficients(flow, physics)
         D, scale = _dispersion_at(flow, physics, n, coefficients)
         return D / scale, flow, coefficients
-    return _Memo(evaluate)
 
-
-def _lambda_star(physics, grid, n):
-    """(lambda_*, flow, coefficients) of ``find_lambda_star``: the root
-    with the laminar flow and the shot coefficients its search computed
-    there."""
-    f = _dispersion_memo(physics, grid, n)
-    root = _smallest_root(f, lambda_floor(physics, grid), LAMBDA_CAP)
-    if root is None:
+    found = _smallest_root(evaluate, lambda_floor(physics, grid), LAMBDA_CAP)
+    if found is None:
         raise LBViolatedError(
             f"no dispersion sign change for n={n} up to lambda={LAMBDA_CAP}")
-    if abs(f(root)) > DISPERSION_RTOL:
+    root, (relative, flow, coefficients) = found
+    if abs(relative) > DISPERSION_RTOL:
         raise RootNotFoundError(
             f"dispersion root for n={n} not resolved to tolerance")
-    _, flow, coefficients = f.seen[root]
-    # brentq's wrapper of f sits in a reference cycle until the next
-    # garbage collection; drop the other flows and samples now
-    f.seen.clear()
     return float(root), flow, coefficients
 
 
@@ -326,8 +317,9 @@ def find_lambda_star(physics: Physics, grid: PGrid, n: int = 1) -> float:
     """Smallest dispersion root for mode n (default n = 1).
 
     Sign-change search over the fixed samples above the floor followed by
-    Brent (``_smallest_root``), with the |D| <= 1e-10 * scale stopping
-    rule.  Raises LBViolatedError when no sign change exists below the
+    Brent (``_smallest_root``, which evaluates each lambda once), with the
+    |D| <= 1e-10 * scale stopping rule read off the evaluation at the
+    root.  Raises LBViolatedError when no sign change exists below the
     cap.
     """
     return _lambda_star(physics, grid, n)[0]

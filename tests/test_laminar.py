@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -372,3 +375,71 @@ def test_threshold_searches_count_solves(rho_coeffs, n_p, monkeypatch):
     calls.clear()
     lm.find_lambda_c(physics, grid)
     assert len(calls) <= 30
+
+
+# (lambda_0, lambda_c, sigma_c) as float.hex before the search kept its own
+# evaluations, with the solves each search made then (13 and 26 for the
+# stratified lambda_c, which solved lambda_0 again)
+_THRESHOLDS = {
+    "constant-128": (((1.0,), 128), 11, 11,
+                     ("0x1.0000000000007p+0", "0x1.0000000000007p+0",
+                      "0x1.555555555554dp-2")),
+    "linear-64": (((1.0, -0.1), 64), 11, 21,
+                  ("0x1.e9799d4e96d01p-1", "0x1.a8533378683dbp+0",
+                   "0x1.4f88a05a5ea3ap-4")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_THRESHOLDS))
+def test_threshold_searches_solve_each_lambda_once(case, monkeypatch):
+    (rho_coeffs, n_p), solves0, solves_c, expected = _THRESHOLDS[case]
+    physics, grid = make_physics(rho_coeffs=rho_coeffs), pr.PGrid(-1.0, n_p)
+    lams, solve = [], lm.solve_laminar
+
+    def counted(physics, lam, *args, **kwargs):
+        lams.append(lam)
+        return solve(physics, lam, *args, **kwargs)
+
+    monkeypatch.setattr(lm, "solve_laminar", counted)
+    lam0 = lm.find_lambda0(physics, grid)
+    assert len(lams) == len(set(lams)) == solves0
+    lams.clear()
+    lam_c = lm.find_lambda_c(physics, grid)
+    assert len(lams) == len(set(lams)) == solves_c
+    monkeypatch.undo()
+    got = (lam0, lam_c, lm.sigma_c(physics, grid))
+    assert tuple(float.fromhex(x) for x in expected) == got
+
+
+class _Payload:
+    """What a search's evaluation carries besides f: weakly referenceable."""
+
+
+@pytest.mark.parametrize("root, evaluations", [
+    (0.3, 6), (lm._first_admissible(1e-6), 1), (5e6, 7)],
+    ids=["brent", "first-sample", "no-root"])
+def test_smallest_root_keeps_only_the_root_evaluation(root, evaluations):
+    # brentq's wrapper of f sits in a reference cycle; with the collector
+    # off, whatever the search still holds after it returns stays alive
+    lams, refs = [], []
+
+    def evaluate(lam):
+        payload = _Payload()
+        lams.append(lam)
+        refs.append(weakref.ref(payload))
+        return lam - root, payload
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        found = lm._smallest_root(evaluate, 1e-6, lm.LAMBDA_CAP)
+        alive = [ref() for ref in refs if ref() is not None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(set(lams)) == len(lams) == evaluations
+    if root > lm.LAMBDA_CAP:                # no sign change: nothing kept
+        assert found is None and alive == []
+    else:
+        assert found[1][0] == found[0] - root
+        assert alive == [found[1][1]]

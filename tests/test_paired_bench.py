@@ -83,3 +83,17 @@ def test_file_without_commits_is_refused(bench):
     path.write_text(json.dumps({"seeds": [1], "seconds": 25,
                                 "parent": [], "change": []}))
     assert run("--pairs", "1", "--seed", "9") == 2
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_checkout_without_commit_is_named(bench, capsys, side):
+    # a git archive copy has no HEAD: the refusal says which side, not
+    # "stored commits X are not X"
+    run, path, commits, parent = bench
+    commits[parent if side == "parent" else path.parent] = None
+    assert run("--pairs", "1", "--seed", "1") == 0
+    before = path.read_text()
+    capsys.readouterr()
+    assert run("--pairs", "1", "--seed", "9") == 2
+    assert path.read_text() == before
+    assert f"no git commit for the {side} checkout" in capsys.readouterr().err

@@ -459,24 +459,25 @@ def _one_sign_change(root, sign, shape):
 def test_smallest_root_matches_linear_scan(floor, offset, sign, shape):
     # the root anywhere from the floor up to the cap, and past it
     f = _one_sign_change(floor + offset, sign, shape)
-    got = lm._smallest_root(f, floor, lm.LAMBDA_CAP)
-    assert got == _smallest_root_scan(f, floor, lm.LAMBDA_CAP)
+    got = lm._smallest_root(lambda x: (f(x),), floor, lm.LAMBDA_CAP)
+    ref = _smallest_root_scan(f, floor, lm.LAMBDA_CAP)
+    assert got == (None if ref is None else (ref, (f(ref),)))
 
 
 def test_smallest_root_without_sign_change_is_none():
     for floor in (-2.0, 1e-6, 4.0):
         for value in (-1.0, 1.0):
-            assert lm._smallest_root(lambda x: value, floor,
+            assert lm._smallest_root(lambda x: (value,), floor,
                                      lm.LAMBDA_CAP) is None
     # a flip past the cap is no flip
-    assert lm._smallest_root(lambda x: x - 2.0, 0.2, 1.0) is None
+    assert lm._smallest_root(lambda x: (x - 2.0,), 0.2, 1.0) is None
 
 
 def test_smallest_root_zero_at_the_first_sample():
     for floor in (-2.0, 1e-6, 4.0):
         x0 = lm._first_admissible(floor)
-        assert lm._smallest_root(lambda x: x - x0, floor,
-                                 lm.LAMBDA_CAP) == x0
+        assert lm._smallest_root(lambda x: (x - x0,), floor,
+                                 lm.LAMBDA_CAP) == (x0, (0.0,))
 
 
 def test_find_lambda_star_without_sign_change_raises(grid64):

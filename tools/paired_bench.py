@@ -18,9 +18,11 @@ When that file already exists, the new pairs are appended to its pairs
 and the summary is recomputed over all of them.  That needs the same two
 commits, the same run length and no seed run before; otherwise nothing
 runs and the exit code is 2 (move the file aside to start afresh).  A
-checkout with uncommitted edits is recorded as its HEAD marked
-``-dirty``, which does not tell one set of edits from another: keep one
-working tree per file.  Needs only the standard library.
+checkout outside git, such as a ``git archive`` copy, has no commit, so
+its pairs are never appended to.  A checkout with uncommitted edits is
+recorded as its HEAD marked ``-dirty``, which does not tell one set of
+edits from another: keep one working tree per file.  Needs only the
+standard library.
 """
 
 import argparse
@@ -65,7 +67,11 @@ def merge_refusal(stored, report):
     """Why the pairs of ``report`` may not join those of ``stored``, or
     None when they may."""
     commits = report["commits"]
-    if None in commits.values() or stored.get("commits") != commits:
+    missing = [side for side, commit in commits.items() if commit is None]
+    if missing:
+        return (f"no git commit for the {' and '.join(missing)} checkout, "
+                "so its runs cannot be told from another tree's")
+    if stored.get("commits") != commits:
         return (f"stored commits {stored.get('commits')} are not "
                 f"{commits}")
     if stored.get("seconds") != report["seconds"]:
