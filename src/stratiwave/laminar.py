@@ -9,7 +9,7 @@ on the implicit pair
 valid for lambda above the admissibility floor.  For constant rho the
 coupling term vanishes and a single pass is exact (G = 2B).  The module
 also computes the lambda-derivatives (Ydot, Gdot, Qdot) by their integral
-fixed point on the same Picard driver, on a flow's first read of one, the
+fixed point on the same Picard loop, on a flow's first read of one, the
 energy parameter Q(lambda), the threshold quantities epsilon_0, lambda_0,
 lambda_c (= lambda_0 for constant rho), sigma_c, the explicit sufficient
 size condition for local bifurcation, and the one lambda-root search,
