@@ -6,7 +6,7 @@ the periodic CubicSpline, PPoly evaluation and ``PPoly.derivative``)
 written for whole arrays, so the interpolated values round as the scipy
 objects built per row do.  ``eulerian`` runs them on every column of a
 wave and on its surface, ``spectral`` and ``laminar`` on the one row of a
-laminar flow's G.
+laminar flow's G, ``profiles`` on that of a table profile or of B's beta.
 
 Evaluation needs each point's interval.  ``_locate`` searches for it row
 by row; points that are grids find it with one search for all rows
@@ -130,9 +130,12 @@ def _pchip_end(h0, h1, m0, m1):
 
 def _pchip_slopes(x, y):
     """Monotone (Fritsch-Butland) node slopes: weighted harmonic means of
-    the neighbouring secants, zero at a local extremum."""
+    the neighbouring secants, zero at a local extremum.  Two knots take
+    the secant at both, scipy's straight line."""
     h = np.diff(x, axis=1)
     m = np.diff(y, axis=1) / h
+    if x.shape[1] == 2:
+        return np.repeat(m, 2, axis=1)
     sm = np.sign(m)
     flat = (sm[:, 1:] != sm[:, :-1]) | (m[:, 1:] == 0) | (m[:, :-1] == 0)
     w1 = 2 * h[:, 1:] + h[:, :-1]

@@ -9,9 +9,10 @@ functions drive the whole problem:
              enters the height equation it is evaluated as beta(-p).
 
 Profiles are either polynomials (coefficients in ascending powers) or
-sampled tables interpolated by a monotone cubic rule (PCHIP), so that a
-monotone rho stays monotone.  B(p) = int_0^p beta(-s) ds is returned as a
-table profile on the grid; for polynomial beta the antiderivative is exact.
+sampled tables interpolated by ``piecewise``'s monotone cubic (PCHIP), so
+that a monotone rho stays monotone.  B(p) = int_0^p beta(-s) ds is a table
+profile on the grid: exact for polynomial beta, else the exact integral of
+the PCHIP through beta(-p) on the grid.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
+from .piecewise import _evaluate, _hermite, _pchip_slopes
 
 _DOMAIN_SLACK = 1e-12
 
@@ -32,9 +33,9 @@ class ProfileFn:
     """A scalar function on a closed interval, polynomial or tabulated.
 
     kind = "poly":  ``coeffs`` in ascending powers; domain (lo, hi).
-    kind = "table": strictly increasing ``nodes`` covering [lo, hi] with
-    ``values``; evaluation by monotone cubic (PCHIP) interpolation, so the
-    derivative exists everywhere (one-sided at the endpoints).
+    kind = "table": strictly increasing ``nodes`` from lo to hi (within the
+    evaluation slack) with ``values``; monotone cubic (PCHIP) interpolation,
+    so the derivative exists everywhere (one-sided at the endpoints).
     """
 
     kind: str
@@ -43,7 +44,7 @@ class ProfileFn:
     coeffs: tuple = ()
     nodes: tuple = ()
     values: tuple = ()
-    _interp: object = field(default=None, repr=False, compare=False)
+    _pchip: tuple = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def poly(coeffs, lo, hi) -> "ProfileFn":
@@ -62,12 +63,13 @@ class ProfileFn:
             raise DomainError("table nodes must be strictly increasing")
         lo = float(nodes[0]) if lo is None else float(lo)
         hi = float(nodes[-1]) if hi is None else float(hi)
-        if not (np.isclose(nodes[0], lo) and np.isclose(nodes[-1], hi)):
+        slack = _DOMAIN_SLACK * max(1.0, abs(lo), abs(hi))
+        if abs(nodes[0] - lo) > slack or abs(nodes[-1] - hi) > slack:
             raise DomainError("table nodes must cover the domain endpoints")
-        interp = PchipInterpolator(nodes, values, extrapolate=True)
+        x, y = nodes[None, :], values[None, :]
         return ProfileFn(kind="table", lo=lo, hi=hi,
                          nodes=tuple(nodes), values=tuple(values),
-                         _interp=interp)
+                         _pchip=(x, _hermite(x, y, _pchip_slopes(x, y))))
 
     def _check_domain(self, p):
         p = np.asarray(p, dtype=float)
@@ -83,7 +85,8 @@ class ProfileFn:
         if self.kind == "poly":
             out = np.polynomial.polynomial.polyval(p, np.asarray(self.coeffs))
         else:
-            out = self._interp(p)
+            out = _evaluate(*self._pchip, np.reshape(p, (1, -1))).reshape(
+                np.shape(p))
         return float(out) if np.ndim(out) == 0 else out
 
     def deriv(self, p):
@@ -93,7 +96,8 @@ class ProfileFn:
             dc = np.polynomial.polynomial.polyder(np.asarray(self.coeffs))
             out = np.polynomial.polynomial.polyval(p, dc) if dc.size else np.zeros_like(p)
         else:
-            out = self._interp.derivative()(p)
+            out = _evaluate(*self._pchip, np.reshape(p, (1, -1)),
+                            derivative=True).reshape(np.shape(p))
         return float(out) if np.ndim(out) == 0 else out
 
 
@@ -245,7 +249,7 @@ def build_B(beta: ProfileFn, grid: PGrid) -> ProfileFn:
 
     B(0) = 0 and B'(p) = beta(-p).  The integral of the profile
     representation is taken exactly (polynomial antiderivative, or the
-    PCHIP piecewise-cubic antiderivative for tables).
+    antiderivative of the PCHIP of beta(-p) on the grid for tables).
     """
     p = grid.nodes
     if beta.kind == "poly":
@@ -255,17 +259,20 @@ def build_B(beta: ProfileFn, grid: PGrid) -> ProfileFn:
         ic = np.polynomial.polynomial.polyint(flip)
         vals = np.polynomial.polynomial.polyval(p, ic)
     else:
-        flipped = beta.eval(-p)                     # beta(-p) on the grid
-        anti = PchipInterpolator(p, flipped, extrapolate=True).antiderivative()
-        vals = anti(p) - anti(0.0)
+        # scipy's PPoly.antiderivative of beta(-p)'s PCHIP: piece i adds
+        # c3 s, c2/2 s^2, c1/3 s^3, c0/4 s^4 (s^k a running product) in
+        # this order to piece i - 1's end value: one cumsum over the terms
+        x, y = p[None, :], beta.eval(-p)[None, :]
+        c = np.array(_hermite(x, y, _pchip_slopes(x, y)))[::-1, 0, :-1].T
+        s = np.repeat(np.diff(p)[:, None], 4, axis=1)
+        terms = c / np.arange(1.0, 5.0) * np.cumprod(s, axis=1)
+        anti = np.cumsum(np.append(0.0, terms))[::4]
+        vals = anti - anti[-1]
     return ProfileFn.table(p, vals)
 
 
 def b_min(B: ProfileFn) -> float:
-    """Minimum of B over its domain, on an 8-fold refined node set plus
-    endpoints."""
-    if B.kind == "table":
-        fine = np.linspace(B.lo, B.hi, 8 * (len(B.nodes) - 1) + 1)
-    else:
-        fine = np.linspace(B.lo, B.hi, 8 * 128 + 1)
+    """Minimum of the table profile B over its domain, on an 8-fold refined
+    node set plus endpoints."""
+    fine = np.linspace(B.lo, B.hi, 8 * (len(B.nodes) - 1) + 1)
     return float(np.min(B.eval(fine)))

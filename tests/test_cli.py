@@ -613,6 +613,20 @@ def test_missing_config_is_validation_error(capsys):
     assert "config-error" in captured.err
 
 
+def test_table_short_of_its_domain_is_config_error(config_path, tmp_path,
+                                                   capsys):
+    # a rho table from -0.99999 on p0 = -1 would be extrapolated at p0
+    rho = {"type": "table", "p": [-0.99999, -0.5, 0.0],
+           "v": [1.2, 1.1, 1.0]}
+    code = cli.main(["laminar", "--config", config_path(rho=rho),
+                     "--lambda", "5.0", "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config-error")
+    assert "domain" in captured.err
+    assert not (tmp_path / "o").exists()
+
+
 def test_numerical_failure_exit_code(config_path, tmp_path, capsys):
     # g = 0 makes the double-point search impossible: exit 3, named error
     path = config_path(g=0.0)

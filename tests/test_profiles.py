@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from stratiwave import profiles as pr
 from stratiwave.errors import DomainError
@@ -18,6 +19,68 @@ def test_poly_eval_identity():
 def test_table_eval_node_value():
     f = pr.ProfileFn.table([-1.0, 0.0], [2.0, 3.0])
     assert f.eval(-1.0) == pytest.approx(2.0)
+
+
+# a two-node table, the three-node rho of the benchmark, and rows of
+# random values on uneven nodes: monotone, with extrema, with flat runs
+def _tables():
+    rng = np.random.default_rng(30)
+    yield [-1.0, 0.0], [2.0, 3.0]
+    yield [-1.0, -0.5, 0.0], [1.15, 1.06, 1.0]
+    for n in (3, 4, 9, 33, 513):
+        x = np.concatenate(([-1.0], np.sort(rng.uniform(-1.0, 0.0, n - 2)),
+                            [0.0]))
+        yield x, rng.standard_normal(n)
+        yield x, np.cumsum(rng.uniform(0.0, 1.0, n))[::-1]
+        yield x, np.round(rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("table", list(_tables()))
+def test_table_matches_scipy_pchip(table):
+    x, y = table
+    f = pr.ProfileFn.table(x, y)
+    ref = PchipInterpolator(x, y, extrapolate=True)
+    slack = 0.5e-12           # inside the evaluation slack: extrapolated
+    grid = np.linspace(-1.0 - slack, slack, 257)
+    points = [-1.0 - slack, -0.3, 0.0, slack, np.asarray(-0.7), np.array(x),
+              grid, grid.reshape(1, -1), grid[:-1].reshape(16, 16)]
+    for p in points:
+        got, want = f.eval(p), ref(p)
+        assert np.shape(got) == np.shape(p) and np.array_equal(got, want)
+        got, want = f.deriv(p), ref.derivative()(p)
+        assert np.shape(got) == np.shape(p) and np.array_equal(got, want)
+        if np.ndim(p) == 0:
+            assert type(f.eval(p)) is float and type(f.deriv(p)) is float
+
+
+@pytest.mark.parametrize("n_p", [64, 512])
+@pytest.mark.parametrize("n_beta", [2, 4, 33])
+def test_build_B_matches_scipy_antiderivative(n_p, n_beta):
+    # p0 = -0.7: the grid steps are not powers of two, so the products
+    # of s round as they do in scipy only if they are formed as there
+    rng = np.random.default_rng(n_p + n_beta)
+    grid = pr.PGrid(-0.7, n_p)
+    p = grid.nodes
+    for values in (rng.standard_normal(n_beta), np.zeros(n_beta)):
+        beta = pr.ProfileFn.table(np.linspace(0.0, 0.7, n_beta), values)
+        anti = PchipInterpolator(p, beta.eval(-p),
+                                 extrapolate=True).antiderivative()
+        want = anti(p) - anti(0.0)
+        B = pr.build_B(beta, grid)
+        assert np.array_equal(B.values, want)
+        assert np.array_equal(np.signbit(B.values), np.signbit(want))
+        assert B.nodes == tuple(p)
+
+
+def test_table_must_reach_its_domain_ends():
+    # a table short of [lo, hi] by more than the evaluation slack is
+    # refused; within the slack it is taken
+    for nodes in ([-0.99999, 0.0], [-1.0, -1e-9], [-1.0 - 1e-9, 0.0]):
+        with pytest.raises(DomainError):
+            pr.ProfileFn.table(nodes, [1.2, 1.0], -1.0, 0.0)
+    f = pr.ProfileFn.table([-1.0 + 5e-13, -5e-13], [1.2, 1.0], -1.0, 0.0)
+    assert f.eval(-1.0) == pytest.approx(1.2)
+    assert f.eval(0.0) == pytest.approx(1.0)
 
 
 def test_eval_out_of_domain_raises():

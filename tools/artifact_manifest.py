@@ -18,6 +18,8 @@ checkouts print the same lines when their artifacts agree byte for byte:
   --steps 3``;
 - c512 (sigma = 1, N_p = 512): ``classify``, ``coeffs`` and ``predict``
   without ``--n2`` and with ``--n2 2/3/4``;
+- t64 (table rho of the analyze-sweep workload, a four-node table beta,
+  sigma = 10, 64^2): ``laminar --lambda 5.0``, ``classify`` and ``coeffs``;
 - ``eulerian`` and ``verify`` on every field dump the branches wrote;
 - the eight ``verify`` runs of the verify-fields benchmark workload, on
   dumps rebuilt here the way that workload prepares them (seed 3).
@@ -57,6 +59,9 @@ FIELD_GRIDS = (32, 64, 128)
 FIELD_AMPLITUDE = 0.06
 NOISE = 1e-5
 NOISE_SEED = 3
+TABLE_RHO = {"type": "table", "p": [-1.0, -0.5, 0.0], "v": [1.15, 1.06, 1.0]}
+TABLE_BETA = {"type": "table", "p": [0.0, 0.25, 0.5, 1.0],
+              "v": [0.0, 0.1, 0.05, 0.2]}
 
 
 def sha(data: bytes) -> str:
@@ -72,11 +77,21 @@ def decoded_field(data: bytes) -> bytes:
             + np.ascontiguousarray(hf.h, dtype="<f8").tobytes())
 
 
-def write_config(name, sigma=1.0, rho=(1.0,), n=64, continuation=None):
-    """A config on [p0, 0] = [-1, 0] with g = c = 1 and beta = 0."""
+def profile_block(profile):
+    """A config's profile block: ``profile`` itself when it is one (a
+    table), else the polynomial of its coefficients."""
+    if isinstance(profile, dict):
+        return profile
+    return {"type": "poly", "coeffs": list(profile)}
+
+
+def write_config(name, sigma=1.0, rho=(1.0,), beta=(0.0,), n=64,
+                 continuation=None):
+    """A config on [p0, 0] = [-1, 0] with g = c = 1; rho and beta are
+    polynomial coefficients or table blocks."""
     doc = {"physics": {"g": 1.0, "c": 1.0, "p0": -1.0, "sigma": sigma,
-                       "rho": {"type": "poly", "coeffs": list(rho)},
-                       "beta": {"type": "poly", "coeffs": [0.0]}},
+                       "rho": profile_block(rho),
+                       "beta": profile_block(beta)},
            "numerics": {"N_p": n, "N_q": n}}
     if continuation is not None:
         doc["continuation"] = continuation
@@ -147,6 +162,10 @@ def branch_set(man):
     analysis(man, "s64", s64, ("classify", "coeffs", "dispersion",
                                "predict"), N2_FLAGS[:1])
     analysis(man, "c512", c512, ("classify", "coeffs", "predict"), N2_FLAGS)
+    t64 = write_config("t64", sigma=10.0, rho=TABLE_RHO, beta=TABLE_BETA)
+    man.run("t64-laminar", ["laminar", "--config", t64, "--lambda", "5.0"],
+            out="t64/laminar")
+    analysis(man, "t64", t64, ("classify", "coeffs"), N2_FLAGS[:1])
     branches = [(c64, (), "22", "c64/branch"),
                 (c64tol, (), "6", "c64tol/branch"),
                 (s64, (), "12", "s64/branch"),
