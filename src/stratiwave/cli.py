@@ -8,6 +8,9 @@ artifacts.
 
 Each subcommand takes ``--config``, ``--out`` and its own flags only
 (``_SUBCOMMANDS``); ``main`` alone writes its artifacts, after it succeeds.
+Every subcommand takes its physics from ``_resolve_physics``: the config's,
+with sigma from --sigma or --n2, or, for ``eulerian`` and ``verify``, the
+sigma that a field dump recorded.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure
 (the failing operation's error name goes to stderr).
@@ -191,13 +194,25 @@ def _check_flags(args):
         _count(args.steps, "--steps")
 
 
-def _resolve_physics(cfg: RunConfig, args) -> Physics:
-    """--sigma overrides the config; --n2 computes the double-point sigma."""
+def _resolve_physics(cfg: RunConfig, args,
+                     recorded: float | None = None) -> Physics:
+    """The config's physics, with --sigma overriding sigma and --n2 setting
+    it to the double point's.  A ``recorded`` sigma (a field dump's) is the
+    run's sigma: it answers --n2, as the ``branch --n2`` that wrote the
+    dump resolved it from the same config and grid, and a --sigma that
+    differs from it is a ConfigError."""
+    flags = vars(args)
+    sigma, n2 = flags.get("sigma"), flags.get("n2")
+    if recorded is not None:
+        if sigma is not None and sigma != recorded:
+            raise ConfigError(f"--sigma = {sigma!r} differs from the dump's "
+                              f"sigma = {recorded!r}")
+        sigma, n2 = recorded, None
     physics = cfg.physics
-    if args.sigma is not None:
-        physics = replace(physics, sigma=args.sigma)
-    if args.n2 is not None:
-        sigma_d, _ = spectral.find_double_sigma(physics, cfg.grid, args.n2)
+    if sigma is not None and sigma != physics.sigma:
+        physics = replace(physics, sigma=sigma)
+    if n2 is not None:
+        sigma_d, _ = spectral.find_double_sigma(physics, cfg.grid, n2)
         physics = replace(physics, sigma=sigma_d)
     return physics
 
@@ -243,9 +258,9 @@ def cmd_laminar(cfg: RunConfig, args):
     if len(set(names)) < len(names):
         raise ConfigError("lambdas must differ in their first 6 significant "
                           "digits, which name their files")
-    grid = cfg.grid
+    physics, grid = _resolve_physics(cfg, args), cfg.grid
     return [(name, laminar.flow_to_csv(
-        laminar.solve_laminar(cfg.physics, lam, grid)))
+        laminar.solve_laminar(physics, lam, grid)))
         for lam, name in zip(lambdas, names)]
 
 
@@ -383,20 +398,22 @@ def _oracle_values(physics, wave) -> dict:
 
 def cmd_eulerian(cfg: RunConfig, args):
     hf = _load_dump(cfg, args)
-    wave = eulerian.reconstruct(cfg.physics, hf)
+    physics = _resolve_physics(cfg, args, hf.sigma)
+    wave = eulerian.reconstruct(physics, hf)
     return [("wave.csv", eulerian.wave_csv(wave)),
             ("surface.csv", eulerian.surface_csv(wave)),
             ("eulerian_checks.json",
-             _json_dump(_oracle_values(cfg.physics, wave)))]
+             _json_dump(_oracle_values(physics, wave)))]
 
 
 def cmd_verify(cfg: RunConfig, args):
     """All residual oracles on a stored field, one PASS or FAIL line each."""
     hf = _load_dump(cfg, args)
+    physics = _resolve_physics(cfg, args, hf.sigma)
     num = cfg.numerics
-    res = heightsolver.residual(cfg.physics, hf)
-    wave = eulerian.reconstruct(cfg.physics, hf)
-    oracle = _oracle_values(cfg.physics, wave)
+    res = heightsolver.residual(physics, hf)
+    wave = eulerian.reconstruct(physics, hf)
+    oracle = _oracle_values(physics, wave)
     checks = [
         ("height-residual", float(np.max(np.abs(res))),
          num.verify_residual_tol),
@@ -405,7 +422,7 @@ def cmd_verify(cfg: RunConfig, args):
         ("surface-bernoulli", oracle["surface_bernoulli_residual"],
          num.verify_bernoulli_tol),
         ("yih", oracle["yih_residual"], num.verify_yih_tol),
-        ("u-below-c", float(np.max(wave.u - cfg.physics.c)), 0.0),
+        ("u-below-c", float(np.max(wave.u - physics.c)), 0.0),
     ]
     for name, value, tol in checks:
         print(f"{'PASS' if value < tol else 'FAIL'} {name} "
@@ -426,9 +443,7 @@ _FLAGS = {
     "--field": {},
 }
 
-# subcommand -> (command, the flags it takes besides --config and --out).
-# eulerian and verify take --sigma and --n2 but check the dump at the
-# config's physics: they do not apply them.
+# subcommand -> (command, the flags it takes besides --config and --out)
 _SUBCOMMANDS = {
     "laminar": (cmd_laminar, ("--lambda",)),
     "dispersion": (cmd_dispersion, ("--sigma", "--n2")),

@@ -50,7 +50,8 @@ class HeightField:
     """Discrete (Q, h) on the half-period rectangle [0, pi] x [p0, 0].
 
     ``h`` is indexed [iq, ip] with ip = 0 the bed row (h = 0 there) and
-    ip = N_p the free surface.
+    ip = N_p the free surface.  ``sigma`` is the surface tension the field
+    was solved at; a field no solve returned records none.
     """
 
     Q: float
@@ -58,6 +59,7 @@ class HeightField:
     pgrid: PGrid
     h: np.ndarray
     residual_norm: float = float("nan")
+    sigma: float | None = None
 
     def __post_init__(self):
         if self.N_q < 1:
@@ -488,7 +490,7 @@ def _bordered_newton(physics, fld: HeightField, tol, max_iter,
         c = constraint(fld)
         history.append(rnorm)
         stale = True
-    return replace(fld, residual_norm=rnorm), history
+    return replace(fld, residual_norm=rnorm, sigma=physics.sigma), history
 
 
 def newton(physics: Physics, hf: HeightField, frozen: str = "Q",
@@ -778,11 +780,14 @@ def nodal_check(hf: HeightField) -> bool:
 # --- serialization --------------------------------------------------------
 
 def dump_field(hf: HeightField) -> str:
-    """``heightfield v2`` text: a header with N_q, N_p, p0 and Q (17
+    """``heightfield v3`` text: a header with N_q, N_p, p0, Q and sigma (17
     digits), then one line per q-column holding the standard padded base64
-    of that row's N_p + 1 little-endian float64 values, exact to the bit."""
-    lines = [f"heightfield v2 {hf.N_q} {hf.pgrid.N_p} "
-             f"{hf.pgrid.p0:.16e} {hf.Q:.16e}"]
+    of that row's N_p + 1 little-endian float64 values, exact to the bit.
+    A field that records no sigma is written as v2, whose header ends at
+    Q."""
+    head = f"{hf.N_q} {hf.pgrid.N_p} {hf.pgrid.p0:.16e} {hf.Q:.16e}"
+    lines = [f"heightfield v2 {head}" if hf.sigma is None
+             else f"heightfield v3 {head} {hf.sigma:.16e}"]
     rows = np.ascontiguousarray(hf.h, dtype="<f8")
     lines += [base64.b64encode(row).decode("ascii") for row in rows]
     return "\n".join(lines) + "\n"
@@ -795,40 +800,47 @@ def _text_rows(lines, N_p):
 
 
 def _binary_rows(lines, N_p):
-    """A v2 body: one base64 line of N_p + 1 little-endian float64 each."""
+    """A v2/v3 body: one base64 line of N_p + 1 little-endian float64 each."""
     width = 8 * (N_p + 1)
     rows = [base64.b64decode(ln.strip(), validate=True) for ln in lines]
     if not rows or any(len(row) != width for row in rows):
-        raise ShapeError(f"a v2 dump body needs rows of {width} bytes")
+        raise ShapeError(f"a base64 dump body needs rows of {width} bytes")
     return np.frombuffer(b"".join(rows), dtype="<f8").astype(
         np.float64).reshape(len(rows), N_p + 1)
 
 
-_BODY_READERS = {("heightfield", "v1"): _text_rows,
-                 ("heightfield", "v2"): _binary_rows}
+# (magic, version) -> (body reader, header fields)
+_FORMATS = {("heightfield", "v1"): (_text_rows, 6),
+            ("heightfield", "v2"): (_binary_rows, 6),
+            ("heightfield", "v3"): (_binary_rows, 7)}
 
 
 def load_field(text: str) -> HeightField:
-    """Parse a ``dump_field`` text, v2 or the decimal v1 of older dumps;
-    ShapeError on anything malformed."""
+    """Parse a ``dump_field`` text, v3 or v2, or the decimal v1 of older
+    dumps; ShapeError on anything malformed.  The field records the sigma
+    of a v3 header, and none for v1 and v2."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     head = lines[0].split() if lines else []
-    read_body = _BODY_READERS.get(tuple(head[:2]))
-    if read_body is None:
-        raise ShapeError("not a heightfield v1 or v2 dump")
-    if len(head) != 6:
-        raise ShapeError(f"heightfield header has {len(head)} fields, not 6")
+    if tuple(head[:2]) not in _FORMATS:
+        raise ShapeError("not a heightfield v1, v2 or v3 dump")
+    read_body, width = _FORMATS[tuple(head[:2])]
+    if len(head) != width:
+        raise ShapeError(f"heightfield {head[1]} header has {len(head)} "
+                         f"fields, not {width}")
     try:
         N_q, N_p = int(head[2]), int(head[3])
         p0, Q = float(head[4]), float(head[5])
+        sigma = float(head[6]) if width == 7 else None
         h = read_body(lines[1:], N_p)
     except ValueError as exc:       # binascii.Error is a ValueError
         raise ShapeError(f"unreadable heightfield dump: {exc}") from None
     if not (np.isfinite(p0) and np.isfinite(Q) and np.all(np.isfinite(h))):
         raise ShapeError("heightfield dump holds a non-finite value")
+    if sigma is not None and not 0.0 <= sigma < np.inf:
+        raise ShapeError(f"heightfield sigma {sigma!r} is not finite and >= 0")
     if h.shape != (N_q + 1, N_p + 1):
         raise ShapeError(f"dump body {h.shape} does not match header")
-    return HeightField(Q=Q, N_q=N_q, pgrid=PGrid(p0, N_p), h=h)
+    return HeightField(Q=Q, N_q=N_q, pgrid=PGrid(p0, N_p), h=h, sigma=sigma)
 
 
 def branch_csv(branch: Branch) -> str:

@@ -407,8 +407,14 @@ def _with_header_token(lines, index, token):
     return [" ".join(head)] + lines[1:]
 
 
+def _as_v3(lines, *tokens):
+    """The v2 lines under a v3 header that ends in ``tokens`` after Q."""
+    head = lines[0].replace("heightfield v2 ", "heightfield v3 ")
+    return [" ".join([head, *tokens])] + lines[1:]
+
+
 # each turns the v2 lines of a laminar dump (N_q = 16, N_p = 64) into a
-# malformed one
+# malformed one, v2 or v3
 _MALFORMED_V2 = {
     "non-alphabet": lambda ls: ls[:2] + [ls[2][:9] + "*" + ls[2][9:]]
     + ls[3:],
@@ -427,6 +433,11 @@ _MALFORMED_V2 = {
     "minus-inf-p0": lambda ls: _with_header_token(ls, 4, "-inf"),
     "nan-Q": lambda ls: _with_header_token(ls, 5, "nan"),
     "inf-Q": lambda ls: _with_header_token(ls, 5, "inf"),
+    "v3-nan-sigma": lambda ls: _as_v3(ls, "nan"),
+    "v3-minus-inf-sigma": lambda ls: _as_v3(ls, "-inf"),
+    "v3-negative-sigma": lambda ls: _as_v3(ls, "-1.0000000000000000e-03"),
+    "v3-6-field-header": lambda ls: _as_v3(ls),
+    "v3-8-field-header": lambda ls: _as_v3(ls, "1.0", "1.0"),
 }
 
 
@@ -708,6 +719,40 @@ def double_point_dumps(tmp_path_factory):
     return tmp_path, dumps
 
 
+@pytest.fixture(scope="module")
+def solved_dumps(t0, tmp_path_factory):
+    """A field that Newton solved at sigma = 1 (the simple point at
+    16 x 32, amplitude 1e-3), dumped as v3 and, its sigma dropped, as v2."""
+    grid = pr.PGrid(-1.0, 32)
+    flow = lm.solve_laminar(t0, sp.find_lambda_star(t0, grid), grid)
+    mode = sp.shoot_mode(flow, t0, 1)
+    sol = hs.newton(t0, hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3,
+                                      16), frozen="amplitude")
+    tmp_path = tmp_path_factory.mktemp("solved")
+    dumps = {}
+    for version, fld in (("v3", sol), ("v2", replace(sol, sigma=None))):
+        dumps[version] = tmp_path / f"{version}.field"
+        dumps[version].write_text(hs.dump_field(fld))
+        assert dumps[version].read_text().startswith(f"heightfield {version}")
+    return dumps
+
+
+# verify with a config at sigma = 2: a v3 dump's recorded sigma = 1 is the
+# run's sigma, and a --sigma against it is a config error before any
+# check; a v2 dump takes --sigma as classify does
+@pytest.mark.parametrize("version, flags, code", [
+    ("v2", [], 3), ("v2", ["--sigma", "1"], 0), ("v3", [], 0),
+    ("v3", ["--sigma", "1"], 0), ("v3", ["--sigma", "2"], 2)])
+def test_verify_takes_sigma_from_the_dump_or_the_flag(
+        solved_dumps, config_path, capsys, version, flags, code):
+    assert cli.main(["verify", "--config", config_path(sigma=2.0),
+                     "--field", str(solved_dumps[version]), *flags]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err.startswith("config-error: --sigma")
+        assert captured.out == ""
+
+
 def _verify_codes(config, dumps, flags, capsys):
     codes = {}
     for dump in dumps:
@@ -717,26 +762,46 @@ def _verify_codes(config, dumps, flags, capsys):
     return codes
 
 
+def _double_point_sigma_config(tmp_path):
+    """The config at the double point's sigma."""
+    cfg = cli.load_config(str(_double_point_config(tmp_path)))
+    sigma_d, _ = sp.find_double_sigma(cfg.physics, cfg.grid, 3)
+    return _double_point_config(tmp_path, sigma=sigma_d)
+
+
 def test_double_point_dumps_verify_at_their_sigma(double_point_dumps,
                                                   capsys):
     # the dumps are sound: a config at the double point's sigma passes
     # every check on each of them
     tmp_path, dumps = double_point_dumps
-    cfg = cli.load_config(str(_double_point_config(tmp_path)))
-    sigma_d, _ = sp.find_double_sigma(cfg.physics, cfg.grid, 3)
-    config = _double_point_config(tmp_path, sigma=sigma_d)
+    config = _double_point_sigma_config(tmp_path)
     assert _verify_codes(config, dumps, [], capsys) == {
         dump.name: 0 for dump in dumps}
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1")
 def test_double_point_dumps_verify_with_n2(double_point_dumps, capsys):
-    # verify takes --n2 but checks the dump at the config's sigma
+    # each dump records the double point's sigma, which answers --n2
     tmp_path, dumps = double_point_dumps
     config = _double_point_config(tmp_path)
     assert _verify_codes(config, dumps, ["--n2", "3"], capsys) == {
         dump.name: 0 for dump in dumps}
+
+
+def test_double_point_dumps_eulerian_with_n2(double_point_dumps, capsys):
+    # eulerian --n2 3 with the sigma = 1 config reports what eulerian with
+    # the double point's config does
+    tmp_path, dumps = double_point_dumps
+    runs = ((_double_point_config(tmp_path), ["--n2", "3"]),
+            (_double_point_sigma_config(tmp_path), []))
+    for dump in dumps:
+        reports = []
+        for k, (config, flags) in enumerate(runs):
+            out = tmp_path / f"eulerian{k}" / dump.stem
+            assert cli.main(["eulerian", "--config", str(config), "--out",
+                             str(out), "--field", str(dump), *flags]) == 0
+            reports.append((out / "eulerian_checks.json").read_bytes())
+        capsys.readouterr()
+        assert reports[0] == reports[1], dump.name
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,3 @@
-import ast
-import inspect
 import json
 from dataclasses import replace
 
@@ -441,18 +439,6 @@ def test_flat_gathers_match_2d_gathers(derivative):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert np.any((got == 0.0) & np.signbit(got))
-
-
-def test_eulerian_takes_nothing_from_scipy_interpolate():
-    tree = ast.parse(inspect.getsource(eu))
-    imported = [node.module for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom)]
-    imported += [a.name for node in ast.walk(tree)
-                 if isinstance(node, ast.Import) for a in node.names]
-    assert not [m for m in imported if m and m.startswith("scipy.interpolate")]
-    assert not [name for name, obj in vars(eu).items()
-                if getattr(obj, "__module__", "").startswith(
-                    "scipy.interpolate")]
 
 
 @pytest.mark.parametrize("n_q", [1, 2, 3, 4])

@@ -782,6 +782,10 @@ def test_dump_load_roundtrip(t0, simple_point):
     back = hs.load_field(text)
     assert back.Q == sol.Q
     assert np.array_equal(back.h, sol.h)
+    # a solved field records its sigma; the germ, solved by nothing, none
+    assert text.startswith("heightfield v3 ")
+    assert _bits(back.sigma) == _bits(sol.sigma) == _bits(t0.sigma)
+    assert hs.load_field(hs.dump_field(germ)).sigma is None
     r0 = np.max(np.abs(hs.residual(t0, sol)))
     r1 = np.max(np.abs(hs.residual(t0, back)))
     assert abs(r0 - r1) < 1e-14
@@ -800,8 +804,10 @@ def _fields(draw):
                         allow_infinity=False))
     h = draw(st.lists(finite, min_size=(N_q + 1) * (N_p + 1),
                       max_size=(N_q + 1) * (N_p + 1)))
+    sigma = draw(st.none() | st.floats(min_value=0.0, allow_infinity=False))
     return hs.HeightField(Q=draw(finite), N_q=N_q, pgrid=pr.PGrid(p0, N_p),
-                          h=np.array(h).reshape(N_q + 1, N_p + 1))
+                          h=np.array(h).reshape(N_q + 1, N_p + 1),
+                          sigma=sigma)
 
 
 @settings(database=None, derandomize=True)
@@ -812,6 +818,10 @@ def test_dump_load_roundtrip_bitwise(hf):
     assert _bits(back.pgrid.p0) == _bits(hf.pgrid.p0)
     assert _bits(back.Q) == _bits(hf.Q)
     assert np.array_equal(_bits(back.h), _bits(hf.h))
+    if hf.sigma is None:
+        assert back.sigma is None
+    else:
+        assert _bits(back.sigma) == _bits(hf.sigma)
 
 
 # a header without p0 and Q; a body token that is no number; a nan entry
@@ -910,6 +920,9 @@ def test_writers_match_per_value_format():
     for line, row in zip(lines[1:], vals):
         assert base64.b64decode(line, validate=True) == \
             row.astype("<f8").tobytes()
+    # v3: the same lines, sigma appended to the header at 17 digits
+    assert hs.dump_field(replace(hf, sigma=0.1)).splitlines() == [
+        lines[0].replace("v2", "v3") + " 1.0000000000000001e-01"] + lines[1:]
 
     points = tuple(hs.BranchPoint(
         s=row[0], Q=row[1], amplitude=row[2], monitors=tuple(row[3:9]),
