@@ -19,6 +19,7 @@ scan classifies bifurcation points as simple, double, or zero-mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +37,8 @@ from .profiles import PGrid, Physics
 RESONANCE_RTOL = 1e-6
 DISPERSION_RTOL = 1e-10
 _RESCALE_LIMIT = 1e150
+_SCAN_BLOCK = 6
+_FINISH = 8
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,9 @@ class BifurcationPoint:
 class ShotCoefficients:
     """The coefficient samples of every shot on one flow, independent of n.
 
-    a and rho_p at the nodes and half-step stations, a^-3 at both (also
-    as Python floats, for the march), and a' at the nodes, with a and a'
+    a and rho_p at the nodes and half-step stations, a^-3 at both (as
+    arrays for the step matrices of ``_steps``, and as Python floats for
+    the recording ``_march``), and a' at the nodes, with a and a'
     bit-equal to those of scipy's PchipInterpolator of G and its
     derivative.  Build them with ``shot_coefficients`` once per flow and
     pass them to each shot on it, as ``classify`` does for all its shots.
@@ -105,6 +109,7 @@ class ShotCoefficients:
     rp_nodes: np.ndarray
     rp_half: np.ndarray
     inv_a3_nodes: np.ndarray
+    inv_a3_half: np.ndarray
     ia3_n: list
     ia3_h: list
 
@@ -134,21 +139,27 @@ def shot_coefficients(flow, physics: Physics) -> ShotCoefficients:
         h=float(grid.h), N_p=grid.N_p, g=physics.g, a_nodes=a_nodes,
         a_half=a[nodes:], ap_nodes=ap_nodes, rp_nodes=given.rho_p,
         rp_half=given.rho_p_half, inv_a3_nodes=inv_a3[:nodes],
-        ia3_n=inv_a3[:nodes].tolist(), ia3_h=inv_a3[nodes:].tolist())
+        inv_a3_half=inv_a3[nodes:], ia3_n=inv_a3[:nodes].tolist(),
+        ia3_h=inv_a3[nodes:].tolist())
 
 
-def _march(coef, n, m0=0.0, M0p=1.0, record=False):
+def _march(coef, n, m0=0.0, M0p=1.0, record=True):
     """RK4 on (M, w = a^3 M'), w' = (n^2 a + g rho_p) M, from
-    (M, M')(p0) = (m0, M0p), on the samples of ``shot_coefficients``.
+    (M, M')(p0) = (m0, M0p), on the samples of ``shot_coefficients``,
+    recording every node: M, M' and M'' at the nodes and the accumulated
+    log of the divisors below.
 
     The stage values of a linear system only need the coefficients at the
     nodes and half-step stations, so the loop is pure scalar arithmetic,
     done on Python floats: the same IEEE double operations in the same
     order as on numpy scalars, without their per-operation dispatch.  When
     the state passes 1e150 it is divided by its largest entry, which keeps
-    it finite for large n.  Returns (M(0), M'(0)); with ``record``, M, M'
-    and M'' at the nodes and the accumulated log of those divisors.
+    it finite for large n.  The march builds modes only: a value that
+    needs just the end point (M(0), M'(0)) comes from ``_ends``, and
+    ``record`` must be true.
     """
+    if not record:
+        raise ValueError("end points alone come from _ends, not _march")
     h = coef.h
     c_nodes = n * n * coef.a_nodes + coef.g * coef.rp_nodes
     c_n = c_nodes.tolist()
@@ -178,19 +189,118 @@ def _march(coef, n, m0=0.0, M0p=1.0, record=False):
             big = max(abs(m), abs(w))
             m /= big
             w /= big
-            if record:
-                M = [x / big for x in M]
-                Mp = [x / big for x in Mp]
-                log_rescale += np.log(big)
-        if record:
-            M.append(m)
-            Mp.append(w * ia_k1)
-    if not record:
-        return m, w * ia3_n[-1]
+            M = [x / big for x in M]
+            Mp = [x / big for x in Mp]
+            log_rescale += np.log(big)
+        M.append(m)
+        Mp.append(w * ia_k1)
     M, Mp = np.array(M), np.array(Mp)
     Mpp = (c_nodes * M
            - 3.0 * coef.a_nodes ** 2 * coef.ap_nodes * Mp) * coef.inv_a3_nodes
     return M, Mp, Mpp, log_rescale
+
+
+def _steps(coef, ns):
+    """The RK4 step matrices of the mode-n march for each n in ns, shape
+    (2, 2, len(ns), N_p): (M, w) at node k + 1 is T_k (M, w) at node k.
+
+    Column j of T_k is ``_march``'s stages run on the j-th unit vector and
+    multiplied out; the columns share the stage terms s and m4.
+    """
+    h, u, h6 = coef.h, 0.5 * coef.h, coef.h / 6.0
+    nn = np.array([[n * n] for n in ns], dtype=float)
+    c = nn * coef.a_nodes + coef.g * coef.rp_nodes
+    c0, c1 = c[:, :-1], c[:, 1:]
+    ch = nn * coef.a_half + coef.g * coef.rp_half
+    ia_k, ia_h, ia_k1 = (coef.inv_a3_nodes[:-1], coef.inv_a3_half,
+                         coef.inv_a3_nodes[1:])
+    uah = u * ia_h
+    s = ch * uah                # dm3 from (1, 0), dw3 from (0, 1)
+    m4 = 1.0 + h * s            # m4 from (1, 0), w4 from (0, 1)
+    dm2 = c0 * uah              # from (1, 0)
+    m3 = 1.0 + u * dm2
+    dw2 = ch * (u * ia_k)       # from (0, 1)
+    w3 = 1.0 + u * dw2
+    T = np.empty((2, 2) + c0.shape)
+    np.add(1.0, h6 * (2.0 * (dm2 + s) + h * ch * m3 * ia_k1), out=T[0, 0])
+    np.multiply(h6, c0 + 2.0 * ch * (1.0 + m3) + c1 * m4, out=T[1, 0])
+    np.multiply(h6, ia_k + 2.0 * ia_h * (1.0 + w3) + ia_k1 * m4, out=T[0, 1])
+    np.add(1.0, h6 * (2.0 * (dw2 + s) + c1 * h * ia_h * w3), out=T[1, 1])
+    return T
+
+
+def _product(T, rescale=False):
+    """The products T_{N-1} ... T_1 T_0 of a batch of step matrices T
+    (2, 2, nb, N): one (P00, P01, P10, P11, E) per batch column, the
+    product being 2^E P.
+
+    The matrices are multiplied pairwise, a level at a time, each level
+    one array product; a level of odd length carries its last matrix up
+    unpaired.  Once at most _FINISH matrices per column are left, their
+    few products run on Python floats, which is cheaper than an array
+    operation each; each column is multiplied in the same order whatever
+    the batch holds.  With ``rescale``, every level is an array product,
+    and each partial product with an entry past _RESCALE_LIMIT is divided
+    by a power of two, which is exact, and E counts the powers; without
+    it nothing is scaled and E is 0.
+    """
+    E = np.zeros(T.shape[2:], dtype=int)
+    while T.shape[-1] > (1 if rescale else _FINISH):
+        paired = T.shape[-1] - T.shape[-1] % 2
+        A, B = T[..., :paired:2], T[..., 1::2]
+        P = B[:, :1] * A[:1] + B[:, 1:] * A[1:]
+        if paired < T.shape[-1]:
+            P = np.concatenate((P, T[..., paired:]), axis=-1)
+        T = P
+        if rescale:
+            E = np.concatenate((E[:, :paired:2] + E[:, 1::2],
+                                E[:, paired:]), axis=-1)
+            big = abs(T).max(axis=(0, 1))
+            e = np.where(big > _RESCALE_LIMIT, np.frexp(big)[1], 0)
+            T = np.ldexp(T, -e)
+            E += e
+    products = []
+    for t00, t01, t10, t11, e in zip(*T.reshape(4, T.shape[2], -1).tolist(),
+                                     E[:, 0].tolist()):
+        p00, p01, p10, p11 = t00[0], t01[0], t10[0], t11[0]
+        for a, b, c, d in zip(t00[1:], t01[1:], t10[1:], t11[1:]):
+            p00, p01, p10, p11 = (a * p00 + b * p10, a * p01 + b * p11,
+                                  c * p00 + d * p10, c * p01 + d * p11)
+        products.append((p00, p01, p10, p11, e))
+    return products
+
+
+def _transfer(coef, ns):
+    """``_product`` of the mode-n ``_steps`` for each n in ns, rescaled
+    only when an entry of the unscaled product passes _RESCALE_LIMIT (or
+    overflows)."""
+    T = _steps(coef, ns)
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = _product(T)
+    if all(abs(x) <= _RESCALE_LIMIT for p in products for x in p[:4]):
+        return products
+    return _product(T, rescale=True)
+
+
+def _ends(coef, ns):
+    """End points (M(0), M'(0)) of the mode-n shot for each n in ns, from
+    one ``_transfer`` product.
+
+    For n >= 1 the shot from (M, M')(p0) = (0, 1), up to the product's
+    power of two, which D / scale does not see; for n = 0 the zero mode's
+    ``_zero_superposition`` of both columns, read from the unscaled
+    product.
+    """
+    w0, ia3_end = float(coef.a_nodes[0] ** 3), coef.ia3_n[-1]
+    ends = []
+    for n, (p00, p01, p10, p11, e) in zip(ns, _transfer(coef, ns)):
+        if n:
+            ends.append((p01 * w0, p11 * w0 * ia3_end))
+            continue
+        p00, p01, p10, p11 = (math.ldexp(x, e) for x in (p00, p01, p10, p11))
+        ends.append(_zero_superposition((p01 * w0, p11 * w0 * ia3_end),
+                                        (p00, p10 * ia3_end)))
+    return ends
 
 
 def _zero_superposition(u1, v):
@@ -221,7 +331,7 @@ def shoot_mode(flow, physics: Physics, n: int,
         raise ValueError("shoot_mode requires n >= 1; use shoot_zero_mode")
     if coefficients is None:
         coefficients = shot_coefficients(flow, physics)
-    M, Mp, Mpp, _ = _march(coefficients, n, record=True)
+    M, Mp, Mpp, _ = _march(coefficients, n)
     mode = EigenMode(n=n, lam=flow.lam, M=M, Mp=Mp, Mpp=Mpp,
                      normalization="shooting")
     return mode.renormalized(normalization)
@@ -250,18 +360,15 @@ def _mismatch_at(lam, sigma, g_rho0, n, end):
 def _dispersion_at(flow, physics: Physics, n: int,
                    coefficients: ShotCoefficients | None = None):
     """``dispersion``'s (D, scale) of the mode-n shot on ``flow`` (for
-    n = 0, of ``shoot_zero_mode``'s mode) from the end points of its
-    marches: no mode is recorded.  The coefficients are sampled here
-    unless given."""
+    n = 0, of ``shoot_zero_mode``'s mode) from the end point of one
+    ``_transfer`` product: no mode is recorded.  D / scale agrees with
+    that of the recorded march to round-off (within 1e-13, a test pins
+    it), and for n >= 1 D and scale carry the product's power of two.
+    The coefficients are sampled here unless given."""
     if coefficients is None:
         coefficients = shot_coefficients(flow, physics)
-    if n:
-        end = _march(coefficients, n)
-    else:
-        end = _zero_superposition(_march(coefficients, 0),
-                                  _march(coefficients, 0, m0=1.0, M0p=0.0))
     return _mismatch_at(flow.lam, physics.sigma, physics.g * physics.rho0(),
-                        n, end)
+                        n, _ends(coefficients, (n,))[0])
 
 
 def shoot_zero_mode(flow, physics: Physics,
@@ -279,8 +386,8 @@ def shoot_zero_mode(flow, physics: Physics,
     if coefficients is None:
         coefficients = shot_coefficients(flow, physics)
     M, Mp, Mpp = _zero_superposition(
-        _march(coefficients, 0, record=True)[:3],
-        _march(coefficients, 0, m0=1.0, M0p=0.0, record=True)[:3])
+        _march(coefficients, 0)[:3],
+        _march(coefficients, 0, m0=1.0, M0p=0.0)[:3])
     mode = EigenMode(n=0, lam=flow.lam, M=M, Mp=Mp, Mpp=Mpp,
                      normalization="shooting")
     return mode, dispersion(flow, physics, mode)[0]
@@ -419,23 +526,36 @@ def classify(physics: Physics, grid: PGrid, n_max: int = 64,
 
     A mode n counts as resonant when |D(n, lambda_*)| < rtol * scale.
     Early exit once the dispersion gap has been growing (mode bifurcation
-    values safely above lambda_*) for 3 consecutive n.
+    values safely above lambda_*) for 3 consecutive n.  D0 and n = 2 up
+    to 1 + _SCAN_BLOCK come from one ``_transfer`` product, and each
+    later block of _SCAN_BLOCK n from one more, taken only when the scan
+    reaches it; ``residuals`` holds exactly the n a scan of one n at a
+    time would read.
     """
     lam_star, flow, coefficients = _lambda_star(physics, grid, 1)
     mode1 = shoot_mode(flow, physics, 1, coefficients=coefficients)
     residuals = {1: abs(_relative(flow, physics, mode1))}
     modes = [mode1]
 
-    D0, scale0 = _dispersion_at(flow, physics, 0, coefficients)
-    residuals[0] = abs(D0 / scale0)
+    g_rho0 = physics.g * physics.rho0()
+
+    def relative(ns):
+        ends = _ends(coefficients, ns)
+        return [D / scale for D, scale in (
+            _mismatch_at(flow.lam, physics.sigma, g_rho0, n, end)
+            for n, end in zip(ns, ends))]
+
+    rel0, *rels = relative((0, *range(2, min(n_max, _SCAN_BLOCK + 1) + 1)))
+    residuals[0] = abs(rel0)
     zero_resonant = residuals[0] < resonance_rtol
 
     resonant = []
     grow_streak = 0
     prev_gap = None
     for n in range(2, n_max + 1):
-        D, scale = _dispersion_at(flow, physics, n, coefficients)
-        rel = D / scale
+        if n - 2 == len(rels):
+            rels += relative(range(n, min(n_max, n + _SCAN_BLOCK - 1) + 1))
+        rel = rels[n - 2]
         residuals[n] = abs(rel)
         if abs(rel) < resonance_rtol:
             resonant.append(n)
@@ -513,7 +633,9 @@ def find_double_sigma(physics: Physics, grid: PGrid, n2: int):
     2-d Newton (finite-difference Jacobian) on
     (D(1, lambda; sigma), D(n2, lambda; sigma)) = 0 relative to their
     scales, seeded from the constant-density closed forms, until both are
-    below 1e-12 (at most 40 steps).  Returns (sigma_d, lambda_d).
+    below 1e-12 (at most 40 steps).  The end points of modes 1 and n2 at
+    each lambda come from one ``_transfer`` product.  Returns (sigma_d,
+    lambda_d).
     """
     if n2 < 2:
         raise ValueError("n2 must be >= 2")
@@ -524,10 +646,10 @@ def find_double_sigma(physics: Physics, grid: PGrid, n2: int):
         # neither the flow nor the end points depend on sigma
         flow = solve_laminar(physics, lam_, grid)
         coefficients = shot_coefficients(flow, physics)
-        return flow, [_march(coefficients, n) for n in (1, n2)]
+        return flow, _ends(coefficients, (1, n2))
 
     def F(sigma_, flow, ends):
-        # _dispersion_at, its march shared by every sigma at one lambda
+        # _dispersion_at, its product shared by every sigma at one lambda
         rel = []
         for n, end in zip((1, n2), ends):
             D, scale = _mismatch_at(flow.lam, sigma_, g_rho0, n, end)

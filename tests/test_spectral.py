@@ -37,6 +37,15 @@ def _smallest_root_scan(f, floor, cap):
 def _relative_D(physics, grid, n):
     """lambda -> D / scale of mode n, with nothing remembered."""
     def f(lam):
+        D, scale = sp._dispersion_at(lm.solve_laminar(physics, lam, grid),
+                                     physics, n)
+        return D / scale
+    return f
+
+
+def _relative_march(physics, grid, n):
+    """``_relative_D`` from the recorded scalar march of mode n >= 1."""
+    def f(lam):
         flow = lm.solve_laminar(physics, lam, grid)
         return sp._relative(flow, physics, sp.shoot_mode(flow, physics, n))
     return f
@@ -219,19 +228,91 @@ def test_shoot_matches_loop_reference(rho, beta):
             assert (ref[3] > 0.0) == (n == 1000)    # rescaled only there
 
 
+# |D / scale| of the transfer product against the scalar march; measured
+# at most 1.7e-15 on the cases of test_transfer_matches_march
+TRANSFER_BOUND = 1e-13
+
+
 @_SHOOT_CONFIGS
 def test_shoot_end_matches_shoot(rho, beta):
-    # without record the march returns the recorded end point, bit for
-    # bit, also past its rescales
+    # the end-point dispersion against that of the recorded modes, to the
+    # transfer product's bound, also past a rescale (n = 1000)
     phys = make_physics(sigma=10.0, rho_coeffs=rho, beta_coeffs=beta)
     grid = pr.PGrid(-1.0, 512)
-    coef = sp.shot_coefficients(lm.solve_laminar(phys, 5.0, grid), phys)
+    flow = lm.solve_laminar(phys, 5.0, grid)
+    coef = sp.shot_coefficients(flow, phys)
     for n in (0, 1, 1000):
-        for m0, M0p in _STARTS:
-            M, Mp, _, log_rescale = sp._march(coef, n, m0=m0, M0p=M0p,
-                                              record=True)
-            assert sp._march(coef, n, m0=m0, M0p=M0p) == (M[-1], Mp[-1])
-            assert (log_rescale > 0.0) == (n == 1000)
+        mode = (sp.shoot_zero_mode(flow, phys, coef)[0] if n == 0
+                else sp.shoot_mode(flow, phys, n, coefficients=coef))
+        D, scale = sp._dispersion_at(flow, phys, n, coef)
+        assert abs(D / scale - sp._relative(flow, phys, mode)) \
+            <= TRANSFER_BOUND, n
+
+
+def _transfer_cases():
+    """(label, physics) of the march tests' profiles and the table rho."""
+    cases = [(label, make_physics(sigma=10.0, rho_coeffs=rho,
+                                  beta_coeffs=beta))
+             for label, (rho, beta) in _SHOOT_PROFILES.items()]
+    return cases + [("table-rho", _table_rho_physics())]
+
+
+@pytest.mark.parametrize("n_p", [64, 512])
+@pytest.mark.parametrize("case", [*_SHOOT_PROFILES, "table-rho"])
+def test_transfer_matches_march(case, n_p):
+    # the end point of each start from the product of the step matrices
+    # against the scalar march's, as D / scale; at lambda = 5 and at the
+    # first admissible lambda above the laminar floor (where a^-3 is large
+    # and every product rescales); n = 2..9 in one batch, and n = 1000,
+    # whose product rescales at lambda = 5.  Then lambda_* of modes 1..6
+    # against the search on the recorded march.
+    phys = dict(_transfer_cases())[case]
+    grid = pr.PGrid(-1.0, n_p)
+    floor = lm.lambda_floor(phys, grid)
+    g_rho0 = phys.g * phys.rho0()
+    for lam in (5.0, lm._first_admissible(floor)):
+        flow = lm.solve_laminar(phys, lam, grid)
+        coef = sp.shot_coefficients(flow, phys)
+        for ns in ((0,), (1,), tuple(range(2, 10)), (64,), (1000,)):
+            products = sp._transfer(coef, ns)
+            for n, (p00, p01, p10, p11, e) in zip(ns, products):
+                if lam == 5.0:
+                    assert (e > 0) == (n == 1000 and n_p == 512), n
+                for m0, M0p in _STARTS:
+                    M, Mp, _, _ = sp._march(coef, n, m0=m0, M0p=M0p)
+                    w0 = coef.a_nodes[0] ** 3 * M0p
+                    end = (p00 * m0 + p01 * w0,
+                           (p10 * m0 + p11 * w0) * coef.ia3_n[-1])
+                    D, scale = sp._mismatch_at(lam, phys.sigma, g_rho0, n,
+                                               end)
+                    D_ref, scale_ref = sp._mismatch_at(
+                        lam, phys.sigma, g_rho0, n, (M[-1], Mp[-1]))
+                    assert abs(D / scale - D_ref / scale_ref) \
+                        <= TRANSFER_BOUND, (n, m0, lam)
+    for n in range(1, 7):
+        ref = lm._smallest_root(lambda x: (_relative_march(phys, grid, n)(x),),
+                                floor, lm.LAMBDA_CAP)[0]
+        assert sp.find_lambda_star(phys, grid, n) == pytest.approx(
+            ref, rel=1e-13, abs=0.0), n
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 17, 40])
+def test_product_matches_sequential(length):
+    # levels of odd length carry their last matrix up, the last 8 run on
+    # floats; the unscaled product, and the rescaled one of a column whose
+    # product is about 1e200, against a plain loop
+    rng = np.random.default_rng(length)
+    T = rng.uniform(-2.0, 2.0, (2, 2, 3, length))
+    T[:, :, 2] *= 10.0 ** (200 / length)
+    for rescale, columns in ((False, 2), (True, 3)):
+        products = sp._product(T[:, :, :columns], rescale=rescale)
+        for b, (p00, p01, p10, p11, e) in enumerate(products):
+            want = np.eye(2)
+            for k in range(length):
+                want = T[:, :, b, k] @ want
+            got = np.ldexp(np.array([[p00, p01], [p10, p11]]), e)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0), (b, rescale)
+            assert (e > 0) == (b == 2 and length > 1)
 
 
 def _zero_mode_forced(flow, physics):
@@ -266,7 +347,9 @@ def test_zero_mode_matches_forced_reference(case):
     for name in ("M", "Mp", "Mpp"):
         assert np.max(np.abs(getattr(mode, name) - getattr(ref, name))) \
             <= 1e-14, name
-    assert sp._dispersion_at(flow, phys, 0) == sp.dispersion(flow, phys, mode)
+    D0_end, scale_end = sp._dispersion_at(flow, phys, 0)
+    assert abs(D0_end / scale_end - sp._relative(flow, phys, mode)) \
+        <= TRANSFER_BOUND
 
 
 @pytest.mark.parametrize("sigma", [0.05, 0.5, 2.0])
@@ -352,6 +435,67 @@ def test_classify_records_only_the_modes_it_returns(t0, grid128, double3,
         bp, built = _classify_counting_modes(physics, grid, monkeypatch)
         assert bp.classification == label
         assert built == len(bp.modes) == (1 if label == "Simple" else 2)
+
+
+def _scan_one_n_at_a_time(physics, grid, n_max):
+    """``classify``'s residuals, class and n2 from one ``_dispersion_at``
+    per n, the scan as it stood before the batched products."""
+    lam = sp.find_lambda_star(physics, grid)
+    flow = lm.solve_laminar(physics, lam, grid)
+    mode1 = sp.shoot_mode(flow, physics, 1)
+    residuals = {1: abs(sp._relative(flow, physics, mode1))}
+    D0, scale0 = sp._dispersion_at(flow, physics, 0)
+    residuals[0] = abs(D0 / scale0)
+    resonant, grow_streak, prev_gap = [], 0, None
+    for n in range(2, n_max + 1):
+        D, scale = sp._dispersion_at(flow, physics, n)
+        residuals[n] = abs(D / scale)
+        if residuals[n] < sp.RESONANCE_RTOL:
+            resonant.append(n)
+        gap = -D / scale
+        grow = gap > 0 and prev_gap is not None and gap > prev_gap
+        grow_streak = grow_streak + 1 if grow else 0
+        prev_gap = gap if gap > 0 else None
+        if grow_streak >= 3:
+            break
+    if residuals[0] < sp.RESONANCE_RTOL:
+        return residuals, "ZeroMode", 0
+    if resonant:
+        return residuals, "Double", resonant[0]
+    return residuals, "Simple", None
+
+
+# the nine points of the analyze-sweep benchmark workload (N_p = 512); a
+# double point at the sigma find_double_sigma gives, as --n2 resolves it
+SWEEP_POINTS = {
+    "simple": (lambda: make_physics(), None),
+    "zero-mode": (lambda: make_physics(sigma=1.0 / np.tanh(1.0) - 1.0), None),
+    "double2": (lambda: make_physics(), 2),
+    "double3": (lambda: make_physics(), 3),
+    "double4": (lambda: make_physics(), 4),
+    "rho-p10": (lambda: make_physics(sigma=10.0, rho_coeffs=(1.0, -0.1)),
+                None),
+    "rho-p5": (lambda: make_physics(sigma=20.0, rho_coeffs=(1.0, -0.2)),
+               None),
+    "beta-0.2s": (lambda: make_physics(beta_coeffs=(0.0, 0.2)), None),
+    "rho-table": (lambda: _table_rho_physics(), None),
+}
+
+
+@pytest.mark.parametrize("point, n_max", [*((p, 64) for p in SWEEP_POINTS),
+                                          ("double4", 5), ("simple", 3)])
+def test_classify_scan_matches_one_n_at_a_time(point, n_max):
+    # double4 scans to n = 8, past the first block (n = 2..7); n_max = 5
+    # and 3 end the scan inside that block
+    make, n2 = SWEEP_POINTS[point]
+    physics, grid = make(), pr.PGrid(-1.0, 512)
+    if n2 is not None:
+        physics = replace(physics, sigma=sp.find_double_sigma(physics, grid,
+                                                              n2)[0])
+    bp = sp.classify(physics, grid, n_max=n_max)
+    residuals, label, n2_ref = _scan_one_n_at_a_time(physics, grid, n_max)
+    assert bp.residuals == residuals
+    assert (bp.classification, bp.n2) == (label, n2_ref)
 
 
 def test_zero_mode_has_no_sinh_normalization(t0, grid128):
@@ -532,8 +676,8 @@ def _shot_coefficients_scipy(flow, physics):
     return {"a_nodes": a_nodes, "a_half": a_half,
             "ap_nodes": G_interp.derivative()(p) / (2.0 * a_nodes),
             "rp_nodes": physics.rho_p(p), "rp_half": physics.rho_p(half),
-            "inv_a3_nodes": inv_a3_nodes, "ia3_n": inv_a3_nodes.tolist(),
-            "ia3_h": (a_half ** -3.0).tolist()}
+            "inv_a3_nodes": inv_a3_nodes, "inv_a3_half": a_half ** -3.0,
+            "ia3_n": inv_a3_nodes.tolist(), "ia3_h": (a_half ** -3.0).tolist()}
 
 
 def _table_rho_physics():
@@ -616,7 +760,8 @@ def _shot_coefficients_locate(flow, physics):
         h=float(grid.h), N_p=grid.N_p, g=physics.g, a_nodes=a_nodes,
         a_half=a[nodes:], ap_nodes=ap_nodes, rp_nodes=given.rho_p,
         rp_half=given.rho_p_half, inv_a3_nodes=inv_a3[:nodes],
-        ia3_n=inv_a3[:nodes].tolist(), ia3_h=inv_a3[nodes:].tolist())
+        inv_a3_half=inv_a3[nodes:], ia3_n=inv_a3[:nodes].tolist(),
+        ia3_h=inv_a3[nodes:].tolist())
 
 
 def _count_fits(monkeypatch):
