@@ -247,14 +247,16 @@ def test_shoot_end_matches_shoot(rho, beta):
         D, scale = sp._dispersion_at(flow, phys, n, coef)
         assert abs(D / scale - sp._relative(flow, phys, mode)) \
             <= TRANSFER_BOUND, n
+    with pytest.raises(ValueError):     # no end-point march is left
+        sp._march(coef, 1, record=False)
 
 
-def _transfer_cases():
-    """(label, physics) of the march tests' profiles and the table rho."""
-    cases = [(label, make_physics(sigma=10.0, rho_coeffs=rho,
-                                  beta_coeffs=beta))
-             for label, (rho, beta) in _SHOOT_PROFILES.items()]
-    return cases + [("table-rho", _table_rho_physics())]
+def _shoot_case_physics(case):
+    """The physics of a march test's profile, or of the table rho."""
+    if case == "table-rho":
+        return _table_rho_physics()
+    rho, beta = _SHOOT_PROFILES[case]
+    return make_physics(sigma=10.0, rho_coeffs=rho, beta_coeffs=beta)
 
 
 @pytest.mark.parametrize("n_p", [64, 512])
@@ -266,7 +268,7 @@ def test_transfer_matches_march(case, n_p):
     # and every product rescales); n = 2..9 in one batch, and n = 1000,
     # whose product rescales at lambda = 5.  Then lambda_* of modes 1..6
     # against the search on the recorded march.
-    phys = dict(_transfer_cases())[case]
+    phys = _shoot_case_physics(case)
     grid = pr.PGrid(-1.0, n_p)
     floor = lm.lambda_floor(phys, grid)
     g_rho0 = phys.g * phys.rho0()
@@ -333,11 +335,7 @@ def test_zero_mode_matches_forced_reference(case):
     # the march tests' profiles and the table rho.  Measured at N_p = 512:
     # D0 equal to the bit; max |dM| <= 1.3e-15, |dM'| <= 2.3e-16,
     # |dM''| <= 2.8e-17, with M = O(1); at lambda_* |dD0| <= 1.7e-16 scale
-    if case == "table-rho":
-        phys = _table_rho_physics()
-    else:
-        rho, beta = _SHOOT_PROFILES[case]
-        phys = make_physics(sigma=10.0, rho_coeffs=rho, beta_coeffs=beta)
+    phys = _shoot_case_physics(case)
     grid = pr.PGrid(-1.0, 512)
     flow = lm.solve_laminar(phys, 5.0, grid)
     mode, D0 = sp.shoot_zero_mode(flow, phys)
