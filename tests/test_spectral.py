@@ -264,10 +264,10 @@ def _shoot_case_physics(case):
 def test_transfer_matches_march(case, n_p):
     # the end point of each start from the product of the step matrices
     # against the scalar march's, as D / scale; at lambda = 5 and at the
-    # first admissible lambda above the laminar floor (where a^-3 is large
-    # and every product rescales); n = 2..9 in one batch, and n = 1000,
-    # whose product rescales at lambda = 5.  Then lambda_* of modes 1..6
-    # against the search on the recorded march.
+    # first admissible lambda above the laminar floor (1e-6 for constant
+    # rho, where a^-3 is about 1e9 and every n >= 1 rescales); n = 2..9 in
+    # one batch, and n = 1000, whose product rescales at lambda = 5.  Then
+    # lambda_* of modes 1..6 against the search on the recorded march.
     phys = _shoot_case_physics(case)
     grid = pr.PGrid(-1.0, n_p)
     floor = lm.lambda_floor(phys, grid)
@@ -292,8 +292,9 @@ def test_transfer_matches_march(case, n_p):
                     assert abs(D / scale - D_ref / scale_ref) \
                         <= TRANSFER_BOUND, (n, m0, lam)
     for n in range(1, 7):
-        ref = lm._smallest_root(lambda x: (_relative_march(phys, grid, n)(x),),
-                                floor, lm.LAMBDA_CAP)[0]
+        march = _relative_march(phys, grid, n)
+        ref = lm._smallest_root(lambda x: (march(x),), floor,
+                                lm.LAMBDA_CAP)[0]
         assert sp.find_lambda_star(phys, grid, n) == pytest.approx(
             ref, rel=1e-13, abs=0.0), n
 
