@@ -124,41 +124,38 @@ def _mode_fields(mode: EigenMode) -> dict:
             "pq": (-n * mode.Mp, ("s", n))}
 
 
+def _fields_of(*modes):
+    """``_mode_fields`` of each mode, formed once per distinct mode."""
+    fields = []
+    for mode in modes:
+        first = next(k for k, m in enumerate(modes) if m is mode)
+        fields.append(fields[first] if first < len(fields)
+                      else _mode_fields(mode))
+    return fields
+
+
 class _FormAssembler:
     """Accumulates separable terms of a multilinear variation and pairs
-    them with a test mode under the weighted inner product."""
+    them with a test mode under the weighted inner product.  Each part of
+    a term is a (p-profile, trig factor) entry of ``_mode_fields``."""
 
     def __init__(self, flow: LaminarFlow):
         self.flow = flow
         self.interior = []      # (p-array, (trig factors))
         self.top = []           # (scalar at p=0, (trig factors))
-        # id(mode) -> (mode, _mode_fields(mode)); holding the mode keeps
-        # its id from being reused while the assembler lives
-        self._fields = {}
-
-    def _field(self, mode, deriv):
-        entry = self._fields.get(id(mode))
-        if entry is None:
-            entry = self._fields[id(mode)] = (mode, _mode_fields(mode))
-        return entry[1][deriv]
 
     def add_interior(self, coef, *parts):
         # left to right, as np.prod(stacked, axis=0) multiplies
-        prof, trigs = None, []
-        for mode, deriv in parts:
-            arr, trig = self._field(mode, deriv)
-            prof = arr if prof is None else prof * arr
-            trigs.append(trig)
-        self.interior.append((coef * prof, tuple(trigs)))
+        prof = parts[0][0]
+        for arr, _ in parts[1:]:
+            prof = prof * arr
+        self.interior.append((coef * prof, tuple(t for _, t in parts)))
 
     def add_top(self, coef, *parts):
         val = coef
-        trigs = []
-        for mode, deriv in parts:
-            arr, trig = self._field(mode, deriv)
+        for arr, _ in parts:
             val = val * arr[-1]
-            trigs.append(trig)
-        self.top.append((val, tuple(trigs)))
+        self.top.append((val, tuple(t for _, t in parts)))
 
     def pair_with(self, test: EigenMode) -> float:
         flow = self.flow
@@ -181,6 +178,7 @@ class _FormAssembler:
 def _second_variation(flow, physics, A: EigenMode, B: EigenMode):
     """D^2 G at the laminar state in directions (A, B), d(A) = d(B) = 0."""
     asm = _FormAssembler(flow)
+    A, B = _fields_of(A, B)
     Hp = flow.Hp
     Hpp = flow.Hpp(physics)
     g = physics.g
@@ -188,26 +186,26 @@ def _second_variation(flow, physics, A: EigenMode, B: EigenMode):
     rho_p, beta = given.rho_p, given.beta
     Y = flow.Y
 
-    asm.add_interior(2.0 * Hpp, (A, "q"), (B, "q"))
-    asm.add_interior(2.0 * Hp, (A, "qq"), (B, "p"))
-    asm.add_interior(2.0 * Hp, (B, "qq"), (A, "p"))
-    asm.add_interior(-2.0 * Hp, (A, "q"), (B, "pq"))
-    asm.add_interior(-2.0 * Hp, (B, "q"), (A, "pq"))
-    asm.add_interior(-3.0 * g * rho_p * Hp ** 2, (A, "0"), (B, "p"))
-    asm.add_interior(-3.0 * g * rho_p * Hp ** 2, (B, "0"), (A, "p"))
-    asm.add_interior(-6.0 * g * rho_p * Y * Hp, (A, "p"), (B, "p"))
-    asm.add_interior(6.0 * Hp * beta, (A, "p"), (B, "p"))
+    asm.add_interior(2.0 * Hpp, A["q"], B["q"])
+    asm.add_interior(2.0 * Hp, A["qq"], B["p"])
+    asm.add_interior(2.0 * Hp, B["qq"], A["p"])
+    asm.add_interior(-2.0 * Hp, A["q"], B["pq"])
+    asm.add_interior(-2.0 * Hp, B["q"], A["pq"])
+    asm.add_interior(-3.0 * g * rho_p * Hp ** 2, A["0"], B["p"])
+    asm.add_interior(-3.0 * g * rho_p * Hp ** 2, B["0"], A["p"])
+    asm.add_interior(-6.0 * g * rho_p * Y * Hp, A["p"], B["p"])
+    asm.add_interior(6.0 * Hp * beta, A["p"], B["p"])
 
     g_rho0 = g * physics.rho0()
     sigma = physics.sigma
     venttsel = 2.0 * g_rho0 * flow.H[-1] - flow.Q      # equals -lambda
     Hp0 = Hp[-1]
-    asm.add_top(2.0, (A, "q"), (B, "q"))
-    asm.add_top(2.0 * venttsel, (A, "p"), (B, "p"))
-    asm.add_top(2.0 * Hp0 * 2.0 * g_rho0, (A, "p"), (B, "0"))
-    asm.add_top(-2.0 * Hp0 * 2.0 * sigma, (A, "p"), (B, "qq"))
-    asm.add_top(2.0 * Hp0 * 2.0 * g_rho0, (B, "p"), (A, "0"))
-    asm.add_top(-2.0 * Hp0 * 2.0 * sigma, (B, "p"), (A, "qq"))
+    asm.add_top(2.0, A["q"], B["q"])
+    asm.add_top(2.0 * venttsel, A["p"], B["p"])
+    asm.add_top(2.0 * Hp0 * 2.0 * g_rho0, A["p"], B["0"])
+    asm.add_top(-2.0 * Hp0 * 2.0 * sigma, A["p"], B["qq"])
+    asm.add_top(2.0 * Hp0 * 2.0 * g_rho0, B["p"], A["0"])
+    asm.add_top(-2.0 * Hp0 * 2.0 * sigma, B["p"], A["qq"])
     return asm
 
 
@@ -220,28 +218,28 @@ def _third_variation(flow, physics, A, B, C):
     given = _given_data(physics.rho, physics.beta, flow.grid)
     rho_p, beta = given.rho_p, given.beta
     Y = flow.Y
-    modes = (A, B, C)
+    modes = A, B, C = _fields_of(A, B, C)
 
     # distinct unordered pairs with the remaining slot:
     for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         X, W, Z = modes[i], modes[j], modes[k]
-        asm.add_interior(2.0 * np.ones_like(p), (X, "q"), (W, "q"), (Z, "pp"))
-        asm.add_interior(2.0 * np.ones_like(p), (Z, "qq"), (X, "p"), (W, "p"))
-        asm.add_interior(-6.0 * g * rho_p * Hp, (Z, "0"), (X, "p"), (W, "p"))
+        asm.add_interior(2.0 * np.ones_like(p), X["q"], W["q"], Z["pp"])
+        asm.add_interior(2.0 * np.ones_like(p), Z["qq"], X["p"], W["p"])
+        asm.add_interior(-6.0 * g * rho_p * Hp, Z["0"], X["p"], W["p"])
     for perm in permutations(range(3)):
         X, W, Z = modes[perm[0]], modes[perm[1]], modes[perm[2]]
-        asm.add_interior(-2.0 * np.ones_like(p), (X, "q"), (W, "p"), (Z, "pq"))
-    asm.add_interior(-6.0 * g * rho_p * Y, (A, "p"), (B, "p"), (C, "p"))
-    asm.add_interior(6.0 * beta, (A, "p"), (B, "p"), (C, "p"))
+        asm.add_interior(-2.0 * np.ones_like(p), X["q"], W["p"], Z["pq"])
+    asm.add_interior(-6.0 * g * rho_p * Y, A["p"], B["p"], C["p"])
+    asm.add_interior(6.0 * beta, A["p"], B["p"], C["p"])
 
     g_rho0 = g * physics.rho0()
     sigma = physics.sigma
     Hp0 = Hp[-1]
     for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         X, W, Z = modes[i], modes[j], modes[k]
-        asm.add_top(-4.0 * sigma, (X, "p"), (W, "p"), (Z, "qq"))
-        asm.add_top(4.0 * g_rho0, (X, "p"), (W, "p"), (Z, "0"))
-        asm.add_top(6.0 * sigma * Hp0 ** 2, (Z, "qq"), (X, "q"), (W, "q"))
+        asm.add_top(-4.0 * sigma, X["p"], W["p"], Z["qq"])
+        asm.add_top(4.0 * g_rho0, X["p"], W["p"], Z["0"])
+        asm.add_top(6.0 * sigma * Hp0 ** 2, Z["qq"], X["q"], W["q"])
     return asm
 
 

@@ -20,7 +20,7 @@ evaluates each lambda once and hands back what it computed at the root.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +28,6 @@ from scipy.optimize import brentq
 
 from .errors import (DomainError, IterationFailureError, NoMinimumError,
                      UndefinedQuantityError)
-from .piecewise import _evaluate, _hermite, _locate, _pchip_slopes
 from .profiles import (PGrid, Physics, ProfileFn, b_min, build_B,
                        cumquad_from_left, cumquad_to_zero, quad)
 
@@ -38,33 +37,14 @@ LAMBDA_CAP = 1e6
 HOMOGENEOUS_FLOOR = 1e-6
 
 
-class _OnFirstRead:
-    """A ``LaminarFlow`` field that, when not given, is computed on its
-    first read: the lambda-derivatives run a fixed point of their own,
-    which only a flow whose Ydot, Gdot or Qdot is read needs."""
-
-    def __set_name__(self, owner, name):
-        self.key = "_" + name
-
-    def __get__(self, flow, owner=None):
-        if flow is None:
-            return None                 # the dataclass default
-        if flow.__dict__[self.key] is None:
-            flow._derive()
-        return flow.__dict__[self.key]
-
-    def __set__(self, flow, value):
-        flow.__dict__[self.key] = value
-
-
 @dataclass(frozen=True)
 class LaminarFlow:
     """A converged laminar flow and its lambda-derivatives on a p-grid.
 
-    ``solve_laminar`` leaves Ydot, Gdot and Qdot to their first read, which
-    computes all three from the stored G with the flow's ``physics``; a
-    flow that a root search evaluates and discards never runs their fixed
-    point.
+    Ydot, Gdot and Qdot are computed together on the first read of one,
+    from the flow's own G with its ``physics``, and kept: a flow that a
+    root search evaluates and discards never runs their fixed point, and a
+    flow made by ``dataclasses.replace`` computes its own.
     """
 
     lam: float
@@ -74,17 +54,15 @@ class LaminarFlow:
     G: np.ndarray
     Q: float               # Q = lam + 2 g rho(0) H(0)
     iterations: int
-    converged: bool
-    Ydot: np.ndarray = _OnFirstRead()
-    Gdot: np.ndarray = _OnFirstRead()
-    Qdot: float = _OnFirstRead()
     physics: Physics | None = field(default=None, repr=False, compare=False)
 
-    def _derive(self):
-        derived = _lambda_derivatives(self.physics, self.lam, self.grid,
-                                      self.G)
-        for name, value in zip(("_Ydot", "_Gdot", "_Qdot"), derived):
-            self.__dict__[name] = value
+    @cached_property
+    def _derived(self):
+        return _lambda_derivatives(self.physics, self.lam, self.grid, self.G)
+
+    Ydot = property(lambda self: self._derived[0])
+    Gdot = property(lambda self: self._derived[1])
+    Qdot = property(lambda self: self._derived[2])
 
     @property
     def a(self):
@@ -123,68 +101,27 @@ class _Given(NamedTuple):
     twoB: np.ndarray             # 2B at the nodes
     b_min: float
     rho_p: np.ndarray            # at the nodes
-    rho_p_half: np.ndarray       # at the grid's half_nodes
     beta: np.ndarray             # beta(-p) at the nodes
     homogeneous: bool
-    stations: np.ndarray         # (1, 2 N_p + 1): nodes, then half_nodes
-    intervals: np.ndarray        # each station's interval of the nodes
 
 
 @lru_cache(maxsize=256)
 def _given_data(rho: ProfileFn, beta: ProfileFn, grid: PGrid) -> _Given:
     """Per-(rho, beta, grid) immutable precomputation shared by every
-    solve, shot and height residual: 2B on the nodes, B_min, rho_p at the
-    nodes and at the shooting march's half-step stations, beta(-p) at the
-    nodes, homogeneity (rho_p vanishes on the grid to 1e-13 relative
-    to max |rho|), and the march's stations with the interval of the
-    nodes each lies in (node k in interval k, the last node in N_p - 1,
-    half step k in k), located once here.  Keyed on the profiles only,
-    so any sigma, g or c hits."""
+    solve, shot and height residual: 2B on the nodes, B_min, rho_p and
+    beta(-p) at the nodes, and homogeneity (rho_p vanishes on the grid to
+    1e-13 relative to max |rho|).  Keyed on the profiles only, so any
+    sigma, g or c hits."""
     B = build_B(beta, grid)
     p = grid.nodes
     rho_p = rho.deriv(p)
     scale = max(1.0, float(np.max(np.abs(rho.eval(p)))))
     homogeneous = float(np.max(np.abs(rho_p))) <= 1e-13 * scale
-    stations = np.concatenate([p, grid.half_nodes])[None, :]
     given = _Given(twoB=2.0 * B.eval(p), b_min=b_min(B), rho_p=rho_p,
-                   rho_p_half=rho.deriv(grid.half_nodes), beta=beta.eval(-p),
-                   homogeneous=homogeneous, stations=stations,
-                   intervals=_locate(p[None, :], stations))
-    for samples in (given.twoB, given.rho_p, given.rho_p_half, given.beta,
-                    given.stations, given.intervals):
+                   beta=beta.eval(-p), homogeneous=homogeneous)
+    for samples in (given.twoB, given.rho_p, given.beta):
         samples.flags.writeable = False     # every caller shares them
     return given
-
-
-class _GSamples(NamedTuple):
-    stations: np.ndarray         # G at the nodes, then at the half nodes
-    slopes: np.ndarray           # G' at the nodes
-
-
-def _pchip_samples(given: _Given, G) -> _GSamples:
-    """The PCHIP of G, as scipy's PchipInterpolator and its derivative
-    would evaluate it, at the shooting march's stations; its slope at the
-    nodes."""
-    nodes = G.size
-    x = given.stations[:, :nodes]
-    row = G[None, :]
-    pchip = _hermite(x, row, _pchip_slopes(x, row))
-    intervals = given.intervals
-    return _GSamples(
-        _evaluate(x, pchip, given.stations, intervals=intervals)[0],
-        _evaluate(x, pchip, x, derivative=True,
-                  intervals=intervals[:, :nodes])[0])
-
-
-@lru_cache(maxsize=256)
-def _twoB_samples(rho: ProfileFn, beta: ProfileFn, grid: PGrid) -> _GSamples:
-    """``_pchip_samples`` of G = 2B.  A homogeneous rho has G = 2B at
-    every lambda (see ``solve_laminar``), so these are all its flows'."""
-    given = _given_data(rho, beta, grid)
-    samples = _pchip_samples(given, given.twoB)
-    for values in samples:
-        values.flags.writeable = False
-    return samples
 
 
 def _floor_margin(physics: Physics, grid: PGrid) -> float:
@@ -248,8 +185,7 @@ def solve_laminar(physics: Physics, lam: float, grid: PGrid,
     Hp, H = heights(G, iterations)
     Q = lam + 2.0 * g * physics.rho0() * H[-1]
     return LaminarFlow(lam=lam, grid=grid, H=H, Hp=Hp, G=G, Q=Q,
-                       iterations=iterations, converged=True,
-                       physics=physics)
+                       iterations=iterations, physics=physics)
 
 
 def _fixed_point(step, x, failure: str):

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -28,11 +30,10 @@ from scipy.optimize import brentq
 from .errors import (IndefiniteFormError, LBViolatedError,
                      MultiplicityExceededError, RootNotFoundError,
                      SuperpositionDegenerateError)
-from .laminar import (LAMBDA_CAP, LaminarFlow, _given_data, _pchip_samples,
-                      _smallest_root, _twoB_samples, lambda_floor,
-                      solve_laminar)
+from .laminar import (LAMBDA_CAP, LaminarFlow, _given_data, _smallest_root,
+                      lambda_floor, solve_laminar)
 from .piecewise import _evaluate, _hermite, _pchip_slopes
-from .profiles import PGrid, Physics
+from .profiles import PGrid, Physics, ProfileFn
 
 RESONANCE_RTOL = 1e-6
 DISPERSION_RTOL = 1e-10
@@ -92,12 +93,11 @@ class BifurcationPoint:
 class ShotCoefficients:
     """The coefficient samples of every shot on one flow, independent of n.
 
-    a and rho_p at the nodes and half-step stations, a^-3 at both (as
-    arrays for the step matrices of ``_steps``, and as Python floats for
-    the recording ``_march``), and a' at the nodes, with a and a'
-    bit-equal to those of scipy's PchipInterpolator of G and its
-    derivative.  Build them with ``shot_coefficients`` once per flow and
-    pass them to each shot on it, as ``classify`` does for all its shots.
+    a, rho_p and a^-3 at the nodes and half-step stations, and a' at the
+    nodes, with a and a' bit-equal to those of scipy's PchipInterpolator
+    of G and its derivative.  Build them with ``shot_coefficients`` once
+    per flow and pass them to each shot on it, as ``classify`` does for
+    all its shots.
     """
 
     h: float
@@ -110,8 +110,54 @@ class ShotCoefficients:
     rp_half: np.ndarray
     inv_a3_nodes: np.ndarray
     inv_a3_half: np.ndarray
-    ia3_n: list
-    ia3_h: list
+
+
+class _Stations(NamedTuple):
+    points: np.ndarray           # (1, 2 N_p + 1): nodes, then half steps
+    rho_p_half: np.ndarray       # rho_p at the half steps
+    intervals: np.ndarray        # each station's interval of the nodes
+
+
+@lru_cache(maxsize=256)
+def _stations(rho: ProfileFn, grid: PGrid) -> _Stations:
+    """The shooting march's stations on ``grid``: the nodes, then the
+    half steps p_k + h/2, k = 0..N_p - 1; rho_p at the half steps; and the
+    interval of the nodes each station lies in, which ``_locate`` would
+    find, in closed form: node k in interval k, the last node in N_p - 1,
+    half step k in k."""
+    p = grid.nodes
+    half = p[:-1] + 0.5 * grid.h
+    k = np.arange(grid.N_p)
+    stations = _Stations(np.concatenate([p, half])[None, :], rho.deriv(half),
+                         np.concatenate([k, [grid.N_p - 1], k])[None, :])
+    for samples in stations:
+        samples.flags.writeable = False     # every shot shares them
+    return stations
+
+
+def _pchip_samples(stations: _Stations, G):
+    """(values, slopes): the PCHIP of G, as scipy's PchipInterpolator and
+    its derivative would evaluate it, at the shooting march's stations,
+    and its slope at the nodes."""
+    nodes = G.size
+    x = stations.points[:, :nodes]
+    row = G[None, :]
+    pchip = _hermite(x, row, _pchip_slopes(x, row))
+    intervals = stations.intervals
+    return (_evaluate(x, pchip, stations.points, intervals=intervals)[0],
+            _evaluate(x, pchip, x, derivative=True,
+                      intervals=intervals[:, :nodes])[0])
+
+
+@lru_cache(maxsize=256)
+def _twoB_samples(rho: ProfileFn, beta: ProfileFn, grid: PGrid):
+    """``_pchip_samples`` of G = 2B.  A homogeneous rho has G = 2B at
+    every lambda (see ``solve_laminar``), so these are all its flows'."""
+    samples = _pchip_samples(_stations(rho, grid),
+                             _given_data(rho, beta, grid).twoB)
+    for values in samples:
+        values.flags.writeable = False
+    return samples
 
 
 def shot_coefficients(flow, physics: Physics) -> ShotCoefficients:
@@ -119,18 +165,19 @@ def shot_coefficients(flow, physics: Physics) -> ShotCoefficients:
 
     a = sqrt(lambda + G) and a' = G' / (2 a) come from the PCHIP of G,
     evaluated by ``piecewise`` on one row as scipy's PchipInterpolator
-    and its derivative would; rho_p from the grid's cached samples.  A
-    flow whose G is 2B bit for bit (every homogeneous one) reads the
-    profile's PCHIP samples, fitted once, and computes only a, a' and
-    a^-3 here.
+    and its derivative would; rho_p from the cached samples of the
+    profiles and of ``_stations``.  A flow whose G is 2B bit for bit
+    (every homogeneous one) reads the profile's PCHIP samples, fitted
+    once, and computes only a, a' and a^-3 here.
     """
     rho, beta, grid = physics.rho, physics.beta, flow.grid
     nodes = grid.N_p + 1
     given = _given_data(rho, beta, grid)
+    stations = _stations(rho, grid)
     if given.homogeneous and np.array_equal(flow.G, given.twoB):
         G_at, G_slopes = _twoB_samples(rho, beta, grid)
     else:
-        G_at, G_slopes = _pchip_samples(given, flow.G)
+        G_at, G_slopes = _pchip_samples(stations, flow.G)
     a = np.sqrt(flow.lam + G_at)
     a_nodes = a[:nodes]
     ap_nodes = G_slopes / (2.0 * a_nodes)
@@ -138,12 +185,11 @@ def shot_coefficients(flow, physics: Physics) -> ShotCoefficients:
     return ShotCoefficients(
         h=float(grid.h), N_p=grid.N_p, g=physics.g, a_nodes=a_nodes,
         a_half=a[nodes:], ap_nodes=ap_nodes, rp_nodes=given.rho_p,
-        rp_half=given.rho_p_half, inv_a3_nodes=inv_a3[:nodes],
-        inv_a3_half=inv_a3[nodes:], ia3_n=inv_a3[:nodes].tolist(),
-        ia3_h=inv_a3[nodes:].tolist())
+        rp_half=stations.rho_p_half, inv_a3_nodes=inv_a3[:nodes],
+        inv_a3_half=inv_a3[nodes:])
 
 
-def _march(coef, n, m0=0.0, M0p=1.0, record=True):
+def _march(coef, n, m0=0.0, M0p=1.0):
     """RK4 on (M, w = a^3 M'), w' = (n^2 a + g rho_p) M, from
     (M, M')(p0) = (m0, M0p), on the samples of ``shot_coefficients``,
     recording every node: M, M' and M'' at the nodes and the accumulated
@@ -155,11 +201,8 @@ def _march(coef, n, m0=0.0, M0p=1.0, record=True):
     order as on numpy scalars, without their per-operation dispatch.  When
     the state passes 1e150 it is divided by its largest entry, which keeps
     it finite for large n.  The march builds modes only: a value that
-    needs just the end point (M(0), M'(0)) comes from ``_ends``, and
-    ``record`` must be true.
+    needs just the end point (M(0), M'(0)) comes from ``_ends``.
     """
-    if not record:
-        raise ValueError("end points alone come from _ends, not _march")
     h = coef.h
     c_nodes = n * n * coef.a_nodes + coef.g * coef.rp_nodes
     c_n = c_nodes.tolist()
@@ -169,9 +212,9 @@ def _march(coef, n, m0=0.0, M0p=1.0, record=True):
     M, Mp = [m], [float(M0p)]
     hh, h6 = 0.5 * h, h / 6.0
     lim, nlim = _RESCALE_LIMIT, -_RESCALE_LIMIT
-    ia3_n = coef.ia3_n
+    ia3_n, ia3_h = coef.inv_a3_nodes.tolist(), coef.inv_a3_half.tolist()
     for ia_k, ia_h, ia_k1, c_k, c_hk, c_k1 in zip(
-            ia3_n, coef.ia3_h, ia3_n[1:], c_n, c_half, c_n[1:]):
+            ia3_n, ia3_h, ia3_n[1:], c_n, c_half, c_n[1:]):
         dm1 = w * ia_k
         dw1 = c_k * m
         m2, w2 = m + hh * dm1, w + hh * dw1
@@ -291,7 +334,7 @@ def _ends(coef, ns):
     ``_zero_superposition`` of both columns, read from the unscaled
     product.
     """
-    w0, ia3_end = float(coef.a_nodes[0] ** 3), coef.ia3_n[-1]
+    w0, ia3_end = float(coef.a_nodes[0] ** 3), float(coef.inv_a3_nodes[-1])
     ends = []
     for n, (p00, p01, p10, p11, e) in zip(ns, _transfer(coef, ns)):
         if n:
@@ -391,12 +434,6 @@ def shoot_zero_mode(flow, physics: Physics,
     mode = EigenMode(n=0, lam=flow.lam, M=M, Mp=Mp, Mpp=Mpp,
                      normalization="shooting")
     return mode, dispersion(flow, physics, mode)[0]
-
-
-def _relative(flow, physics, mode) -> float:
-    """D / scale of ``dispersion``."""
-    D, scale = dispersion(flow, physics, mode)
-    return D / scale
 
 
 def _lambda_star(physics, grid, n):
@@ -534,7 +571,8 @@ def classify(physics: Physics, grid: PGrid, n_max: int = 64,
     """
     lam_star, flow, coefficients = _lambda_star(physics, grid, 1)
     mode1 = shoot_mode(flow, physics, 1, coefficients=coefficients)
-    residuals = {1: abs(_relative(flow, physics, mode1))}
+    D1, scale1 = dispersion(flow, physics, mode1)
+    residuals = {1: abs(D1 / scale1)}
     modes = [mode1]
 
     g_rho0 = physics.g * physics.rho0()

@@ -594,7 +594,7 @@ def test_trig_product_integral_memo_matches_expansion():
 
 def _mode_field_ref(mode, deriv):
     """A derivative of M cos(nq) as ``bifurc`` formed it per call, before
-    each assembler kept its modes' six profiles."""
+    each variation formed its modes' six profiles once."""
     n = mode.n
     return {"0": (mode.M, ("c", n)), "p": (mode.Mp, ("c", n)),
             "pp": (mode.Mpp, ("c", n)), "q": (-n * mode.M, ("s", n)),
@@ -612,9 +612,19 @@ def _stratified_modes():
                         sp.shoot_mode(flow, phys, 2))
 
 
+def test_mode_fields_match_reference(double3):
+    t0, _, bp, flow = double3
+    for mode in (*bp.modes, *_stratified_modes()[2]):
+        fields = bf._mode_fields(mode)
+        assert sorted(fields) == sorted(("0", "p", "pp", "q", "qq", "pq"))
+        for deriv, (arr, trig) in fields.items():
+            want, want_trig = _mode_field_ref(mode, deriv)
+            assert np.array_equal(arr, want) and trig == want_trig, deriv
+
+
 def test_assembler_terms_match_stacked_product(double3, monkeypatch):
     """Every term equals coef * np.prod(stacked profiles, axis=0) bit for
-    bit, and each mode's profiles are formed once per assembler."""
+    bit, and each mode's profiles are formed once per variation."""
     t0, _, bp, flow = double3
     cases = [(t0, flow, bp.modes), _stratified_modes()]
     calls = []
@@ -644,13 +654,12 @@ def test_assembler_terms_match_stacked_product(double3, monkeypatch):
             assert len(calls) == len({id(m) for m in modes})
     assert len(terms) > 100
     for kind, coef, parts, (value, trigs) in terms:
-        refs = [_mode_field_ref(mode, deriv) for mode, deriv in parts]
-        assert trigs == tuple(trig for _, trig in refs)
+        assert trigs == tuple(trig for _, trig in parts)
         if kind == "interior":
-            want = coef * np.prod([arr for arr, _ in refs], axis=0)
+            want = coef * np.prod([arr for arr, _ in parts], axis=0)
         else:
             want = coef
-            for arr, _ in refs:
+            for arr, _ in parts:
                 want = want * arr[-1]
         assert np.array_equal(value, want)
 

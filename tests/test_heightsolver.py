@@ -905,7 +905,7 @@ def _v1_dump(hf):
     return "\n".join([head] + _per_value(hf.h, " ")) + "\n"
 
 
-def test_writers_match_per_value_format():
+def test_writers_match_per_value_format(monkeypatch):
     # signed zero, the smallest subnormal, the extremes and negatives
     special = [-0.0, 5e-324, 1e308, -1e308, -1.5, 0.1, -2.5e-300, 3.0,
                -7.0e-17]
@@ -933,10 +933,11 @@ def test_writers_match_per_value_format():
     text = hs.branch_csv(hs.Branch(points=points, termination="max-steps"))
     assert text.splitlines()[1:] == _per_value(rows, ",")
 
+    # the derivatives a flow reads on first use, set to the special values
+    monkeypatch.setattr(lm, "_lambda_derivatives", lambda *args: (
+        vals[0][::-1], vals[1][::-1], 0.0))
     flow = lm.LaminarFlow(lam=1.0, grid=grid, H=vals[0], Hp=vals[1],
-                          G=vals[2], Q=1.0, Ydot=vals[0][::-1],
-                          Gdot=vals[1][::-1], Qdot=0.0, iterations=1,
-                          converged=True)
+                          G=vals[2], Q=1.0, iterations=1)
     rows = zip(grid.nodes, flow.H, flow.Hp, flow.G, flow.Ydot, flow.Gdot)
     assert lm.flow_to_csv(flow).splitlines()[1:] == _per_value(rows, ",")
 

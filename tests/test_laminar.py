@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_solve_laminar_below_floor_raises(t0, grid128):
 def test_solve_laminar_stratified_self_consistency(grid128):
     phys = make_physics(rho_coeffs=(1.0, -0.1))
     flow = lm.solve_laminar(phys, 5.0, grid128)
-    assert flow.converged
+    assert 1 < flow.iterations <= lm.DEFAULT_MAX_ITER
     assert flow.Hp[-1] == pytest.approx(5.0 ** -0.5, abs=1e-12)
     assert np.max(np.abs(flow.Hp - (5.0 + flow.G) ** -0.5)) < 1e-12
     # cross-check against the halved grid
@@ -102,6 +103,29 @@ def test_lambda_derivatives_t0(t0, grid128):
     assert Qdot == pytest.approx(0.875, abs=1e-12)
     # Q is minimized at lambda_0 = 1
     assert lm.solve_laminar(t0, 1.0, grid128).Qdot == pytest.approx(0.0, abs=1e-12)
+
+
+def test_replaced_flow_derives_from_its_own_G(monkeypatch):
+    # the derivatives were fields: replace read the parent's, which ran its
+    # fixed point, and handed them to the new flow (Ydot off by 7e-3 here)
+    phys = make_physics(rho_coeffs=(1.0, -0.1), beta_coeffs=(0.0, 0.2))
+    grid = pr.PGrid(-1.0, 64)
+    flow = lm.solve_laminar(phys, 6.0, grid)
+    calls = []
+    derivatives = lm._lambda_derivatives
+
+    def counted(*args):
+        calls.append(args[1])
+        return derivatives(*args)
+
+    monkeypatch.setattr(lm, "_lambda_derivatives", counted)
+    moved = replace(flow, lam=7.0, G=1.5 * flow.G)
+    assert calls == []
+    want = derivatives(phys, 7.0, grid, moved.G)
+    for got, value in zip((moved.Ydot, moved.Gdot, moved.Qdot), want):
+        assert np.array_equal(got, value)
+    assert calls == [7.0]                   # once, for all three
+    assert not np.array_equal(moved.Ydot, flow.Ydot)
 
 
 def test_gdot_bounds_stratified(grid128):

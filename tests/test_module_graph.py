@@ -2,8 +2,10 @@
 
 The laminar family sits under everything built on it: the piecewise
 kernel needs only the error classes and the profiles only it and them,
-the laminar module (which owns the one lambda-root search) needs nothing
-above them, and the height solver needs nothing of the spectral layer.
+the laminar module (which owns the one lambda-root search) needs only
+the profiles and the error classes, not the kernel, whose samples of a
+flow only ``spectral`` reads, and the height solver needs nothing of the
+spectral layer.
 No module takes anything from ``scipy.interpolate``: ``piecewise`` is
 the one interpolation kernel.
 """
@@ -21,7 +23,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stratiwave"
 ALLOWED = {
     "piecewise": {"errors"},
     "profiles": {"errors", "piecewise"},
-    "laminar": {"errors", "piecewise", "profiles"},
+    "laminar": {"errors", "profiles"},
     "heightsolver": {"errors", "laminar", "profiles"},
 }
 

@@ -43,11 +43,17 @@ def _relative_D(physics, grid, n):
     return f
 
 
+def _relative(flow, physics, mode):
+    """D / scale of ``sp.dispersion`` on a recorded mode."""
+    D, scale = sp.dispersion(flow, physics, mode)
+    return D / scale
+
+
 def _relative_march(physics, grid, n):
     """``_relative_D`` from the recorded scalar march of mode n >= 1."""
     def f(lam):
         flow = lm.solve_laminar(physics, lam, grid)
-        return sp._relative(flow, physics, sp.shoot_mode(flow, physics, n))
+        return _relative(flow, physics, sp.shoot_mode(flow, physics, n))
     return f
 
 
@@ -186,13 +192,12 @@ def test_zero_mode_forcing_vanishes_for_constant_rho(t0, grid128):
     # rho_p = 0: v = 1 - u2 stays at its start, so u2 = 0 and M = u1
     flow = lm.solve_laminar(t0, 2.0, grid128)
     coef = sp.shot_coefficients(flow, t0)
-    V, Vp, Vpp, log_rescale = sp._march(coef, 0, m0=1.0, M0p=0.0,
-                                        record=True)
+    V, Vp, Vpp, log_rescale = sp._march(coef, 0, m0=1.0, M0p=0.0)
     assert np.array_equal(V, np.ones_like(V))
     assert np.array_equal(Vp, np.zeros_like(Vp))
     assert np.array_equal(Vpp, np.zeros_like(Vpp)) and log_rescale == 0.0
     mode, _ = sp.shoot_zero_mode(flow, t0, coef)
-    assert np.array_equal(mode.M, sp._march(coef, 0, record=True)[0])
+    assert np.array_equal(mode.M, sp._march(coef, 0)[0])
 
 
 # the coefficient profiles of the march tests (see the first one)
@@ -220,7 +225,7 @@ def test_shoot_matches_loop_reference(rho, beta):
     coef = sp.shot_coefficients(flow, phys)
     for n in (0, 1, 1000):
         for m0, M0p in _STARTS:
-            got = sp._march(coef, n, m0=m0, M0p=M0p, record=True)
+            got = sp._march(coef, n, m0=m0, M0p=M0p)
             ref = _shoot_loop(flow, phys, n, m0=m0, M0p=M0p)
             for a, b in zip(got[:3], ref[:3]):
                 assert np.array_equal(a, b), (n, m0)
@@ -245,10 +250,8 @@ def test_shoot_end_matches_shoot(rho, beta):
         mode = (sp.shoot_zero_mode(flow, phys, coef)[0] if n == 0
                 else sp.shoot_mode(flow, phys, n, coefficients=coef))
         D, scale = sp._dispersion_at(flow, phys, n, coef)
-        assert abs(D / scale - sp._relative(flow, phys, mode)) \
+        assert abs(D / scale - _relative(flow, phys, mode)) \
             <= TRANSFER_BOUND, n
-    with pytest.raises(ValueError):     # no end-point march is left
-        sp._march(coef, 1, record=False)
 
 
 def _shoot_case_physics(case):
@@ -284,7 +287,7 @@ def test_transfer_matches_march(case, n_p):
                     M, Mp, _, _ = sp._march(coef, n, m0=m0, M0p=M0p)
                     w0 = coef.a_nodes[0] ** 3 * M0p
                     end = (p00 * m0 + p01 * w0,
-                           (p10 * m0 + p11 * w0) * coef.ia3_n[-1])
+                           (p10 * m0 + p11 * w0) * coef.inv_a3_nodes[-1])
                     D, scale = sp._mismatch_at(lam, phys.sigma, g_rho0, n,
                                                end)
                     D_ref, scale_ref = sp._mismatch_at(
@@ -347,7 +350,7 @@ def test_zero_mode_matches_forced_reference(case):
         assert np.max(np.abs(getattr(mode, name) - getattr(ref, name))) \
             <= 1e-14, name
     D0_end, scale_end = sp._dispersion_at(flow, phys, 0)
-    assert abs(D0_end / scale_end - sp._relative(flow, phys, mode)) \
+    assert abs(D0_end / scale_end - _relative(flow, phys, mode)) \
         <= TRANSFER_BOUND
 
 
@@ -442,7 +445,7 @@ def _scan_one_n_at_a_time(physics, grid, n_max):
     lam = sp.find_lambda_star(physics, grid)
     flow = lm.solve_laminar(physics, lam, grid)
     mode1 = sp.shoot_mode(flow, physics, 1)
-    residuals = {1: abs(sp._relative(flow, physics, mode1))}
+    residuals = {1: abs(_relative(flow, physics, mode1))}
     D0, scale0 = sp._dispersion_at(flow, physics, 0)
     residuals[0] = abs(D0 / scale0)
     resonant, grow_streak, prev_gap = [], 0, None
@@ -675,8 +678,7 @@ def _shot_coefficients_scipy(flow, physics):
     return {"a_nodes": a_nodes, "a_half": a_half,
             "ap_nodes": G_interp.derivative()(p) / (2.0 * a_nodes),
             "rp_nodes": physics.rho_p(p), "rp_half": physics.rho_p(half),
-            "inv_a3_nodes": inv_a3_nodes, "inv_a3_half": a_half ** -3.0,
-            "ia3_n": inv_a3_nodes.tolist(), "ia3_h": (a_half ** -3.0).tolist()}
+            "inv_a3_nodes": inv_a3_nodes, "inv_a3_half": a_half ** -3.0}
 
 
 def _table_rho_physics():
@@ -749,7 +751,7 @@ def _shot_coefficients_locate(flow, physics):
     p = grid.nodes[None, :]
     G = flow.G[None, :]
     pchip = pw._hermite(p, G, pw._pchip_slopes(p, G))
-    stations = np.concatenate([p, grid.half_nodes[None, :]], axis=1)
+    stations = np.concatenate([p, p[:, :-1] + 0.5 * grid.h], axis=1)
     a = np.sqrt(flow.lam + pw._evaluate(p, pchip, stations)[0])
     a_nodes = a[:nodes]
     ap_nodes = pw._evaluate(p, pchip, p, derivative=True)[0] / (2.0 * a_nodes)
@@ -758,18 +760,18 @@ def _shot_coefficients_locate(flow, physics):
     return sp.ShotCoefficients(
         h=float(grid.h), N_p=grid.N_p, g=physics.g, a_nodes=a_nodes,
         a_half=a[nodes:], ap_nodes=ap_nodes, rp_nodes=given.rho_p,
-        rp_half=given.rho_p_half, inv_a3_nodes=inv_a3[:nodes],
-        inv_a3_half=inv_a3[nodes:], ia3_n=inv_a3[:nodes].tolist(),
-        ia3_h=inv_a3[nodes:].tolist())
+        rp_half=sp._stations(physics.rho, grid).rho_p_half,
+        inv_a3_nodes=inv_a3[:nodes], inv_a3_half=inv_a3[nodes:])
 
 
 def _count_fits(monkeypatch):
     """Record each G that ``shot_coefficients`` fits a PCHIP to."""
     fitted = []
+    fit = sp._pchip_samples
 
-    def recorded(given, G):
+    def recorded(stations, G):
         fitted.append(G)
-        return lm._pchip_samples(given, G)
+        return fit(stations, G)
 
     monkeypatch.setattr(sp, "_pchip_samples", recorded)
     return fitted
@@ -785,12 +787,16 @@ def _assert_same_coefficients(got, want):
 def test_shot_coefficients_match_locate_route(case, n_p, monkeypatch):
     phys = COEFFICIENT_CASES[case]()
     grid = pr.PGrid(-1.0, n_p)
-    given = lm._given_data(phys.rho, phys.beta, grid)
+    stations = sp._stations(phys.rho, grid)
     # node k in interval k, the last node in N_p - 1, half step k in k
     known = np.r_[np.arange(n_p), n_p - 1, np.arange(n_p)]
-    assert np.array_equal(given.intervals, known[None, :])
+    assert np.array_equal(stations.intervals, known[None, :])
+    assert np.array_equal(
+        pw._locate(stations.points[:, :n_p + 1], stations.points),
+        stations.intervals)
     homogeneous = case in ("constant", "beta-0.2s")
-    assert given.homogeneous == homogeneous
+    assert lm._given_data(phys.rho, phys.beta, grid).homogeneous \
+        == homogeneous
     lam_star = sp.find_lambda_star(phys, grid)
     for lam in (lam_star, 3.0 * lam_star):
         flow = lm.solve_laminar(phys, lam, grid)
@@ -814,6 +820,8 @@ def test_perturbed_G_is_fitted_anew(beta, monkeypatch):
     flow = lm.solve_laminar(phys, 2.0, grid)
     perturbed = replace(flow, G=flow.G * (1 + 1e-9))
     assert not np.array_equal(perturbed.G, flow.G)
+    # the profile's samples, fitted once, whatever ran before this test
+    sp._twoB_samples(phys.rho, phys.beta, grid)
     fitted = _count_fits(monkeypatch)
     sp.shot_coefficients(flow, phys)
     assert fitted == []
