@@ -563,7 +563,8 @@ def classify(physics: Physics, grid: PGrid, n_max: int = 64,
 
     A mode n counts as resonant when |D(n, lambda_*)| < rtol * scale.
     Early exit once the dispersion gap has been growing (mode bifurcation
-    values safely above lambda_*) for 3 consecutive n.  D0 and n = 2 up
+    values safely above lambda_*) for 3 consecutive n; a resonant n, whose
+    D is round-off, neither starts nor resets that count.  D0 and n = 2 up
     to 1 + _SCAN_BLOCK come from one ``_transfer`` product, and each
     later block of _SCAN_BLOCK n from one more, taken only when the scan
     reaches it; ``residuals`` holds exactly the n a scan of one n at a
@@ -596,7 +597,8 @@ def classify(physics: Physics, grid: PGrid, n_max: int = 64,
         rel = rels[n - 2]
         residuals[n] = abs(rel)
         if abs(rel) < resonance_rtol:
-            resonant.append(n)
+            resonant.append(n)      # its D is round-off: the streak skips it
+            continue
         # D < 0 means the mode-n bifurcation value sits above lambda_*;
         # once that gap grows with n, higher resonances are impossible.
         gap = -rel

@@ -441,7 +441,8 @@ def test_classify_records_only_the_modes_it_returns(t0, grid128, double3,
 
 def _scan_one_n_at_a_time(physics, grid, n_max):
     """``classify``'s residuals, class and n2 from one ``_dispersion_at``
-    per n, the scan as it stood before the batched products."""
+    per n, the scan as it stood before the batched products (a resonant
+    n neither starts nor resets the early-exit streak)."""
     lam = sp.find_lambda_star(physics, grid)
     flow = lm.solve_laminar(physics, lam, grid)
     mode1 = sp.shoot_mode(flow, physics, 1)
@@ -454,6 +455,7 @@ def _scan_one_n_at_a_time(physics, grid, n_max):
         residuals[n] = abs(D / scale)
         if residuals[n] < sp.RESONANCE_RTOL:
             resonant.append(n)
+            continue
         gap = -D / scale
         grow = gap > 0 and prev_gap is not None and gap > prev_gap
         grow_streak = grow_streak + 1 if grow else 0
@@ -498,6 +500,25 @@ def test_classify_scan_matches_one_n_at_a_time(point, n_max):
     residuals, label, n2_ref = _scan_one_n_at_a_time(physics, grid, n_max)
     assert bp.residuals == residuals
     assert (bp.classification, bp.n2) == (label, n2_ref)
+
+
+@pytest.mark.parametrize("n2", [2, 4])
+def test_classify_scan_ignores_the_resonant_sign(t0, grid64, n2,
+                                                 monkeypatch):
+    # the resonant n's D / scale is round-off at a double point; its sign
+    # started or reset the early-exit streak, which moved where the scan
+    # stopped: --n2 2 at 6 or 5, --n2 4 at 7 or 8
+    physics = replace(t0, sigma=sp.find_double_sigma(t0, grid64, n2)[0])
+    bp = sp.classify(physics, grid64)
+    assert (bp.classification, bp.n2) == ("Double", n2)
+    mismatch = sp._mismatch_at
+
+    def flipped(lam, sigma, g_rho0, n, end):
+        D, scale = mismatch(lam, sigma, g_rho0, n, end)
+        return (-D if n == n2 else D), scale
+
+    monkeypatch.setattr(sp, "_mismatch_at", flipped)
+    assert sp.classify(physics, grid64).residuals == bp.residuals
 
 
 def test_zero_mode_has_no_sinh_normalization(t0, grid128):
