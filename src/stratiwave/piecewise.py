@@ -5,8 +5,8 @@ no data.  The formulas are scipy's (PchipInterpolator, the not-a-knot and
 the periodic CubicSpline, PPoly evaluation and ``PPoly.derivative``)
 written for whole arrays, so the interpolated values round as the scipy
 objects built per row do.  ``eulerian`` runs them on every column of a
-wave and on its surface, ``spectral`` and ``laminar`` on the one row of a
-laminar flow's G, ``profiles`` on that of a table profile or of B's beta.
+wave and on its surface, ``spectral`` on the one row of a laminar flow's
+G, ``profiles`` on that of a table profile or of B's beta.
 
 Evaluation needs each point's interval.  ``_locate`` searches for it row
 by row; points that are grids find it with one search for all rows

@@ -613,8 +613,7 @@ def _stratified_modes():
 
 
 def test_mode_fields_match_reference(double3):
-    t0, _, bp, flow = double3
-    for mode in (*bp.modes, *_stratified_modes()[2]):
+    for mode in (*double3[2].modes, *_stratified_modes()[2]):
         fields = bf._mode_fields(mode)
         assert sorted(fields) == sorted(("0", "p", "pp", "q", "qq", "pq"))
         for deriv, (arr, trig) in fields.items():
