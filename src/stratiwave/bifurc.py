@@ -537,26 +537,3 @@ def _distinct(th1, th2, near):
         far[0] = False                  # kept, whatever near is
         th1, th2 = th1[far], th2[far]
     return roots
-
-
-def coefficients_to_dict(coeffs: CoefficientSet, germs=None) -> dict:
-    """JSON-ready report of coefficients, flags, and germs."""
-    out = {
-        "n1": coeffs.n1, "n2": coeffs.n2,
-        "psi11": coeffs.psi11, "psi22": coeffs.psi22,
-        "phi": {"phi112": coeffs.phi112, "phi121": coeffs.phi121,
-                "phi211": coeffs.phi211},
-        "theta": {"theta1111": coeffs.theta1111,
-                  "theta2222": coeffs.theta2222,
-                  "theta1122": coeffs.theta1122,
-                  "theta2211": coeffs.theta2211},
-        "normalization": coeffs.normalization,
-        "flags": {"nd1": coeffs.nd1, "nd2": coeffs.nd2,
-                  "regular_value": coeffs.regular_value},
-    }
-    if germs is not None:
-        out["germs"] = [
-            {"kind": g.kind, "n": g.n, "side": g.side,
-             "theta": list(g.theta), "scaling": g.scaling_exponent}
-            for g in germs]
-    return out

@@ -2,9 +2,11 @@
 
 One JSON config document drives every subcommand; unknown keys are
 rejected so a typo in a tolerance name cannot silently fall back to a
-default.  All floating-point output is emitted at 17 significant digits
-with deterministic ordering, so identical configs give byte-identical
-artifacts.
+default.  Only this module formats artifacts, from the numbers the library
+returns: every all-float CSV through ``_csv``, the branch SVG and the JSON
+documents (``heightsolver`` keeps the field dump, which it reads back).
+All floating-point output is emitted at 17 significant digits with
+deterministic ordering, so identical configs give byte-identical artifacts.
 
 Each subcommand takes ``--config``, ``--out`` and its own flags only
 (``_SUBCOMMANDS``); ``main`` alone writes its artifacts, after it succeeds.
@@ -248,6 +250,99 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# --- artifact formats: the text of every CSV, SVG and coefficients file ----
+
+def _csv(header: str, rows) -> str:
+    """An all-float CSV: the header line, then one line per row of numbers,
+    each at 17 significant digits."""
+    line = ",".join(["%.16e"] * (header.count(",") + 1))
+    return "\n".join([header] + [line % tuple(row) for row in rows]) + "\n"
+
+
+def _flow_csv(flow: laminar.LaminarFlow) -> str:
+    return _csv("p,H,Hp,G,Ydot,Gdot", np.column_stack(
+        (flow.grid.nodes, flow.H, flow.Hp, flow.G, flow.Ydot,
+         flow.Gdot)).tolist())
+
+
+def _coefficients_doc(coeffs: bifurc.CoefficientSet, germs) -> dict:
+    """``coeffs``'s document less its classification; ``predict`` writes
+    its germs."""
+    return {
+        "n1": coeffs.n1, "n2": coeffs.n2,
+        "psi11": coeffs.psi11, "psi22": coeffs.psi22,
+        "phi": {"phi112": coeffs.phi112, "phi121": coeffs.phi121,
+                "phi211": coeffs.phi211},
+        "theta": {"theta1111": coeffs.theta1111,
+                  "theta2222": coeffs.theta2222,
+                  "theta1122": coeffs.theta1122,
+                  "theta2211": coeffs.theta2211},
+        "normalization": coeffs.normalization,
+        "flags": {"nd1": coeffs.nd1, "nd2": coeffs.nd2,
+                  "regular_value": coeffs.regular_value},
+        "germs": [{"kind": g.kind, "n": g.n, "side": g.side,
+                   "theta": list(g.theta), "scaling": g.scaling_exponent}
+                  for g in germs],
+    }
+
+
+def _branch_csv(branch: heightsolver.Branch) -> str:
+    return _csv("s,Q,amplitude,M1,M2,M3,M4,M5,M6,residual,step",
+                [(pt.s, pt.Q, pt.amplitude) + pt.monitors
+                 + (pt.residual_norm, pt.step) for pt in branch.points])
+
+
+def _branch_svg(branches) -> str:
+    """Amplitude-vs-Q polyline diagram, one polyline per branch, on a
+    640 x 480 canvas."""
+    width, height = 640, 480
+    pts_all = [(pt.Q, pt.amplitude) for br in branches for pt in br.points]
+    if not pts_all:
+        return ("<svg xmlns='http://www.w3.org/2000/svg' "
+                f"width='{width}' height='{height}'/>\n")
+    qs = [p[0] for p in pts_all]
+    amps = [p[1] for p in pts_all]
+    q_lo, q_hi = min(qs), max(qs)
+    a_lo, a_hi = min(amps), max(amps)
+    q_span = (q_hi - q_lo) or 1.0
+    a_span = (a_hi - a_lo) or 1.0
+    margin = 40
+
+    def xmap(qv):
+        return margin + (qv - q_lo) / q_span * (width - 2 * margin)
+
+    def ymap(av):
+        return height - margin - (av - a_lo) / a_span * (height - 2 * margin)
+
+    parts = [f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' "
+             f"height='{height}' viewBox='0 0 {width} {height}'>",
+             f"<rect width='{width}' height='{height}' fill='white'/>"]
+    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
+    for k, br in enumerate(branches):
+        pts = " ".join(f"{xmap(pt.Q):.2f},{ymap(pt.amplitude):.2f}"
+                       for pt in br.points)
+        parts.append(f"<polyline points='{pts}' fill='none' "
+                     f"stroke='{colors[k % len(colors)]}' stroke-width='1.5'/>")
+    parts.append(f"<text x='{margin}' y='{height - 10}' font-size='12'>"
+                 f"Q in [{q_lo:.6g}, {q_hi:.6g}]</text>")
+    parts.append(f"<text x='10' y='{margin - 10}' font-size='12'>"
+                 f"amplitude in [{a_lo:.6g}, {a_hi:.6g}]</text>")
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _wave_csv(wave: eulerian.EulerianWave) -> str:
+    nx, n_p = wave.y.shape
+    return _csv("x,y,u,v,rho,psi", np.column_stack([
+        np.repeat(wave.x, n_p), wave.y.ravel(), wave.u.ravel(),
+        wave.v.ravel(), wave.rho.ravel(), np.tile(-wave.p, nx)]).tolist())
+
+
+def _surface_csv(wave: eulerian.EulerianWave) -> str:
+    return _csv("x,eta,kappa", np.column_stack(
+        [wave.x, wave.eta, eulerian.nodal_curvature(wave)]).tolist())
+
+
 # --- subcommands: each returns an ordered list of (file name, text) -------
 
 def cmd_laminar(cfg: RunConfig, args):
@@ -259,9 +354,8 @@ def cmd_laminar(cfg: RunConfig, args):
         raise ConfigError("lambdas must differ in their first 6 significant "
                           "digits, which name their files")
     physics, grid = _resolve_physics(cfg, args), cfg.grid
-    return [(name, laminar.flow_to_csv(
-        laminar.solve_laminar(physics, lam, grid)))
-        for lam, name in zip(lambdas, names)]
+    return [(name, _flow_csv(laminar.solve_laminar(physics, lam, grid)))
+            for lam, name in zip(lambdas, names)]
 
 
 def cmd_dispersion(cfg: RunConfig, args):
@@ -316,7 +410,7 @@ def _coefficients(cfg, physics):
 def cmd_coeffs(cfg: RunConfig, args):
     physics = _resolve_physics(cfg, args)
     _, coeffs, germs, report = _coefficients(cfg, physics)
-    out = bifurc.coefficients_to_dict(coeffs, germs)
+    out = _coefficients_doc(coeffs, germs)
     out["classification"] = report
     return [("coefficients.json", _json_dump(out))]
 
@@ -324,7 +418,7 @@ def cmd_coeffs(cfg: RunConfig, args):
 def cmd_predict(cfg: RunConfig, args):
     physics = _resolve_physics(cfg, args)
     _, coeffs, germs, _ = _coefficients(cfg, physics)
-    out = bifurc.coefficients_to_dict(coeffs, germs)["germs"]
+    out = _coefficients_doc(coeffs, germs)["germs"]
     return [("germs.json", _json_dump(out))]
 
 
@@ -359,12 +453,12 @@ def cmd_branch(cfg: RunConfig, args):
         branch = heightsolver.continue_branch(physics, fld, controls)
         branches.append(branch)
         artifacts += [
-            (f"branch_{k}.csv", heightsolver.branch_csv(branch)),
+            (f"branch_{k}.csv", _branch_csv(branch)),
             (f"branch_{k}_last.field",
              heightsolver.dump_field(branch.points[-1].field)),
             (f"branch_{k}_first.field",
              heightsolver.dump_field(branch.points[0].field))]
-    return artifacts + [("branches.svg", heightsolver.branch_svg(branches))]
+    return artifacts + [("branches.svg", _branch_svg(branches))]
 
 
 def _load_dump(cfg: RunConfig, args):
@@ -400,8 +494,8 @@ def cmd_eulerian(cfg: RunConfig, args):
     hf = _load_dump(cfg, args)
     physics = _resolve_physics(cfg, args, hf.sigma)
     wave = eulerian.reconstruct(physics, hf)
-    return [("wave.csv", eulerian.wave_csv(wave)),
-            ("surface.csv", eulerian.surface_csv(wave)),
+    return [("wave.csv", _wave_csv(wave)),
+            ("surface.csv", _surface_csv(wave)),
             ("eulerian_checks.json",
              _json_dump(_oracle_values(physics, wave)))]
 

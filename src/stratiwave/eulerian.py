@@ -109,6 +109,14 @@ def _curvature(west, centre, east, dx):
     return -exx / (1.0 + ex ** 2) ** 1.5
 
 
+def nodal_curvature(wave: EulerianWave):
+    """kappa[eta] at the surface nodes x_0..x_2N_q by ``_curvature``; the
+    outer neighbours of the end nodes wrap around the period."""
+    eta = wave.eta
+    return _curvature(np.append(eta[-2], eta[:-1]), eta,
+                      np.append(eta[1:], eta[1]), wave.x[1] - wave.x[0])
+
+
 def surface_bernoulli_residual(wave: EulerianWave, physics: Physics) -> float:
     """Max-abs residual of the surface energy identity
 
@@ -197,29 +205,3 @@ def yih_residual(wave: EulerianWave, physics: Physics) -> float:
     across = np.stack([e - 2.0 * centre + w, w - 2.0 * centre + e])
     resid = across / dx ** 2 + vertical - physics.g * yy[mid] * rp + bt
     return float(np.max(np.abs(resid[:, ok]), initial=0.0))
-
-
-def wave_csv(wave: EulerianWave) -> str:
-    """Node dump: x, y, u, v, rho, psi."""
-    nx, n_p = wave.y.shape
-    nodes = np.column_stack([
-        np.repeat(wave.x, n_p), wave.y.ravel(), wave.u.ravel(),
-        wave.v.ravel(), wave.rho.ravel(), np.tile(-wave.p, nx)])
-    row = ",".join(["%.16e"] * 6)
-    lines = ["x,y,u,v,rho,psi"]
-    lines += [row % tuple(values) for values in nodes.tolist()]
-    return "\n".join(lines) + "\n"
-
-
-def surface_csv(wave: EulerianWave) -> str:
-    lines = ["x,eta,kappa"]
-    n = wave.eta.size - 1
-    dx = wave.x[1] - wave.x[0]
-    idx = np.arange(n + 1)
-    ipl = np.where(idx + 1 > n, 1, idx + 1)       # periodic wrap on [0, 2pi]
-    imn = np.where(idx - 1 < 0, n - 1, idx - 1)
-    kappa = _curvature(wave.eta[imn], wave.eta, wave.eta[ipl], dx)
-    row = ",".join(["%.16e"] * 3)
-    lines += [row % tuple(values) for values in
-              np.column_stack([wave.x, wave.eta, kappa]).tolist()]
-    return "\n".join(lines) + "\n"

@@ -29,9 +29,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dgbsv, dgbtrs
 
-from .errors import EllipticityLossError, NewtonFailureError, ShapeError
-from .laminar import (LAMBDA_CAP, LaminarFlow, _given_data, _smallest_root,
-                      lambda_floor, solve_laminar)
+from .errors import (DomainError, EllipticityLossError, NewtonFailureError,
+                     ShapeError)
+from .laminar import LaminarFlow, _flow_root, _given_data, lambda_floor
 from .profiles import PGrid, Physics
 
 NEWTON_TOL = 1e-10
@@ -578,16 +578,14 @@ def fourier_block_dispersion(physics: Physics, flow: LaminarFlow, n: int,
 
 def discrete_lambda_star(physics: Physics, grid: PGrid, N_q: int,
                          n: int = 1) -> float:
-    """Smallest zero of the block determinant for mode n, by
-    ``laminar._smallest_root``: one solve and determinant per lambda."""
-    def evaluate(lam):
-        flow = solve_laminar(physics, lam, grid)
-        return (fourier_block_dispersion(physics, flow, n, N_q),)
-
-    found = _smallest_root(evaluate, lambda_floor(physics, grid), LAMBDA_CAP)
-    if found is None:
-        raise NewtonFailureError("no discrete dispersion sign change")
-    return float(found[0])
+    """Smallest zero of the block determinant for mode n above the laminar
+    floor, by ``laminar._flow_root``: one solve and determinant per
+    lambda."""
+    return _flow_root(
+        physics, grid,
+        lambda flow: fourier_block_dispersion(physics, flow, n, N_q),
+        lambda_floor(physics, grid),
+        NewtonFailureError("no discrete dispersion sign change"))[0]
 
 
 # --- continuation ---------------------------------------------------------
@@ -681,7 +679,8 @@ def continue_branch(physics: Physics, germ: HeightField,
     after one above CHORD_CONTRACTION.  Records the monitor tuple at every
     accepted point and stops on the first triggered alternative (blow-up
     monitors, closed loop, Newton failure with underflowed step, or the
-    step budget).  A start solve that fails raises NewtonFailureError.
+    point budget ``max_steps``, which counts the start points too).  A
+    start solve that fails raises NewtonFailureError.
     """
     # reference laminar profile: the q-mean of the germ (cosine modes
     # average to zero over the period)
@@ -714,6 +713,8 @@ def continue_branch(physics: Physics, germ: HeightField,
     stop = record(fld0, 0.0, 0.0)
     if stop is not None:
         return ended(stop)
+    if controls.max_steps == 1:
+        return ended("MaxSteps")
 
     # second point: double the germ deviation at the same frozen mixture
     h1_guess = replace(fld0, h=x_lam.h + 2.0 * (fld0.h - x_lam.h))
@@ -817,8 +818,9 @@ _FORMATS = {("heightfield", "v1"): (_text_rows, 6),
 
 def load_field(text: str) -> HeightField:
     """Parse a ``dump_field`` text, v3 or v2, or the decimal v1 of older
-    dumps; ShapeError on anything malformed.  The field records the sigma
-    of a v3 header, and none for v1 and v2."""
+    dumps; ShapeError on anything malformed, a header whose p0 and N_p
+    make no ``PGrid`` included.  The field records the sigma of a v3
+    header, and none for v1 and v2."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     head = lines[0].split() if lines else []
     if tuple(head[:2]) not in _FORMATS:
@@ -830,62 +832,15 @@ def load_field(text: str) -> HeightField:
     try:
         N_q, N_p = int(head[2]), int(head[3])
         p0, Q = float(head[4]), float(head[5])
+        pgrid = PGrid(p0, N_p)      # DomainError: p0 >= 0, N_p odd or < 8
         sigma = float(head[6]) if width == 7 else None
         h = read_body(lines[1:], N_p)
-    except ValueError as exc:       # binascii.Error is a ValueError
-        raise ShapeError(f"unreadable heightfield dump: {exc}") from None
+    except (ValueError, DomainError) as exc:    # binascii.Error: ValueError
+        raise ShapeError(f"malformed heightfield dump: {exc}") from None
     if not (np.isfinite(p0) and np.isfinite(Q) and np.all(np.isfinite(h))):
         raise ShapeError("heightfield dump holds a non-finite value")
     if sigma is not None and not 0.0 <= sigma < np.inf:
         raise ShapeError(f"heightfield sigma {sigma!r} is not finite and >= 0")
     if h.shape != (N_q + 1, N_p + 1):
         raise ShapeError(f"dump body {h.shape} does not match header")
-    return HeightField(Q=Q, N_q=N_q, pgrid=PGrid(p0, N_p), h=h, sigma=sigma)
-
-
-def branch_csv(branch: Branch) -> str:
-    lines = ["s,Q,amplitude,M1,M2,M3,M4,M5,M6,residual,step"]
-    row = ",".join(["%.16e"] * 11)
-    for pt in branch.points:
-        lines.append(row % ((pt.s, pt.Q, pt.amplitude) + pt.monitors
-                            + (pt.residual_norm, pt.step)))
-    return "\n".join(lines) + "\n"
-
-
-def branch_svg(branches) -> str:
-    """Amplitude-vs-Q polyline diagram, one polyline per branch, on a
-    640 x 480 canvas."""
-    width, height = 640, 480
-    pts_all = [(pt.Q, pt.amplitude) for br in branches for pt in br.points]
-    if not pts_all:
-        return ("<svg xmlns='http://www.w3.org/2000/svg' "
-                f"width='{width}' height='{height}'/>\n")
-    qs = [p[0] for p in pts_all]
-    amps = [p[1] for p in pts_all]
-    q_lo, q_hi = min(qs), max(qs)
-    a_lo, a_hi = min(amps), max(amps)
-    q_span = (q_hi - q_lo) or 1.0
-    a_span = (a_hi - a_lo) or 1.0
-    margin = 40
-
-    def xmap(qv):
-        return margin + (qv - q_lo) / q_span * (width - 2 * margin)
-
-    def ymap(av):
-        return height - margin - (av - a_lo) / a_span * (height - 2 * margin)
-
-    parts = [f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' "
-             f"height='{height}' viewBox='0 0 {width} {height}'>",
-             f"<rect width='{width}' height='{height}' fill='white'/>"]
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
-    for k, br in enumerate(branches):
-        pts = " ".join(f"{xmap(pt.Q):.2f},{ymap(pt.amplitude):.2f}"
-                       for pt in br.points)
-        parts.append(f"<polyline points='{pts}' fill='none' "
-                     f"stroke='{colors[k % len(colors)]}' stroke-width='1.5'/>")
-    parts.append(f"<text x='{margin}' y='{height - 10}' font-size='12'>"
-                 f"Q in [{q_lo:.6g}, {q_hi:.6g}]</text>")
-    parts.append(f"<text x='10' y='{margin - 10}' font-size='12'>"
-                 f"amplitude in [{a_lo:.6g}, {a_hi:.6g}]</text>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return HeightField(Q=Q, N_q=N_q, pgrid=pgrid, h=h, sigma=sigma)

@@ -399,13 +399,3 @@ def check_size_condition(physics: Physics, grid: PGrid):
     lhs = (physics.g * physics.rho0() + physics.sigma) * physics.p0 ** 2
     margin = lhs - quad(grid, integrand)
     return bool(margin > 0), float(margin)
-
-
-def flow_to_csv(flow: LaminarFlow) -> str:
-    """CSV emission: p, H, Hp, G, Ydot, Gdot at 17 significant digits."""
-    row = ",".join(["%.16e"] * 6)
-    columns = (flow.grid.nodes, flow.H, flow.Hp, flow.G, flow.Ydot, flow.Gdot)
-    lines = ["p,H,Hp,G,Ydot,Gdot"]
-    lines += [row % tuple(values)
-              for values in np.column_stack(columns).tolist()]
-    return "\n".join(lines) + "\n"

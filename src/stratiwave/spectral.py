@@ -101,7 +101,6 @@ class ShotCoefficients:
     """
 
     h: float
-    N_p: int
     g: float
     a_nodes: np.ndarray
     a_half: np.ndarray
@@ -183,7 +182,7 @@ def shot_coefficients(flow, physics: Physics) -> ShotCoefficients:
     ap_nodes = G_slopes / (2.0 * a_nodes)
     inv_a3 = a ** -3.0
     return ShotCoefficients(
-        h=float(grid.h), N_p=grid.N_p, g=physics.g, a_nodes=a_nodes,
+        h=float(grid.h), g=physics.g, a_nodes=a_nodes,
         a_half=a[nodes:], ap_nodes=ap_nodes, rp_nodes=given.rho_p,
         rp_half=stations.rho_p_half, inv_a3_nodes=inv_a3[:nodes],
         inv_a3_half=inv_a3[nodes:])

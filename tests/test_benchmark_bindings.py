@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from stratiwave import bifurc as bf
-from stratiwave import cli  # noqa: F401  (the tracer needs every layer loaded)
+from stratiwave import cli
 from stratiwave import eulerian as eu
 from stratiwave import heightsolver as hs
 from stratiwave import laminar as lm
@@ -91,7 +91,7 @@ def test_workload_call_binds(fn, args, kwargs):
 
 def test_coefficient_set_from_coefficients_json():
     cs = toy_coeffs(theta_cross=(0.3, -0.4))
-    doc = json.loads(json.dumps(bf.coefficients_to_dict(
+    doc = json.loads(json.dumps(cli._coefficients_doc(
         cs, bf.predict_branches(cs))))
     # the construction of perfbench/workloads.py (CoeffsOp)
     rebuilt = bf.CoefficientSet(

@@ -407,6 +407,14 @@ def _with_header_token(lines, index, token):
     return [" ".join(head)] + lines[1:]
 
 
+def _narrowed(lines, N_p):
+    """The lines under header N_p, each row cut to its first N_p + 1
+    values."""
+    h = hs.load_field("\n".join(lines)).h
+    return (_with_header_token(lines, 3, str(N_p))[:1]
+            + [_row(row[:N_p + 1]) for row in h])
+
+
 def _as_v3(lines, *tokens):
     """The v2 lines under a v3 header that ends in ``tokens`` after Q."""
     head = lines[0].replace("heightfield v2 ", "heightfield v3 ")
@@ -438,6 +446,12 @@ _MALFORMED_V2 = {
     "v3-negative-sigma": lambda ls: _as_v3(ls, "-1.0000000000000000e-03"),
     "v3-6-field-header": lambda ls: _as_v3(ls),
     "v3-8-field-header": lambda ls: _as_v3(ls, "1.0", "1.0"),
+    # no PGrid, with a body that matches the header
+    "zero-p0": lambda ls: _with_header_token(ls, 4, "0.0000000000000000e+00"),
+    "positive-p0": lambda ls: _with_header_token(ls, 4,
+                                                 "1.0000000000000000e+00"),
+    "odd-N_p": lambda ls: _narrowed(ls, 63),
+    "N_p-below-8": lambda ls: _narrowed(ls, 6),
 }
 
 
@@ -673,6 +687,22 @@ def test_branch_subcommand_simple_point(tmp_path, capsys):
     recorded = float(rows[-1].split(",")[9])
     recomputed = float(_np.max(_np.abs(hs.residual(cfg.physics, fld))))
     assert abs(recomputed - recorded) < 1e-14
+
+
+def test_branch_steps_1_writes_one_point(tmp_path, capsys):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["numerics"] = {"N_p": 32, "N_q": 32}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = cli.main(["branch", "--config", str(path), "--out", str(out),
+                     "--steps", "1"])
+    capsys.readouterr()
+    assert code == 0
+    rows = (out / "branch_0.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 1
+    assert ((out / "branch_0_first.field").read_text()
+            == (out / "branch_0_last.field").read_text())
 
 
 def test_branch_subcommand_double_point(tmp_path, capsys):

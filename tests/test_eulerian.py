@@ -525,8 +525,8 @@ def test_yih_matches_row_reference(solved_waves):
 
 def test_csv_emission(t0, small_wave):
     wave = eu.reconstruct(t0, small_wave)
-    wcsv = eu.wave_csv(wave)
+    wcsv = cli._wave_csv(wave)
     assert wcsv.splitlines()[0] == "x,y,u,v,rho,psi"
-    scsv = eu.surface_csv(wave)
+    scsv = cli._surface_csv(wave)
     assert scsv.splitlines()[0] == "x,eta,kappa"
     assert len(scsv.strip().splitlines()) == wave.x.size + 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_physics
 from test_spectral import _smallest_root_scan
+from stratiwave import cli
 from stratiwave import eulerian as eu
 from stratiwave import heightsolver as hs
 from stratiwave import laminar as lm
@@ -824,15 +825,21 @@ def test_dump_load_roundtrip_bitwise(hf):
         assert _bits(back.sigma) == _bits(hf.sigma)
 
 
-# a header without p0 and Q; a body token that is no number; a nan entry
-@pytest.mark.parametrize("line, start, stop, new",
-                         [(0, 4, 6, []), (1, 3, 4, ["0.5x"]),
-                          (2, 5, 6, ["nan"])],
-                         ids=["short-header", "bad-token", "nan-value"])
-def test_load_field_rejects_malformed(t0, line, start, stop, new):
+# a header without p0 and Q; a body token that is no number; a nan entry;
+# a p0 >= 0; an N_p that is odd or below 8, each row cut to N_p + 1 values
+@pytest.mark.parametrize("line, start, stop, new, width",
+                         [(0, 4, 6, [], 17), (1, 3, 4, ["0.5x"], 17),
+                          (2, 5, 6, ["nan"], 17), (0, 4, 5, ["0.0"], 17),
+                          (0, 4, 5, ["1.0"], 17), (0, 3, 4, ["15"], 16),
+                          (0, 3, 4, ["6"], 7)],
+                         ids=["short-header", "bad-token", "nan-value",
+                              "zero-p0", "positive-p0", "odd-N_p",
+                              "N_p-below-8"])
+def test_load_field_rejects_malformed(t0, line, start, stop, new, width):
     flow = lm.solve_laminar(t0, 4.0, pr.PGrid(-1.0, 16))
     lines = _v1_dump(hs.laminar_field(flow, 16)).split("\n")
     hs.load_field("\n".join(lines))
+    lines[1:] = [" ".join(ln.split(" ")[:width]) for ln in lines[1:]]
     tokens = lines[line].split(" ")
     tokens[start:stop] = new
     lines[line] = " ".join(tokens)
@@ -870,11 +877,22 @@ def test_branch_csv_and_svg(t0, simple_point):
     germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, 64)
     branch = hs.continue_branch(t0, germ,
                                 hs.ContinuationControls(max_steps=4))
-    csv = hs.branch_csv(branch)
+    csv = cli._branch_csv(branch)
     assert csv.splitlines()[0] == "s,Q,amplitude,M1,M2,M3,M4,M5,M6,residual,step"
     assert len(csv.strip().splitlines()) == len(branch.points) + 1
-    svg = hs.branch_svg([branch])
+    svg = cli._branch_svg([branch])
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_max_steps_counts_every_point(t0, simple_point):
+    # the budget counts the two start points: one point ends the branch
+    # at the first of them
+    grid, lam_star, flow, mode = simple_point
+    germ = hs.germ_field(flow, (mode, mode), (1.0, 0.0), 1e-3, 64)
+    for steps in (1, 2, 3):
+        branch = hs.continue_branch(t0, germ,
+                                    hs.ContinuationControls(max_steps=steps))
+        assert (len(branch.points), branch.termination) == (steps, "MaxSteps")
 
 
 def test_simple_branch_mode1_dominates_near_onset(t0, simple_point):
@@ -930,7 +948,8 @@ def test_writers_match_per_value_format(monkeypatch):
         for row in np.resize(special, (3, 11)))
     rows = [(pt.s, pt.Q, pt.amplitude) + pt.monitors
             + (pt.residual_norm, pt.step) for pt in points]
-    text = hs.branch_csv(hs.Branch(points=points, termination="max-steps"))
+    text = cli._branch_csv(hs.Branch(points=points,
+                                     termination="max-steps"))
     assert text.splitlines()[1:] == _per_value(rows, ",")
 
     # the derivatives a flow reads on first use, set to the special values
@@ -939,7 +958,7 @@ def test_writers_match_per_value_format(monkeypatch):
     flow = lm.LaminarFlow(lam=1.0, grid=grid, H=vals[0], Hp=vals[1],
                           G=vals[2], Q=1.0, iterations=1)
     rows = zip(grid.nodes, flow.H, flow.Hp, flow.G, flow.Ydot, flow.Gdot)
-    assert lm.flow_to_csv(flow).splitlines()[1:] == _per_value(rows, ",")
+    assert cli._flow_csv(flow).splitlines()[1:] == _per_value(rows, ",")
 
     x = np.linspace(0.0, 2.0 * np.pi, 5)
     field = np.resize(special, (5, 17))
@@ -950,8 +969,8 @@ def test_writers_match_per_value_format(monkeypatch):
     rows = [(wave.x[ix], wave.y[ix, ip], wave.u[ix, ip], wave.v[ix, ip],
              wave.rho[ix, ip], -wave.p[ip])
             for ix in range(5) for ip in range(17)]
-    assert eu.wave_csv(wave).splitlines()[1:] == _per_value(rows, ",")
+    assert cli._wave_csv(wave).splitlines()[1:] == _per_value(rows, ",")
     # 17 significant digits round-trip, so kappa can be read back
-    surface = eu.surface_csv(wave).splitlines()[1:]
+    surface = cli._surface_csv(wave).splitlines()[1:]
     kappa = [float(line.split(",")[2]) for line in surface]
     assert surface == _per_value(zip(x, wave.eta, kappa), ",")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_physics
+from stratiwave import cli
 from stratiwave import laminar as lm
 from stratiwave import profiles as pr
 from stratiwave import spectral as sp
@@ -204,7 +205,7 @@ def test_size_condition(t0, grid128):
 
 def test_flow_csv_shape(t0, grid64):
     flow = lm.solve_laminar(t0, 2.0, grid64)
-    text = lm.flow_to_csv(flow)
+    text = cli._flow_csv(flow)
     lines = text.strip().split("\n")
     assert lines[0] == "p,H,Hp,G,Ydot,Gdot"
     assert len(lines) == grid64.N_p + 2

@@ -7,7 +7,8 @@ the profiles and the error classes, not the kernel, whose samples of a
 flow only ``spectral`` reads, and the height solver needs nothing of the
 spectral layer.
 No module takes anything from ``scipy.interpolate``: ``piecewise`` is
-the one interpolation kernel.
+the one interpolation kernel.  ``cli`` is the one writer of artifact
+formats: no other module defines a public CSV, SVG or document builder.
 """
 
 import ast
@@ -83,6 +84,19 @@ def test_no_module_imports_scipy_interpolate(module):
     assert not [name for name in external_imports(module)
                 if name == "scipy.interpolate"
                 or name.startswith("scipy.interpolate.")]
+
+
+ARTIFACT_WRITER_SUFFIXES = ("_csv", "_svg", "_to_dict")
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")
+                                          if p.stem != "cli"))
+def test_only_cli_writes_artifact_formats(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert not [node.name for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")
+                and node.name.endswith(ARTIFACT_WRITER_SUFFIXES)]
 
 
 def test_cli_import_loads_no_scipy_interpolate():

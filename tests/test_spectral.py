@@ -779,7 +779,7 @@ def _shot_coefficients_locate(flow, physics):
     inv_a3 = a ** -3.0
     given = lm._given_data(physics.rho, physics.beta, grid)
     return sp.ShotCoefficients(
-        h=float(grid.h), N_p=grid.N_p, g=physics.g, a_nodes=a_nodes,
+        h=float(grid.h), g=physics.g, a_nodes=a_nodes,
         a_half=a[nodes:], ap_nodes=ap_nodes, rp_nodes=given.rho_p,
         rp_half=sp._stations(physics.rho, grid).rho_p_half,
         inv_a3_nodes=inv_a3[:nodes], inv_a3_half=inv_a3[nodes:])
